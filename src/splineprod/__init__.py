@@ -25,7 +25,6 @@ from .oslo import (
     InsertionMatrix,
     LocalWindow,
     deboor_kernel,
-    kernel_stages,
     discrete_bspline_row,
     insertion_matrix,
     oslo_coefficients,
@@ -37,7 +36,6 @@ from .product import (
     binomial,
     improved_morken_product,
     knot_combinations,
-    mean_distinct_terms,
     morken_product,
 )
 from .collocation import (
@@ -75,7 +73,6 @@ __all__ = [
     "InsertionMatrix",
     "LocalWindow",
     "deboor_kernel",
-    "kernel_stages",
     "discrete_bspline_row",
     "insertion_matrix",
     "oslo_coefficients",
@@ -85,7 +82,6 @@ __all__ = [
     "binomial",
     "improved_morken_product",
     "knot_combinations",
-    "mean_distinct_terms",
     "morken_product",
     "BandedMatrix",
     "collocation_matrix",

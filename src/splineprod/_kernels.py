@@ -9,55 +9,27 @@ from __future__ import annotations
 import numpy as np
 
 __all__ = [
-    "find_span0",
     "find_span0_many",
-    "kernel_single",
     "kernel_many",
-    "nonzero_basis_row",
     "nonzero_basis_rows",
 ]
-
-
-def find_span0(knots: np.ndarray, degree: int, dimension: int, x: float) -> int:
-    """0-based anchor index k0 with knots[k0] <= x < knots[k0+1].
-
-    The right endpoint is closed: x == knots[-1] anchors to the last
-    nonempty interval.  The result is clamped into [degree, dimension-1]
-    so the coefficient window c[k0-degree .. k0] always exists; when the
-    clamped interval is empty the scan moves to the nearest nonempty one
-    (left first, matching right-endpoint closure, then right).
-    """
-    if not (knots[0] <= x <= knots[-1]):
-        raise ValueError("evaluation point lies outside the knot span")
-    if dimension < degree + 1:
-        raise ValueError(
-            "knot vector has no interval with full basis support; "
-            "normalize with make_open first"
-        )
-    k0 = int(np.searchsorted(knots, x, side="right")) - 1
-    k0 = min(max(k0, degree), dimension - 1)
-    j = k0
-    while j > degree and knots[j] == knots[j + 1]:
-        j -= 1
-    if knots[j] == knots[j + 1]:
-        j = k0
-        while j < dimension - 1 and knots[j] == knots[j + 1]:
-            j += 1
-        if knots[j] == knots[j + 1]:
-            raise ValueError(
-                "no nonempty knot interval with full basis support contains "
-                "the evaluation point; normalize with make_open first"
-            )
-    return j
 
 
 def find_span0_many(
     knots: np.ndarray, degree: int, dimension: int, xs: np.ndarray
 ) -> np.ndarray:
-    """Vectorized find_span0 over a 1-D array of points."""
+    """0-based anchor k0 with knots[k0] <= x < knots[k0+1], per point of xs.
+
+    The right endpoint is closed: x == knots[-1] anchors to the last
+    nonempty interval.  The result is clamped into [degree, dimension-1]
+    so the coefficient window c[k0-degree .. k0] always exists; when the
+    clamped interval is empty the scan moves to the nearest nonempty one
+    (left first, matching right-endpoint closure, then right).  NaN
+    points lie outside every span.
+    """
     if xs.size == 0:
         return np.empty(0, dtype=np.intp)
-    if xs.min() < knots[0] or xs.max() > knots[-1]:
+    if not (knots[0] <= xs.min() and xs.max() <= knots[-1]):
         raise ValueError("evaluation point lies outside the knot span")
     if dimension < degree + 1:
         raise ValueError(
@@ -104,37 +76,20 @@ def _stage_factors(
     return diag, sup
 
 
-def kernel_single(
-    tau_window: np.ndarray,
-    coeff_window: np.ndarray,
-    fine_knots: np.ndarray,
-    stages: list | None = None,
-) -> float:
-    """One coefficient of the refined spline from a local window.
-
-    tau_window has length 2p (knots tau_{k+1-p} .. tau_{k+p}), coeff_window
-    length p+1 (c_{k-p} .. c_k), fine_knots length p (t_{i+1} .. t_{i+p}).
-    Applies the bidiagonal stages R_p, .., R_1; stage d uses fine knot
-    number d and shrinks the vector from d+1 to d entries.  Cost is
-    3p(p+1)/2 flops.  If `stages` is a list, every intermediate
-    coefficient vector is appended to it (used by convexity tests).
-    """
-    p = coeff_window.shape[0] - 1
-    v = np.asarray(coeff_window, dtype=float).copy()
-    for d in range(p, 0, -1):
-        diag, sup = _stage_factors(tau_window, d, p, fine_knots[d - 1])
-        v = diag * v[:d] + sup * v[1 : d + 1]
-        if stages is not None:
-            stages.append(v.copy())
-    return float(v[0])
-
-
 def kernel_many(
     tau_window: np.ndarray,
     coeff_window: np.ndarray,
     fine_rows: np.ndarray,
 ) -> np.ndarray:
-    """kernel_single batched over B rows of fine knots, shape (B, p)."""
+    """Refined coefficients from one local window, one per row of fine knots.
+
+    tau_window has length 2p (knots tau_{k+1-p} .. tau_{k+p}), coeff_window
+    length p+1 (c_{k-p} .. c_k), fine_rows shape (B, p), each row a fine
+    window t_{i+1} .. t_{i+p}.  Applies the bidiagonal stages R_p, .., R_1;
+    stage d uses fine knot number d and shrinks the vector from d+1 to d
+    entries.  Cost is 3p(p+1)/2 flops per row.  With p = 0 every row
+    gets the coefficient itself.
+    """
     p = coeff_window.shape[0] - 1
     B = fine_rows.shape[0]
     v = np.broadcast_to(np.asarray(coeff_window, dtype=float), (B, p + 1)).copy()
@@ -143,15 +98,6 @@ def kernel_many(
         diag, sup = _stage_factors(tau_window, d, p, t)
         v = diag * v[:, :d] + sup * v[:, 1 : d + 1]
     return v[:, 0]
-
-
-def nonzero_basis_row(
-    knots: np.ndarray, degree: int, span0: int, x: float
-) -> np.ndarray:
-    """Values of the p+1 basis functions B_{span0-p} .. B_{span0} at x."""
-    return nonzero_basis_rows(
-        knots, degree, np.array([span0], dtype=np.intp), np.array([x])
-    )[0]
 
 
 def nonzero_basis_rows(

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._kernels import find_span0, find_span0_many, kernel_many
+from ._kernels import find_span0_many, kernel_many
 
 __all__ = [
     "KnotVector",
@@ -238,7 +238,42 @@ def find_span(kv: KnotVector, x: float) -> int:
     interior knot the interval starting there is chosen (first nonempty
     interval at or to the right of x).
     """
-    return find_span0(kv.knots, kv.degree, kv.dimension, float(x)) + 1
+    xs = np.array([float(x)])
+    return int(find_span0_many(kv.knots, kv.degree, kv.dimension, xs)[0]) + 1
+
+
+def _window_slices(p: int, k0: int) -> tuple[slice, slice]:
+    """Knot window tau_{k+1-p..k+p} and coefficient window c_{k-p..k}.
+
+    k0 = k - 1 is the 0-based anchor; the first slice indexes the knot
+    array (2p entries), the second the coefficient array (p+1 entries).
+    """
+    return slice(k0 - p + 1, k0 + p + 1), slice(k0 - p, k0 + 1)
+
+
+def _refine_rows(
+    knots: np.ndarray,
+    coeffs: np.ndarray,
+    p: int,
+    spans: np.ndarray,
+    fine_rows: np.ndarray,
+) -> np.ndarray:
+    """Kernel value of every fine row at its 0-based anchor spans[r].
+
+    Rows are grouped by anchor, stably, so each group shares one knot and
+    coefficient window and takes one kernel_many call.
+    """
+    out = np.empty(spans.size)
+    if spans.size == 0:
+        return out
+    order = np.argsort(spans, kind="stable")
+    boundaries = np.flatnonzero(np.diff(spans[order])) + 1
+    for group in np.split(order, boundaries):
+        knot_win, coeff_win = _window_slices(p, int(spans[group[0]]))
+        out[group] = kernel_many(
+            knots[knot_win], coeffs[coeff_win], fine_rows[group]
+        )
+    return out
 
 
 def evaluate(s: Spline, x):
@@ -254,27 +289,10 @@ def evaluate(s: Spline, x):
         s = make_open(s)
     kv = s.knots
     p = kv.degree
-    lo, hi = kv.span
-    if xs.size and (xs.min() < lo or xs.max() > hi):
-        raise ValueError("evaluation point lies outside the knot span")
-    spans = find_span0_many(kv.knots, p, kv.dimension, xs.ravel())
     flat = xs.ravel()
-    out = np.empty(flat.shape)
-    if flat.size == 0:
-        pass
-    elif p == 0:
-        out[:] = s.coefficients[spans]
-    else:
-        order = np.argsort(spans, kind="stable")
-        sorted_spans = spans[order]
-        boundaries = np.flatnonzero(np.diff(sorted_spans)) + 1
-        for group in np.split(order, boundaries):
-            k0 = int(spans[group[0]])
-            tau_win = kv.knots[k0 - p + 1 : k0 + p + 1]
-            c_win = s.coefficients[k0 - p : k0 + 1]
-            fine = np.repeat(flat[group][:, None], p, axis=1)
-            out[group] = kernel_many(tau_win, c_win, fine)
-    out = out.reshape(xs.shape)
+    spans = find_span0_many(kv.knots, p, kv.dimension, flat)
+    fine = np.broadcast_to(flat[:, None], (flat.size, p))
+    out = _refine_rows(kv.knots, s.coefficients, p, spans, fine).reshape(xs.shape)
     return float(out[0]) if scalar else out
 
 

@@ -13,8 +13,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._kernels import find_span0_many, kernel_many, kernel_single, _stage_factors
-from .core import KnotVector, make_open, make_spline, multiplicity
+from ._kernels import find_span0_many, kernel_many, _stage_factors
+from .core import (
+    KnotVector,
+    _refine_rows,
+    _window_slices,
+    make_open,
+    make_spline,
+    multiplicity,
+)
 
 __all__ = [
     "LocalWindow",
@@ -106,8 +113,7 @@ def insertion_matrix(coarse: KnotVector, k: int, d: int, t: float) -> InsertionM
         raise IndexError(
             f"anchor k must satisfy degree+1 <= k <= dimension, got {k}"
         )
-    k0 = k - 1
-    window = coarse.knots[k0 - p + 1 : k0 + p + 1]
+    window = coarse.knots[_window_slices(p, k - 1)[0]]
     diag, sup = _stage_factors(window, d, p, float(t))
     return InsertionMatrix(rows=d, cols=d + 1, diagonal=diag, superdiagonal=sup)
 
@@ -124,22 +130,8 @@ def deboor_kernel(window: LocalWindow, p: int) -> float:
             f"inconsistent window sizes: window has degree {window.degree}, "
             f"kernel called with p = {p}"
         )
-    return kernel_single(
-        window.coarse_knots, window.coarse_coeffs, window.fine_knots
-    )
-
-
-def kernel_stages(window: LocalWindow) -> list[np.ndarray]:
-    """Intermediate coefficient vectors of the kernel, longest first.
-
-    Exposes the shrinking vectors c^(d) for inspection; the last entry
-    has length 1 and holds the kernel value.
-    """
-    stages: list[np.ndarray] = []
-    kernel_single(
-        window.coarse_knots, window.coarse_coeffs, window.fine_knots, stages
-    )
-    return stages
+    row = window.fine_knots[None, :]
+    return float(kernel_many(window.coarse_knots, window.coarse_coeffs, row)[0])
 
 
 def _validate_refinement(coarse: KnotVector, fine: KnotVector) -> None:
@@ -180,18 +172,8 @@ def oslo_coefficients(
     n = fine.dimension
     anchors = fine.knots[:n]
     spans = find_span0_many(ckv.knots, p, ckv.dimension, anchors)
-    if p == 0:
-        return src.coefficients[spans].copy()
     fine_windows = np.lib.stride_tricks.sliding_window_view(fine.knots[1 : n + p], p)
-    out = np.empty(n)
-    order = np.argsort(spans, kind="stable")
-    boundaries = np.flatnonzero(np.diff(spans[order])) + 1
-    for group in np.split(order, boundaries):
-        k0 = int(spans[group[0]])
-        tau_win = ckv.knots[k0 - p + 1 : k0 + p + 1]
-        c_win = src.coefficients[k0 - p : k0 + 1]
-        out[group] = kernel_many(tau_win, c_win, fine_windows[group])
-    return out
+    return _refine_rows(ckv.knots, src.coefficients, p, spans, fine_windows)
 
 
 def discrete_bspline_row(

@@ -22,6 +22,7 @@ from .core import (
     BreakpointRun,
     KnotVector,
     Spline,
+    _window_slices,
     make_open,
     product_knot_vector,
 )
@@ -34,7 +35,6 @@ __all__ = [
     "knot_combinations",
     "morken_product",
     "improved_morken_product",
-    "mean_distinct_terms",
 ]
 
 # refuse unforced naive runs beyond this many terms per coefficient
@@ -59,7 +59,8 @@ def binomial(n: int, k: int) -> int | float:
     The running numerator and denominator are exact integers; once the
     numerator accumulator outgrows 128 bits the result is computed as
     exp(lgamma(n+1) - lgamma(k+1) - lgamma(n-k+1)) instead.  Returns an
-    int on the exact path and a float on the log-Gamma path.
+    int on the exact path and a float on the log-Gamma path; raises
+    ValueError when C(n, k) exceeds the double range.
     """
     if not isinstance(n, (int, np.integer)) or isinstance(n, bool):
         raise ValueError("binomial arguments must be integers")
@@ -76,9 +77,14 @@ def binomial(n: int, k: int) -> int | float:
         num *= n - k + j
         den *= j
         if num > _UINT128_MAX:
-            return math.exp(
-                math.lgamma(n + 1) - math.lgamma(k + 1) - math.lgamma(n - k + 1)
-            )
+            try:
+                return math.exp(
+                    math.lgamma(n + 1) - math.lgamma(k + 1) - math.lgamma(n - k + 1)
+                )
+            except OverflowError:
+                raise ValueError(
+                    f"binomial C({n}, {k}) exceeds the double range"
+                ) from None
     return num // den
 
 
@@ -232,14 +238,6 @@ def _row_geometry(f: Spline, g: Spline, t: KnotVector):
     return m, k1, k2, windows
 
 
-def _factor_windows(s: Spline, k0: int) -> tuple[np.ndarray, np.ndarray]:
-    p = s.degree
-    return (
-        s.knots.knots[k0 - p + 1 : k0 + p + 1],
-        s.coefficients[k0 - p : k0 + 1],
-    )
-
-
 def _distinct_counts(windows: np.ndarray, p1: int) -> np.ndarray:
     return np.array(
         [len(knot_combinations(w, p1).combinations) for w in windows],
@@ -294,8 +292,10 @@ def morken_product(
         cached = list(_subset_chunks(p, p1))
     b = np.empty(m)
     for i in range(m):
-        tau1, c1 = _factor_windows(f, int(k1[i]))
-        tau2, c2 = _factor_windows(g, int(k2[i]))
+        kw1, cw1 = _window_slices(p1, int(k1[i]))
+        kw2, cw2 = _window_slices(g.degree, int(k2[i]))
+        tau1, c1 = f.knots.knots[kw1], f.coefficients[cw1]
+        tau2, c2 = g.knots.knots[kw2], g.coefficients[cw2]
         win = windows[i]
         acc = 0.0
         for idx_f, idx_g in cached if cached is not None else _subset_chunks(p, p1):
@@ -332,12 +332,12 @@ def improved_morken_product(
     b = np.empty(m)
     counts = np.empty(m, dtype=np.int64)
     for i in range(m):
-        tau1, c1 = _factor_windows(f, int(k1[i]))
-        tau2, c2 = _factor_windows(g, int(k2[i]))
+        kw1, cw1 = _window_slices(p1, int(k1[i]))
+        kw2, cw2 = _window_slices(g.degree, int(k2[i]))
         combo = knot_combinations(windows[i], p1)
         rows_f, rows_g = combo.knot_rows()
-        bf = kernel_many(tau1, c1, rows_f)
-        bg = kernel_many(tau2, c2, rows_g)
+        bf = kernel_many(f.knots.knots[kw1], f.coefficients[cw1], rows_f)
+        bg = kernel_many(g.knots.knots[kw2], g.coefficients[cw2], rows_g)
         b[i] = float(np.dot(combo.weights * bf, bg)) / divisor
         counts[i] = len(combo.combinations)
     return ProductResult(
@@ -347,7 +347,3 @@ def improved_morken_product(
         mean_distinct=float(counts.mean()),
     )
 
-
-def mean_distinct_terms(result: ProductResult) -> float:
-    """Average distinct-term count per coefficient of a product run."""
-    return float(np.asarray(result.distinct_term_counts, dtype=float).mean())

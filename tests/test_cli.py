@@ -118,6 +118,17 @@ def test_naive_guard_exits_3(tmp_path, capsys):
     assert main(["product", f_path, g_path, "--method", "direct"]) == 0
 
 
+def test_product_degree_600_exits_2(tmp_path, capsys):
+    """C(1200, 600) overflows a double: a clean input error, no traceback."""
+    piece = Spline(bernstein_knots(600), np.ones(601))
+    b = write_spline(tmp_path / "b600.json", piece)
+    for method in ("direct", "naive"):
+        assert main(["product", b, b, "--method", method]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:")
+        assert "Traceback" not in err
+
+
 def test_experiment_writes_csv(tmp_path):
     out = tmp_path / "rows.csv"
     code = main(

@@ -200,8 +200,11 @@ def test_evaluate_scalar_array_and_degree_zero():
     assert evaluate(s, 1.0) == -1.0
     npt.assert_array_equal(evaluate(s, np.array([0.0, 0.6])), [2.0, -1.0])
     assert evaluate(s, np.array([])).shape == (0,)
-    with pytest.raises(ValueError, match="outside"):
-        evaluate(s, 1.5)
+    for bad in (1.5, np.nan):
+        with pytest.raises(ValueError, match="outside"):
+            evaluate(s, bad)
+        with pytest.raises(ValueError, match="outside"):
+            evaluate(s, np.array([0.5, bad]))
 
 
 def test_evaluate_non_open_input_normalized():

@@ -36,8 +36,12 @@ def random_window(rng, p):
     return LocalWindow(coarse, coeffs, fine)
 
 
-def dense_stage_product(window):
-    """Explicit product of the p bidiagonal stage matrices applied to c^k."""
+def dense_stage_product(window, stages=None):
+    """Explicit product of the p bidiagonal stage matrices applied to c^k.
+
+    If `stages` is a list, every intermediate coefficient vector is
+    appended to it, longest first; the last one holds the kernel value.
+    """
     p = window.degree
     knots = window.coarse_knots
     # embed the window in an open vector so k is a valid 1-based span index
@@ -46,6 +50,8 @@ def dense_stage_product(window):
     v = np.array(window.coarse_coeffs)
     for d in range(p, 0, -1):
         v = insertion_matrix(kv, k, d, window.fine_knots[d - 1]).apply(v[: d + 1])
+        if stages is not None:
+            stages.append(v)
     return v[0]
 
 
@@ -155,8 +161,6 @@ def test_kernel_matches_dense_stage_product():
 def test_kernel_intermediate_convexity():
     """Every stage output stays inside [min c, max c] for interior fine knots."""
     rng = np.random.default_rng(88)
-    from splineprod.oslo import kernel_stages
-
     for _ in range(50):
         p = int(rng.integers(1, 6))
         coarse = np.sort(rng.uniform(0.0, 1.0, size=2 * p))
@@ -166,7 +170,10 @@ def test_kernel_intermediate_convexity():
         coeffs = rng.uniform(-1.0, 1.0, size=p + 1)
         window = LocalWindow(coarse, coeffs, fine)
         lo, hi = coeffs.min(), coeffs.max()
-        for stage in kernel_stages(window):
+        stages = []
+        dense_stage_product(window, stages)
+        assert [stage.size for stage in stages] == list(range(p, 0, -1))
+        for stage in stages:
             assert np.all(stage >= lo - 1e-14)
             assert np.all(stage <= hi + 1e-14)
 
@@ -195,6 +202,11 @@ def test_oslo_linear_midpoint_insertion():
     fine = KnotVector(np.array([0.0, 0.0, 0.5, 1.0, 1.0]), 1)
     b = oslo_coefficients(1, coarse, np.array([0.0, 1.0]), fine)
     npt.assert_allclose(b, [0.0, 0.5, 1.0], atol=1e-16)
+    # degree 0: each fine coefficient copies the coarse one it lies under
+    coarse0 = KnotVector(np.array([0.0, 0.5, 1.0]), 0)
+    fine0 = KnotVector(np.array([0.0, 0.25, 0.5, 1.0]), 0)
+    b0 = oslo_coefficients(0, coarse0, np.array([2.0, -1.0]), fine0)
+    npt.assert_array_equal(b0, [2.0, 2.0, -1.0])
 
 
 def test_oslo_matches_boehm_single_insertion():
