@@ -62,14 +62,19 @@ def _stage_factors(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Diagonal and superdiagonal of the d-th bidiagonal stage.
 
-    `t` may be a scalar or a column of shape (B, 1) for batched use.
+    `t` may be a scalar or a column of shape (B, 1) for batched use;
+    tau_window may carry leading batch axes, with the window on the last.
     Rows with a zero denominator get both entries set to 0: the whole
     fraction vanishes by convention, it is not an omega/(1-omega) pair.
+    On a nonempty anchor interval every denominator is positive, because
+    hi >= tau_{k+1} > tau_k >= lo.
     """
-    hi = tau_window[p : p + d]
-    lo = tau_window[p - d : p]
+    hi = tau_window[..., p : p + d]
+    lo = tau_window[..., p - d : p]
     denom = hi - lo
     ok = denom > 0
+    if ok.all():
+        return (hi - t) / denom, (t - lo) / denom
     safe = np.where(ok, denom, 1.0)
     diag = np.where(ok, (hi - t) / safe, 0.0)
     sup = np.where(ok, (t - lo) / safe, 0.0)

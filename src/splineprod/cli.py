@@ -2,7 +2,9 @@
 
 Exit codes: 0 on success, 2 on invalid input (unreadable or malformed
 spline files, incompatible factors, bad arguments), 3 when the naive
-method refuses an unforced oversized expansion.
+method refuses an unforced oversized expansion.  A collocation product
+whose condition estimate reaches 1/eps still exits 0, with a warning
+line on stderr.
 """
 from __future__ import annotations
 
@@ -13,8 +15,12 @@ import sys
 import numpy as np
 
 from .bench import ExperimentConfig, FAMILY_PARAMETERS, run_experiment, write_csv
-from .collocation import collocation_product
-from .core import Spline
+from .collocation import (
+    collocation_matrix,
+    collocation_product,
+    condition_estimate_1norm,
+)
+from .core import Spline, greville_abscissae
 from .product import (
     NaiveInfeasibleError,
     improved_morken_product,
@@ -50,7 +56,16 @@ def _run_product(args) -> int:
         document = morken_product(f, g, force=args.force).to_dict()
     else:
         # no term-count stats on the collocation path
-        document = collocation_product(f, g).to_dict()
+        product = collocation_product(f, g)
+        t = product.knots
+        cond = condition_estimate_1norm(collocation_matrix(t, greville_abscissae(t)))
+        if cond >= 1.0 / np.finfo(float).eps:
+            print(
+                f"warning: collocation condition estimate {cond:.3g} reaches 1/eps; "
+                "the coefficients may have no correct digits",
+                file=sys.stderr,
+            )
+        document = product.to_dict()
     _emit(json.dumps(document, indent=2) + "\n", args.output)
     return 0
 

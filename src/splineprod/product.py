@@ -3,8 +3,10 @@
 Each product coefficient b_i is an average over blossom-style terms: for
 every way of splitting the window t_{i+1} .. t_{i+p} of the product knot
 vector into p1 knots for f and p2 knots for g, multiply the two local de
-Boor kernels and divide the sum by C(p, p1).  The naive path enumerates
-all C(p, p1) index subsets; the improved path enumerates only distinct
+Boor kernels and divide the sum by C(p, p1), the exact integer rounded
+once to a double (binomial()'s log-Gamma branch, taken from C(50, 25)
+on, is off by 5.4e-14 at C(100, 50)).  The naive path enumerates all
+C(p, p1) index subsets; the improved path enumerates only distinct
 knot-value profiles and weights each one by how many subsets produce it,
 which is what makes repeated knots cheap.
 """
@@ -17,7 +19,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from ._kernels import find_span0_many, kernel_many
+from ._kernels import _stage_factors, find_span0_many, kernel_many
 from .core import (
     BreakpointRun,
     KnotVector,
@@ -47,6 +49,10 @@ _UINT128_MAX = (1 << 128) - 1
 # that is materialized once instead of re-enumerated per coefficient
 _CHUNK = 1 << 16
 _PRECOMPUTE_LIMIT = 1 << 22
+
+# improved path: doubles per (rows, nodes, d + 1) stage block; one
+# unblocked batch over all rows ran at half speed from memory traffic
+_BLOCK = 1 << 16
 
 
 class NaiveInfeasibleError(RuntimeError):
@@ -105,17 +111,10 @@ class CombinationSet:
     def knot_rows(self) -> tuple[np.ndarray, np.ndarray]:
         """Per-profile knot rows for f (sum mu_j wide) and g (the rest)."""
         values = np.array([r.value for r in self.window_breakpoints])
-        counts = np.array(
-            [r.multiplicity for r in self.window_breakpoints], dtype=np.int64
+        rows_f, rows_g = _profile_runs(
+            tuple(r.multiplicity for r in self.window_breakpoints), self.combinations
         )
-        profs = np.array(self.combinations, dtype=np.int64).reshape(
-            len(self.combinations), len(self.window_breakpoints)
-        )
-        T = profs.shape[0]
-        tiled = np.tile(values, T)
-        rows_f = np.repeat(tiled, profs.ravel()).reshape(T, -1)
-        rows_g = np.repeat(tiled, (counts[None, :] - profs).ravel()).reshape(T, -1)
-        return rows_f, rows_g
+        return values[rows_f], values[rows_g]
 
     @property
     def weights(self) -> np.ndarray:
@@ -205,6 +204,98 @@ def knot_combinations(window, p1: int) -> CombinationSet:
     )
 
 
+def _profile_runs(
+    mults: tuple[int, ...], profiles
+) -> tuple[np.ndarray, np.ndarray]:
+    """Run indices of every profile's f knots (T, p1) and g knots (T, p - p1)."""
+    T = len(profiles)
+    mu = np.array(profiles, dtype=np.intp).reshape(T, len(mults))
+    runs = np.tile(np.arange(len(mults)), T)
+    rows_f = np.repeat(runs, mu.ravel()).reshape(T, -1)
+    rows_g = np.repeat(runs, (np.asarray(mults) - mu).ravel()).reshape(T, -1)
+    return rows_f, rows_g
+
+
+@dataclass(frozen=True)
+class _SuffixTree:
+    """Kernel stages of one factor side, shared across profile suffixes.
+
+    Stage d (d = q, .., 1) reads fine knot d of a sorted profile row, so
+    profiles whose knots d .. q agree share the vector after stage d; each
+    such suffix is one node.  Stage d's nodes are offsets[q-d] ..
+    offsets[q-d+1] of the flat arrays; node n refines node parent[n] of
+    the stage before (node 0, the coefficient window, before stage q) at
+    window run knot[n].  leaf[k] is profile k's node after stage 1, and
+    widest the most doubles one row's nodes take into any stage.
+    """
+
+    offsets: np.ndarray
+    parent: np.ndarray
+    knot: np.ndarray
+    leaf: np.ndarray
+    widest: int
+
+
+def _suffix_tree(rows: np.ndarray) -> _SuffixTree:
+    """Stage tables for profile rows of run indices, shape (T, q)."""
+    T, q = rows.shape
+    # sorted by the last column first, every suffix is a contiguous block
+    order = np.lexsort(rows.T)
+    # knots[j, i]: the run sorted profile i reads at stage d = q - j
+    knots = rows[order].T[::-1]
+    # a profile opens a node at a stage when its knots from that stage
+    # up differ from the previous sorted profile's
+    opens = np.ones((q, T), dtype=bool)
+    opens[:, 1:] = np.logical_or.accumulate(knots[:, 1:] != knots[:, :-1], axis=0)
+    node = np.cumsum(opens, axis=1) - 1
+    parent = np.zeros_like(node)
+    parent[1:] = node[:-1]
+    stage, first = np.nonzero(opens)
+    sizes = opens.sum(axis=1)
+    leaf = np.empty(T, dtype=np.intp)
+    leaf[order] = node[-1]
+    return _SuffixTree(
+        offsets=np.concatenate(([0], np.cumsum(sizes))),
+        parent=_compact(parent[stage, first]),
+        knot=_compact(knots[stage, first]),
+        leaf=_compact(leaf),
+        widest=int(np.max(sizes * np.arange(q + 1, 1, -1))),
+    )
+
+
+def _compact(index: np.ndarray) -> np.ndarray:
+    """Nonnegative indices in the narrowest unsigned type that holds them.
+
+    Plans stay cached for the life of the process, so their size is
+    memory that every later product keeps.
+    """
+    return index.astype(np.min_scalar_type(int(index.max())))
+
+
+@dataclass(frozen=True)
+class _ProductPlan:
+    """Knot-only work of every row with one window pattern and p1."""
+
+    weights: np.ndarray
+    f: _SuffixTree
+    g: _SuffixTree
+
+
+# plans are keyed on knot multiplicities, not values, so products on
+# shifted or rescaled knots reuse them (spline_spline at degree 50 needs
+# 148); the bound caps what a process keeps
+@lru_cache(maxsize=1024)
+def _product_plan(mults: tuple[int, ...], p1: int) -> _ProductPlan:
+    """Plan for windows with run multiplicities mults, split p1 + rest."""
+    profiles = _profiles(mults, p1)
+    rows_f, rows_g = _profile_runs(mults, [prof for prof, _ in profiles])
+    return _ProductPlan(
+        weights=np.array([w for _, w in profiles], dtype=float),
+        f=_suffix_tree(rows_f),
+        g=_suffix_tree(rows_g),
+    )
+
+
 def _prepared_factors(
     f: Spline, g: Spline, target_knots: KnotVector | None
 ) -> tuple[Spline, Spline, KnotVector]:
@@ -238,11 +329,27 @@ def _row_geometry(f: Spline, g: Spline, t: KnotVector):
     return m, k1, k2, windows
 
 
-def _distinct_counts(windows: np.ndarray, p1: int) -> np.ndarray:
-    return np.array(
-        [len(knot_combinations(w, p1).combinations) for w in windows],
-        dtype=np.int64,
+def _window_groups(t: KnotVector):
+    """Product rows grouped by the run multiplicities of their knot windows.
+
+    Yields (mults, rows, starts): the multiplicity tuple, the rows whose
+    window t_{i+1} .. t_{i+p} has it, and the window offset where each
+    run starts.  Rows come in ascending order within a group.
+    """
+    p = t.degree
+    m = t.dimension
+    knots = t.knots
+    # breaks[i, j]: knot j + 1 of window i starts a new run
+    breaks = np.lib.stride_tricks.sliding_window_view(
+        knots[2 : m + p] != knots[1 : m + p - 1], p - 1
     )
+    patterns, inverse = np.unique(breaks, axis=0, return_inverse=True)
+    order = np.argsort(inverse.ravel(), kind="stable")
+    sizes = np.bincount(inverse.ravel(), minlength=len(patterns))
+    for pattern, rows in zip(patterns, np.split(order, np.cumsum(sizes)[:-1])):
+        starts = np.concatenate(([0], np.flatnonzero(pattern) + 1))
+        mults = tuple(int(c) for c in np.diff(starts, append=p))
+        yield mults, rows, starts
 
 
 def _subset_chunks(p: int, p1: int):
@@ -286,7 +393,7 @@ def morken_product(
             "pass force=True (or --force) to run it anyway"
         )
     m, k1, k2, windows = _row_geometry(f, g, t)
-    divisor = float(count)
+    divisor = float(math.comb(p, p1))
     cached = None
     if count <= _PRECOMPUTE_LIMIT:
         cached = list(_subset_chunks(p, p1))
@@ -303,13 +410,50 @@ def morken_product(
             bg = kernel_many(tau2, c2, win[idx_g])
             acc += float(np.dot(bf, bg))
         b[i] = acc / divisor
-    counts = _distinct_counts(windows, p1)
+    counts = np.empty(m, dtype=np.int64)
+    for mults, rows, _ in _window_groups(t):
+        counts[rows] = len(_profiles(mults, p1))
     return ProductResult(
         product=Spline(t, b),
         naive_term_count=count,
         distinct_term_counts=counts,
         mean_distinct=float(counts.mean()),
     )
+
+
+def _gathered_windows(s: Spline, spans: np.ndarray):
+    """Knot and coefficient windows of s at every anchor, one row each."""
+    kw, cw = _window_slices(s.degree, 0)
+    col = spans[:, None]
+    return (
+        s.knots.knots[col + np.arange(kw.start, kw.stop)],
+        s.coefficients[col + np.arange(cw.start, cw.stop)],
+    )
+
+
+def _profile_values(
+    tree: _SuffixTree, tau: np.ndarray, coeffs: np.ndarray, values: np.ndarray
+) -> np.ndarray:
+    """Kernel value of every profile on every row, shape (rows, profiles).
+
+    tau and coeffs hold one factor window per row, values the window
+    breakpoints of the product row.  Each stage refines the parent
+    vectors of its nodes, (rows, nodes, d + 1) -> (rows, nodes, d), with
+    the same arithmetic as kernel_many, so every value is bit-identical
+    to a kernel_many call on the profile's knot row.
+    """
+    q = coeffs.shape[1] - 1
+    tau = tau[:, None, :]
+    t = values[:, :, None]
+    v = coeffs[:, None, :]
+    for j, d in enumerate(range(q, 0, -1)):
+        nodes = slice(tree.offsets[j], tree.offsets[j + 1])
+        # a stage's factors depend on the node only through its knot
+        diag, sup = _stage_factors(tau, d, q, t)
+        knot = tree.knot[nodes]
+        vp = v[:, tree.parent[nodes]]
+        v = diag[:, knot] * vp[..., :d] + sup[:, knot] * vp[..., 1:]
+    return np.ascontiguousarray(v[:, tree.leaf, 0])
 
 
 def improved_morken_product(
@@ -319,31 +463,43 @@ def improved_morken_product(
 ) -> ProductResult:
     """Product spline via distinct knot profiles with exact repetition counts.
 
-    Produces bit-for-bit the same grouping of kernel terms for every
-    coefficient as summing the distinct profiles in their deterministic
-    order; agrees with morken_product to floating-point roundoff.
+    Rows whose knot windows share their run multiplicities share one
+    knot-only plan (profiles, weights, suffix-shared kernel stages) and
+    are evaluated together in blocks.  Every coefficient sums the same
+    kernel products in the same order as one kernel_many call per row and
+    factor over its distinct profiles; agrees with morken_product to
+    floating-point roundoff.
     """
     f, g, t = _prepared_factors(f, g, target_knots)
     p1 = f.degree
     p = t.degree
     count = binomial(p, p1)
-    divisor = float(count)
-    m, k1, k2, windows = _row_geometry(f, g, t)
+    divisor = float(math.comb(p, p1))
+    m, k1, k2, _ = _row_geometry(f, g, t)
     b = np.empty(m)
     counts = np.empty(m, dtype=np.int64)
-    for i in range(m):
-        kw1, cw1 = _window_slices(p1, int(k1[i]))
-        kw2, cw2 = _window_slices(g.degree, int(k2[i]))
-        combo = knot_combinations(windows[i], p1)
-        rows_f, rows_g = combo.knot_rows()
-        bf = kernel_many(f.knots.knots[kw1], f.coefficients[cw1], rows_f)
-        bg = kernel_many(g.knots.knots[kw2], g.coefficients[cw2], rows_g)
-        b[i] = float(np.dot(combo.weights * bf, bg)) / divisor
-        counts[i] = len(combo.combinations)
+    for mults, rows, starts in _window_groups(t):
+        plan = _product_plan(mults, p1)
+        tau1, c1 = _gathered_windows(f, k1[rows])
+        tau2, c2 = _gathered_windows(g, k2[rows])
+        values = t.knots[rows[:, None] + 1 + starts]
+        step = max(1, _BLOCK // max(plan.f.widest, plan.g.widest))
+        dots = np.empty(rows.size)
+        for lo in range(0, rows.size, step):
+            block = slice(lo, lo + step)
+            wbf = plan.weights * _profile_values(
+                plan.f, tau1[block], c1[block], values[block]
+            )
+            bg = _profile_values(plan.g, tau2[block], c2[block], values[block])
+            # one BLAS dot per contiguous row: the summation order, and so
+            # the bits, of the per-row reduction
+            for r in range(bg.shape[0]):
+                dots[lo + r] = np.dot(wbf[r], bg[r])
+        b[rows] = dots / divisor
+        counts[rows] = plan.weights.size
     return ProductResult(
         product=Spline(t, b),
         naive_term_count=count,
         distinct_term_counts=counts,
         mean_distinct=float(counts.mean()),
     )
-

@@ -3,6 +3,8 @@
 Everything here is deliberately naive: textbook recursions and dense
 linear algebra, written without reference to the package internals, so
 the fast implementations have something honest to be checked against.
+The one exception is `improved_product_rows`, the per-row loop of the
+improved product, which the grouped evaluation must match bit for bit.
 """
 
 import itertools
@@ -190,3 +192,41 @@ def dense_cond1(matrix):
     norm = np.abs(dense).sum(axis=0).max()
     inv_norm = np.abs(np.linalg.inv(dense)).sum(axis=0).max()
     return norm * inv_norm
+
+
+def improved_product_rows(f, g):
+    """Improved-product coefficients and distinct counts, one row at a time.
+
+    Each row enumerates its window's distinct profiles, builds their knot
+    rows, runs one kernel_many call per factor over them and reduces with
+    one dot of weights * bf against bg, divided by C(p, p1).  Returns
+    (coefficients, distinct counts).
+    """
+    from splineprod import knot_combinations, make_open, product_knot_vector
+    from splineprod._kernels import find_span0_many, kernel_many
+
+    f, g = make_open(f), make_open(g)
+    t = product_knot_vector(f.knots, g.knots)
+    p1, p2, p, m = f.degree, g.degree, t.degree, t.dimension
+    anchors = t.knots[:m]
+    k1 = find_span0_many(f.knots.knots, p1, f.knots.dimension, anchors)
+    k2 = find_span0_many(g.knots.knots, p2, g.knots.dimension, anchors)
+    divisor = float(math.comb(p, p1))
+    b = np.empty(m)
+    counts = np.empty(m, dtype=np.int64)
+    for i in range(m):
+        combo = knot_combinations(t.knots[i + 1 : i + 1 + p], p1)
+        rows_f, rows_g = combo.knot_rows()
+        bf = kernel_many(
+            f.knots.knots[k1[i] - p1 + 1 : k1[i] + p1 + 1],
+            f.coefficients[k1[i] - p1 : k1[i] + 1],
+            rows_f,
+        )
+        bg = kernel_many(
+            g.knots.knots[k2[i] - p2 + 1 : k2[i] + p2 + 1],
+            g.coefficients[k2[i] - p2 : k2[i] + 1],
+            rows_g,
+        )
+        b[i] = float(np.dot(combo.weights * bf, bg)) / divisor
+        counts[i] = len(combo.combinations)
+    return b, counts

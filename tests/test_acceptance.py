@@ -36,7 +36,9 @@ from splineprod import (
     ExperimentConfig,
     KnotVector,
     Spline,
+    SplitMix64,
     binomial,
+    build_family_case,
     collocation_matrix,
     condition_estimate_1norm,
     evaluate,
@@ -46,6 +48,7 @@ from splineprod import (
     morken_product,
     oslo_coefficients,
     product_knot_vector,
+    relative_linf_error,
     run_experiment,
     uniform_open_knots,
 )
@@ -124,6 +127,21 @@ def test_criterion_02_pointwise_error_and_collocation_gap(spline_poly_rows):
     assert last.param == 50
     ratio = last.e_colloc / last.e_direct
     assert ratio >= 1e8, f"collocation/direct error ratio {ratio:.3e} at degree 50"
+
+
+def test_criterion_02_direct_error_spline_spline_degree_50():
+    """The 5e-14 bound also holds for the spline_spline row at degree 50.
+
+    The product has degree 100, where dividing by a C(100, 50) with a
+    relative error of 5.4e-14 alone would exceed the bound.
+    """
+    master = SplitMix64(ACCEPTANCE_SEED)
+    seeds = [master.next_u64() for _ in range(1, 51)]
+    case = build_family_case("spline_spline", 50, SplitMix64(seeds[-1]))
+    g = case.gs[0]
+    result = improved_morken_product(case.f, g)
+    e_direct = relative_linf_error(result.product, case.f, g)
+    assert e_direct <= 5e-14, f"direct error {e_direct:.3e} at degree 50"
 
 
 def test_criterion_03_term_counts_spline_poly(spline_poly_rows):

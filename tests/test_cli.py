@@ -129,6 +129,37 @@ def test_product_degree_600_exits_2(tmp_path, capsys):
         assert "Traceback" not in err
 
 
+def test_collocation_warns_when_condition_reaches_inverse_eps(tmp_path, capsys):
+    """Two degree-20 Bezier pieces: estimate 4e16, coefficients off by 8."""
+    piece = Spline(bernstein_knots(20), np.ones(21))
+    b = write_spline(tmp_path / "b20.json", piece)
+    assert main(["product", b, b, "--method", "collocation"]) == 0
+    captured = capsys.readouterr()
+    warnings = [
+        line for line in captured.err.splitlines() if line.startswith("warning:")
+    ]
+    assert len(warnings) == 1
+    assert "1/eps" in warnings[0]
+    # the document still goes to stdout, unchanged
+    assert len(json.loads(captured.out)["coefficients"]) == 41
+
+
+def test_collocation_well_conditioned_pair_does_not_warn(tmp_path, capsys):
+    f = make_spline(2, [0, 0, 0, 0.5, 1, 1, 1], [1.0, -0.5, 2.0, 0.25])
+    g = make_spline(1, [0, 0, 1, 1], [0.0, 1.0])
+    code = main(
+        [
+            "product",
+            write_spline(tmp_path / "f.json", f),
+            write_spline(tmp_path / "g.json", g),
+            "--method",
+            "collocation",
+        ]
+    )
+    assert code == 0
+    assert capsys.readouterr().err == ""
+
+
 def test_experiment_writes_csv(tmp_path):
     out = tmp_path / "rows.csv"
     code = main(

@@ -23,6 +23,7 @@ from splineprod import (
 from helpers import (
     brute_combinations,
     distinct_profile_count,
+    improved_product_rows,
     random_open_kv,
     random_spline_on,
 )
@@ -296,3 +297,53 @@ def test_improved_pointwise_for_moderate_degrees():
         reference = evaluate(f, grid) * evaluate(g, grid)
         err = np.max(np.abs(evaluate(result.product, grid) - reference))
         assert err / np.max(np.abs(reference)) <= 1e-13
+
+
+@st.composite
+def repeated_knot_splines(draw, degree):
+    """Spline on [0, 1] whose interior knots repeat up to `degree` times."""
+    interior = draw(st.lists(st.integers(1, 15), max_size=4, unique=True).map(sorted))
+    knots = [0.0] * (degree + 1)
+    for v in interior:
+        knots += [v / 16.0] * draw(st.integers(1, degree))
+    knots += [1.0] * (degree + 1)
+    n = len(knots) - degree - 1
+    coeffs = draw(
+        st.lists(
+            st.floats(-1.0, 1.0, allow_nan=False), min_size=n, max_size=n
+        )
+    )
+    return make_spline(degree, knots, coeffs)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(1, 6), st.integers(1, 6), st.data())
+def test_improved_is_bit_identical_to_per_row_loop(p1, p2, data):
+    f = data.draw(repeated_knot_splines(p1))
+    g = data.draw(repeated_knot_splines(p2))
+    result = improved_morken_product(f, g)
+    coeffs, counts = improved_product_rows(f, g)
+    assert np.array_equal(result.product.coefficients, coeffs)
+    assert np.array_equal(result.distinct_term_counts, counts)
+    assert result.mean_distinct == float(counts.mean())
+
+
+def test_improved_bit_identical_across_row_blocks(monkeypatch):
+    """A window group larger than one evaluation block."""
+    import splineprod.product as product_module
+
+    monkeypatch.setattr(product_module, "_BLOCK", 64)
+    rng = np.random.default_rng(41)
+    f = random_spline_on(rng, uniform_open_knots(3, 40))
+    g = random_spline_on(rng, uniform_open_knots(2, 40))
+    t = product_knot_vector(f.knots, g.knots)
+    blocks = []
+    for mults, rows, _ in product_module._window_groups(t):
+        plan = product_module._product_plan(mults, 3)
+        rows_per_block = max(1, 64 // max(plan.f.widest, plan.g.widest))
+        blocks.append(-(-rows.size // rows_per_block))
+    assert max(blocks) > 2
+    result = improved_morken_product(f, g)
+    coeffs, counts = improved_product_rows(f, g)
+    assert np.array_equal(result.product.coefficients, coeffs)
+    assert np.array_equal(result.distinct_term_counts, counts)
