@@ -15,12 +15,8 @@ import sys
 import numpy as np
 
 from .bench import ExperimentConfig, FAMILY_PARAMETERS, run_experiment, write_csv
-from .collocation import (
-    collocation_matrix,
-    collocation_product,
-    condition_estimate_1norm,
-)
-from .core import Spline, greville_abscissae
+from .collocation import _factored_condition, _factored_product
+from .core import Spline
 from .product import (
     NaiveInfeasibleError,
     improved_morken_product,
@@ -55,10 +51,10 @@ def _run_product(args) -> int:
     elif args.method == "naive":
         document = morken_product(f, g, force=args.force).to_dict()
     else:
-        # no term-count stats on the collocation path
-        product = collocation_product(f, g)
-        t = product.knots
-        cond = condition_estimate_1norm(collocation_matrix(t, greville_abscissae(t)))
+        # no term-count stats on the collocation path; the condition
+        # estimate reuses the solve's factorization
+        product, matrix, lu = _factored_product(f, g)
+        cond = _factored_condition(matrix, lu)
         if cond >= 1.0 / np.finfo(float).eps:
             print(
                 f"warning: collocation condition estimate {cond:.3g} reaches 1/eps; "

@@ -175,7 +175,12 @@ def solve_banded(matrix: BandedMatrix, rhs) -> np.ndarray:
     rhs = np.asarray(rhs, dtype=float)
     if rhs.shape != (matrix.order,):
         raise ValueError("right-hand side length must equal the matrix order")
-    x = matrix.lu().solve(rhs)
+    return _logged_solve(matrix, matrix.lu(), rhs)
+
+
+def _logged_solve(matrix: BandedMatrix, lu: _BandedLU, rhs: np.ndarray) -> np.ndarray:
+    """Solve with the factors of matrix, logging the relative residual."""
+    x = lu.solve(rhs)
     denom = float(np.abs(rhs).max()) or 1.0
     residual = float(np.abs(matrix.matvec(x) - rhs).max()) / denom
     logger.debug("banded solve residual (relative, max norm): %.3e", residual)
@@ -224,12 +229,18 @@ def condition_estimate_1norm(matrix: BandedMatrix) -> float:
     has kappa_1 = 5.52e16 in 90-digit arithmetic.  Matrices with an
     exact zero pivot report infinity.
     """
-    norm_a = float(matrix.column_abs_sums().max())
     try:
         lu = matrix.lu()
     except np.linalg.LinAlgError:
         return math.inf
-    return norm_a * _inverse_norm1_estimate(lu, matrix.order)
+    return _factored_condition(matrix, lu)
+
+
+def _factored_condition(matrix: BandedMatrix, lu: _BandedLU) -> float:
+    """condition_estimate_1norm of matrix, from its factors lu."""
+    return float(matrix.column_abs_sums().max()) * _inverse_norm1_estimate(
+        lu, matrix.order
+    )
 
 
 def collocation_product(
@@ -241,8 +252,16 @@ def collocation_product(
     there, and solves the banded system.  Exact for the product space,
     but the solve inherits the conditioning of the collocation matrix.
     """
+    return _factored_product(f, g, target_knots)[0]
+
+
+def _factored_product(
+    f: Spline, g: Spline, target_knots: KnotVector | None = None
+) -> tuple[Spline, BandedMatrix, _BandedLU]:
+    """collocation_product, plus its collocation matrix and that matrix's LU."""
     f, g, t = _prepared_factors(f, g, target_knots)
     xs = greville_abscissae(t)
     matrix = collocation_matrix(t, xs)
     rhs = evaluate(f, xs) * evaluate(g, xs)
-    return Spline(t, solve_banded(matrix, rhs))
+    lu = matrix.lu()
+    return Spline(t, _logged_solve(matrix, lu, rhs)), matrix, lu

@@ -50,8 +50,10 @@ _UINT128_MAX = (1 << 128) - 1
 _CHUNK = 1 << 16
 _PRECOMPUTE_LIMIT = 1 << 22
 
-# improved path: doubles per (rows, nodes, d + 1) stage block; one
-# unblocked batch over all rows ran at half speed from memory traffic
+# improved path: the doubles one block of rows may take into a stage,
+# each row counted at its plan's widest stage.  A block packs rows of
+# many window groups into one stage loop; one unblocked batch over all
+# rows ran at half speed from memory traffic
 _BLOCK = 1 << 16
 
 
@@ -225,8 +227,11 @@ class _SuffixTree:
     such suffix is one node.  Stage d's nodes are offsets[q-d] ..
     offsets[q-d+1] of the flat arrays; node n refines node parent[n] of
     the stage before (node 0, the coefficient window, before stage q) at
-    window run knot[n].  leaf[k] is profile k's node after stage 1, and
-    widest the most doubles one row's nodes take into any stage.
+    window run knot[n].  leaf[k] is profile k's node after stage 1; parent
+    and leaf count nodes from the first of their stage.  widest is the
+    most doubles one row's nodes take into any stage, which is what a row
+    costs an evaluation block (_row_blocks); _stage_tables lays the trees
+    of a block's rows out side by side, stage by stage.
     """
 
     offsets: np.ndarray
@@ -431,29 +436,116 @@ def _gathered_windows(s: Spline, spans: np.ndarray):
     )
 
 
-def _profile_values(
-    tree: _SuffixTree, tau: np.ndarray, coeffs: np.ndarray, values: np.ndarray
-) -> np.ndarray:
-    """Kernel value of every profile on every row, shape (rows, profiles).
+def _row_blocks(t: KnotVector, p1: int):
+    """Window groups cut into pieces and packed into evaluation blocks.
 
-    tau and coeffs hold one factor window per row, values the window
-    breakpoints of the product row.  Each stage refines the parent
-    vectors of its nodes, (rows, nodes, d + 1) -> (rows, nodes, d), with
-    the same arithmetic as kernel_many, so every value is bit-identical
-    to a kernel_many call on the profile's knot row.
+    Yields one list of (plan, rows, starts) pieces per block.  A piece is
+    a run of consecutive rows of one window group; each row costs its
+    plan's widest stage, and a block takes pieces greedily, splitting a
+    group where the block fills, until its rows cost _BLOCK doubles.  A
+    row wider than _BLOCK gets a block of its own.
     """
+    block: list = []
+    used = 0
+    for mults, rows, starts in _window_groups(t):
+        plan = _product_plan(mults, p1)
+        width = max(plan.f.widest, plan.g.widest)
+        lo = 0
+        while lo < rows.size:
+            room = (_BLOCK - used) // width
+            if room < 1 and block:
+                yield block
+                block, used = [], 0
+                continue
+            take = min(rows.size - lo, max(room, 1))
+            block.append((plan, rows[lo : lo + take], starts))
+            used += take * width
+            lo += take
+    if block:
+        yield block
+
+
+def _ranges(lengths: np.ndarray) -> np.ndarray:
+    """Offset of every element within its range, for ranges laid end to end."""
+    return np.arange(lengths.sum()) - np.repeat(np.cumsum(lengths) - lengths, lengths)
+
+
+def _stage_tables(trees: list[_SuffixTree], sizes: np.ndarray, runs: int):
+    """Flat stage tables of one factor side over the pieces of a block.
+
+    trees[k] is piece k's suffix tree and sizes[k] its row count; runs is
+    the block's longest window run list.  The block's row-nodes are
+    listed stage by stage; within a stage, piece by piece; within a
+    piece, node by node, each node once per row.  Returns (bounds,
+    parent, rowrun, leaf): stage j's row-nodes are bounds[j] ..
+    bounds[j + 1]; row-node e refines entry parent[e] of the stage
+    before (a block row, its coefficient window, before the first stage)
+    at flat (row, window run) index rowrun[e]; leaf lists every row's
+    profiles, row by row, as positions in the last stage.
+    """
+    q = len(trees[0].offsets) - 1
+    offsets = np.array([tree.offsets for tree in trees])
+    widths = np.diff(offsets, axis=1)
+    counts = sizes[:, None] * widths
+    # where each piece starts in each stage's list, and in the list that
+    # stage reads (the block rows, before the first stage)
+    base = np.cumsum(counts, axis=0) - counts
+    first = np.cumsum(sizes) - sizes
+    above = np.column_stack((first, base[:, :-1]))
+    bounds = np.concatenate(([0], np.cumsum(counts.sum(axis=0))))
+    # the pieces' nodes stage by stage, then piece by piece; every index
+    # array here is intp, so the narrow tree tables widen, never wrap
+    lens = widths.T.ravel()
+    nodes = offsets[:, -1]
+    source = (offsets[:, :-1] + (np.cumsum(nodes) - nodes)[:, None]).T.ravel()
+    order = np.repeat(source, lens) + _ranges(lens)
+    n = np.repeat(np.tile(sizes, q), lens)
+    up = np.repeat(above.T.ravel(), lens)
+    up += np.concatenate([tree.parent for tree in trees])[order] * n
+    run = np.repeat(np.tile(first, q), lens) * runs
+    run += np.concatenate([tree.knot for tree in trees])[order]
+    # node i of a piece with n rows holds its rows r = 0 .. n - 1 at i * n + r
+    r = _ranges(n)
+    parent = np.repeat(up, n) + r
+    rowrun = np.repeat(run, n) + r * runs
+    # profile i of block row first[k] + r sits at base[k, -1] + leaf_i * n + r
+    profiles = np.array([tree.leaf.size for tree in trees])
+    per_row = np.repeat(profiles, sizes)
+    row = np.repeat(np.arange(per_row.size), per_row)
+    piece = np.repeat(np.arange(len(trees)), sizes)[row]
+    pick = (np.cumsum(profiles) - profiles)[piece] + _ranges(per_row)
+    leaf = np.concatenate([tree.leaf for tree in trees])[pick] * sizes[piece]
+    leaf += (base[:, -1] - first)[piece] + row
+    return bounds, parent, rowrun, leaf
+
+
+def _block_values(tables, tau: np.ndarray, coeffs: np.ndarray, values: np.ndarray):
+    """Kernel value of every (row, profile) of a block, flat and row-major.
+
+    tau and coeffs hold one factor window per block row, values the
+    window run values of the row (padded to the block's longest run
+    list).  Each stage refines the parent vectors of its row-nodes, d + 1
+    -> d entries, with the same arithmetic as kernel_many, so every value
+    is bit-identical to a kernel_many call on the profile's knot row.
+    """
+    bounds, parent, rowrun, leaf = tables
     q = coeffs.shape[1] - 1
     tau = tau[:, None, :]
     t = values[:, :, None]
-    v = coeffs[:, None, :]
+    v = coeffs
     for j, d in enumerate(range(q, 0, -1)):
-        nodes = slice(tree.offsets[j], tree.offsets[j + 1])
-        # a stage's factors depend on the node only through its knot
+        nodes = slice(bounds[j], bounds[j + 1])
+        # a stage's factors depend on a row-node only through its row and
+        # window run; padded runs are computed and never read
         diag, sup = _stage_factors(tau, d, q, t)
-        knot = tree.knot[nodes]
-        vp = v[:, tree.parent[nodes]]
-        v = diag[:, knot] * vp[..., :d] + sup[:, knot] * vp[..., 1:]
-    return np.ascontiguousarray(v[:, tree.leaf, 0])
+        at = rowrun[nodes]
+        vp = np.take(v, parent[nodes], axis=0)
+        v = np.take(diag.reshape(-1, d), at, axis=0)
+        v *= vp[:, :d]
+        right = np.take(sup.reshape(-1, d), at, axis=0)
+        right *= vp[:, 1:]
+        v += right
+    return v[leaf, 0]
 
 
 def improved_morken_product(
@@ -464,8 +556,10 @@ def improved_morken_product(
     """Product spline via distinct knot profiles with exact repetition counts.
 
     Rows whose knot windows share their run multiplicities share one
-    knot-only plan (profiles, weights, suffix-shared kernel stages) and
-    are evaluated together in blocks.  Every coefficient sums the same
+    knot-only plan (profiles, weights, suffix-shared kernel stages).
+    Blocks of at most _BLOCK doubles pack rows of many such groups and
+    run one stage loop per factor over all of them, with one reduction
+    per group piece.  Every coefficient sums the same
     kernel products in the same order as one kernel_many call per row and
     factor over its distinct profiles; agrees with morken_product to
     floating-point roundoff.
@@ -478,25 +572,41 @@ def improved_morken_product(
     m, k1, k2, _ = _row_geometry(f, g, t)
     b = np.empty(m)
     counts = np.empty(m, dtype=np.int64)
-    for mults, rows, starts in _window_groups(t):
-        plan = _product_plan(mults, p1)
+    for pieces in _row_blocks(t, p1):
+        plans = [plan for plan, _, _ in pieces]
+        sizes = np.array([piece.size for _, piece, _ in pieces])
+        rows = np.concatenate([piece for _, piece, _ in pieces])
+        # run starts padded to the block's longest list with offset p - 1,
+        # the window's last knot
+        runs = max(starts.size for _, _, starts in pieces)
+        starts = np.full((len(pieces), runs), p - 1)
+        for k, (_, _, piece_starts) in enumerate(pieces):
+            starts[k, : piece_starts.size] = piece_starts
+        values = t.knots[rows[:, None] + 1 + np.repeat(starts, sizes, axis=0)]
         tau1, c1 = _gathered_windows(f, k1[rows])
         tau2, c2 = _gathered_windows(g, k2[rows])
-        values = t.knots[rows[:, None] + 1 + starts]
-        step = max(1, _BLOCK // max(plan.f.widest, plan.g.widest))
-        dots = np.empty(rows.size)
-        for lo in range(0, rows.size, step):
-            block = slice(lo, lo + step)
-            wbf = plan.weights * _profile_values(
-                plan.f, tau1[block], c1[block], values[block]
-            )
-            bg = _profile_values(plan.g, tau2[block], c2[block], values[block])
-            # one BLAS dot per contiguous row: the summation order, and so
-            # the bits, of the per-row reduction
-            for r in range(bg.shape[0]):
-                dots[lo + r] = np.dot(wbf[r], bg[r])
-        b[rows] = dots / divisor
-        counts[rows] = plan.weights.size
+        bf = _block_values(
+            _stage_tables([plan.f for plan in plans], sizes, runs), tau1, c1, values
+        )
+        bg = _block_values(
+            _stage_tables([plan.g for plan in plans], sizes, runs), tau2, c2, values
+        )
+        lo = 0
+        for plan, piece, _ in pieces:
+            hi = lo + piece.size * plan.weights.size
+            wbf = plan.weights * bf[lo:hi].reshape(piece.size, -1)
+            cols = bg[lo:hi].reshape(piece.size, -1)
+            if cols.shape[1] == 1:
+                # np.dot of one-element rows is their product, zero sign too
+                dots = wbf[:, 0] * cols[:, 0]
+            else:
+                # matmul reduces each 1 x 1 product with one BLAS dot over
+                # the row's contiguous values: the summation order, and so
+                # the bits, of one np.dot per row
+                dots = (wbf[:, None, :] @ cols[:, :, None]).ravel()
+            b[piece] = dots / divisor
+            counts[piece] = plan.weights.size
+            lo = hi
     return ProductResult(
         product=Spline(t, b),
         naive_term_count=count,

@@ -24,14 +24,17 @@ share no code with the package:
 
 import json
 import math
+import os
 import subprocess
 import sys
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
 from numpy.lib.stride_tricks import sliding_window_view
 
+import splineprod
 from splineprod import (
     ExperimentConfig,
     KnotVector,
@@ -340,11 +343,18 @@ def test_criterion_10_bitwise_reproducible_csv(tmp_path):
         "--seed",
         "123",
     ]
+    # the child imports the package this process imported, also when
+    # only pytest's pythonpath setting put it on sys.path
+    package_root = str(Path(splineprod.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, (package_root, os.environ.get("PYTHONPATH")))
+    )
     paths = []
     for name in ("one.csv", "two.csv"):
         out = tmp_path / name
         result = subprocess.run(
-            command + ["-o", str(out)], capture_output=True, text=True
+            command + ["-o", str(out)], capture_output=True, text=True, env=env
         )
         assert result.returncode == 0, result.stderr
         paths.append(out)

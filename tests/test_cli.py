@@ -160,6 +160,31 @@ def test_collocation_well_conditioned_pair_does_not_warn(tmp_path, capsys):
     assert capsys.readouterr().err == ""
 
 
+def test_collocation_factors_the_matrix_once(tmp_path, capsys, monkeypatch):
+    """The solve and the condition estimate share one banded LU."""
+    from splineprod.collocation import BandedMatrix
+
+    calls = []
+    lu = BandedMatrix.lu
+
+    def counted(self):
+        calls.append(self.order)
+        return lu(self)
+
+    monkeypatch.setattr(BandedMatrix, "lu", counted)
+    readme_f = make_spline(2, [0, 0, 0, 0.5, 1, 1, 1], [1.0, -0.5, 2.0, 0.25])
+    readme_g = make_spline(1, [0, 0, 1, 1], [0.0, 1.0])
+    bezier = Spline(bernstein_knots(20), np.ones(21))
+    for f, g in ((readme_f, readme_g), (bezier, bezier)):
+        calls.clear()
+        f_path = write_spline(tmp_path / "f.json", f)
+        g_path = write_spline(tmp_path / "g.json", g)
+        assert main(["product", f_path, g_path, "--method", "collocation"]) == 0
+        assert len(calls) == 1
+    # the degree-20 pair still warns
+    assert "warning:" in capsys.readouterr().err
+
+
 def test_experiment_writes_csv(tmp_path):
     out = tmp_path / "rows.csv"
     code = main(

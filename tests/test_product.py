@@ -1,6 +1,7 @@
 """Direct products: binomials, distinct combinations, both product paths."""
 
 import math
+from collections import Counter
 
 import numpy as np
 import numpy.testing as npt
@@ -20,6 +21,7 @@ from splineprod import (
     product_knot_vector,
     uniform_open_knots,
 )
+from splineprod.bench import SplitMix64, build_family_case
 from helpers import (
     brute_combinations,
     distinct_profile_count,
@@ -329,21 +331,116 @@ def test_improved_is_bit_identical_to_per_row_loop(p1, p2, data):
 
 
 def test_improved_bit_identical_across_row_blocks(monkeypatch):
-    """A window group larger than one evaluation block."""
+    """Blocks that split a window group or hold several, and one block."""
     import splineprod.product as product_module
 
-    monkeypatch.setattr(product_module, "_BLOCK", 64)
     rng = np.random.default_rng(41)
     f = random_spline_on(rng, uniform_open_knots(3, 40))
     g = random_spline_on(rng, uniform_open_knots(2, 40))
     t = product_knot_vector(f.knots, g.knots)
-    blocks = []
-    for mults, rows, _ in product_module._window_groups(t):
-        plan = product_module._product_plan(mults, 3)
-        rows_per_block = max(1, 64 // max(plan.f.widest, plan.g.widest))
-        blocks.append(-(-rows.size // rows_per_block))
-    assert max(blocks) > 2
-    result = improved_morken_product(f, g)
     coeffs, counts = improved_product_rows(f, g)
-    assert np.array_equal(result.product.coefficients, coeffs)
-    assert np.array_equal(result.distinct_term_counts, counts)
+    for block in (64, 1 << 20):
+        monkeypatch.setattr(product_module, "_BLOCK", block)
+        packing = list(product_module._row_blocks(t, 3))
+        # the window groups (one plan each) that have rows in each block
+        groups = [{id(plan) for plan, _, _ in pieces} for pieces in packing]
+        rows = np.concatenate([piece for pieces in packing for _, piece, _ in pieces])
+        assert np.array_equal(np.sort(rows), np.arange(t.dimension))
+        if block == 64:
+            blocks = Counter(group for held in groups for group in held)
+            assert max(blocks.values()) > 2
+            assert max(len(held) for held in groups) >= 2
+        else:
+            assert len(packing) == 1
+        result = improved_morken_product(f, g)
+        assert np.array_equal(result.product.coefficients, coeffs)
+        assert np.array_equal(result.distinct_term_counts, counts)
+        # signed zeros too
+        assert result.product.coefficients.tobytes() == coeffs.tobytes()
+
+
+def test_improved_bit_identical_on_claimed_rows():
+    """The experiment rows whose product speed the benchmark measures."""
+    rows = (
+        ("galerkin_k", 12, None),
+        ("galerkin_p", 12, 3),
+        ("spline_poly", 50, None),
+        ("mesh_refine", 6, None),
+    )
+    for family, param, first in rows:
+        case = build_family_case(family, param, SplitMix64(5))
+        for g in case.gs[:first]:
+            result = improved_morken_product(case.f, g)
+            coeffs, counts = improved_product_rows(case.f, g)
+            assert np.array_equal(result.product.coefficients, coeffs)
+            assert np.array_equal(result.distinct_term_counts, counts)
+            assert result.product.coefficients.tobytes() == coeffs.tobytes()
+
+
+def _input_scale(f, g):
+    """Largest coefficient magnitude of f times that of g."""
+    return float(np.max(np.abs(f.coefficients)) * np.max(np.abs(g.coefficients)))
+
+
+def _within(error, scale):
+    """error <= 1e-13 * scale; below the normal range (hypothesis draws
+    coefficients down to subnormals) doubles have only an absolute
+    precision, so the smallest normal double is the floor."""
+    return error <= 1e-13 * scale + np.finfo(float).tiny
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(1, 6), st.integers(1, 6), st.data())
+def test_improved_property_symmetric(p1, p2, data):
+    f = data.draw(repeated_knot_splines(p1))
+    g = data.draw(repeated_knot_splines(p2))
+    fg = improved_morken_product(f, g).product
+    gf = improved_morken_product(g, f).product
+    assert np.array_equal(fg.knots.knots, gf.knots.knots)
+    scale = max(np.max(np.abs(fg.coefficients)), np.max(np.abs(gf.coefficients)))
+    assert _within(np.max(np.abs(fg.coefficients - gf.coefficients)), scale)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.integers(1, 6),
+    st.integers(1, 6),
+    st.floats(-4.0, 4.0, allow_nan=False),
+    st.floats(-4.0, 4.0, allow_nan=False),
+    st.data(),
+)
+def test_improved_property_bilinear_in_g(p1, p2, a, b, data):
+    f = data.draw(repeated_knot_splines(p1))
+    g1 = data.draw(repeated_knot_splines(p2))
+    n = g1.coefficients.size
+    c2 = data.draw(
+        st.lists(st.floats(-1.0, 1.0, allow_nan=False), min_size=n, max_size=n)
+    )
+    g2 = Spline(g1.knots, np.array(c2))
+    mixed = Spline(g1.knots, a * g1.coefficients + b * g2.coefficients)
+    lhs = improved_morken_product(f, mixed).product.coefficients
+    rhs = (
+        a * improved_morken_product(f, g1).product.coefficients
+        + b * improved_morken_product(f, g2).product.coefficients
+    )
+    scale = _input_scale(f, g1) * abs(a) + _input_scale(f, g2) * abs(b)
+    assert _within(np.max(np.abs(lhs - rhs)), scale)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.integers(1, 6),
+    st.integers(1, 6),
+    st.lists(
+        st.floats(0.0, 1.0, exclude_min=True, exclude_max=True), min_size=1, max_size=20
+    ),
+    st.data(),
+)
+def test_improved_property_pointwise(p1, p2, points, data):
+    f = data.draw(repeated_knot_splines(p1))
+    g = data.draw(repeated_knot_splines(p2))
+    x = np.array(points)
+    product = improved_morken_product(f, g).product
+    reference = evaluate(f, x) * evaluate(g, x)
+    err = np.max(np.abs(evaluate(product, x) - reference))
+    assert _within(err, _input_scale(f, g))
