@@ -8,6 +8,11 @@ from __future__ import annotations
 
 import numpy as np
 
+# the doubles one block of rows may take into a stage loop, in the
+# improved product and in the refine step under evaluate; one unblocked
+# batch over all rows ran at half speed from memory traffic
+_BLOCK = 1 << 16
+
 __all__ = [
     "find_span0_many",
     "kernel_many",
@@ -86,16 +91,17 @@ def kernel_many(
     coeff_window: np.ndarray,
     fine_rows: np.ndarray,
 ) -> np.ndarray:
-    """Refined coefficients from one local window, one per row of fine knots.
+    """Refined coefficients from local windows, one per row of fine knots.
 
     tau_window has length 2p (knots tau_{k+1-p} .. tau_{k+p}), coeff_window
     length p+1 (c_{k-p} .. c_k), fine_rows shape (B, p), each row a fine
-    window t_{i+1} .. t_{i+p}.  Applies the bidiagonal stages R_p, .., R_1;
-    stage d uses fine knot number d and shrinks the vector from d+1 to d
-    entries.  Cost is 3p(p+1)/2 flops per row.  With p = 0 every row
-    gets the coefficient itself.
+    window t_{i+1} .. t_{i+p}.  Either window may also hold one window per
+    row, shapes (B, 2p) and (B, p+1); p is read from coeff_window's last
+    axis.  Applies the bidiagonal stages R_p, .., R_1; stage d uses fine
+    knot number d and shrinks the vector from d+1 to d entries.  Cost is
+    3p(p+1)/2 flops per row.  With p = 0 every row gets its coefficient.
     """
-    p = coeff_window.shape[0] - 1
+    p = coeff_window.shape[-1] - 1
     B = fine_rows.shape[0]
     v = np.broadcast_to(np.asarray(coeff_window, dtype=float), (B, p + 1)).copy()
     for d in range(p, 0, -1):
@@ -110,22 +116,28 @@ def nonzero_basis_rows(
 ) -> np.ndarray:
     """Triangular evaluation of all nonzero basis values, one row per point.
 
-    Denominators are differences of knots spanning the (nonempty) anchor
-    interval, so they never vanish for valid spans.
+    Each triangle row j takes whole-array steps over all points, entry by
+    entry the arithmetic of the scalar recursion.  Denominators are
+    differences of knots spanning the (nonempty) anchor interval, so they
+    never vanish for valid spans.
     """
     p = degree
-    m = xs.shape[0]
-    N = np.zeros((m, p + 1))
-    N[:, 0] = 1.0
-    left = np.empty((m, p + 1))
-    right = np.empty((m, p + 1))
+    # transposed, so every slice runs along the points; left[j] is
+    # x - t_{k+1-j}, right[j] is t_{k+j} - x, and row 0 of both is unused
+    N = np.zeros((p + 1, xs.shape[0]))
+    N[0] = 1.0
+    offsets = np.arange(p + 1)[:, None]
+    left = xs - knots[span0s + 1 - offsets]
+    right = knots[span0s + offsets] - xs
     for j in range(1, p + 1):
-        left[:, j] = xs - knots[span0s + 1 - j]
-        right[:, j] = knots[span0s + j] - xs
-        saved = np.zeros(m)
-        for r in range(j):
-            temp = N[:, r] / (right[:, r + 1] + left[:, j - r])
-            N[:, r] = saved + right[:, r + 1] * temp
-            saved = left[:, j - r] * temp
-        N[:, j] = saved
-    return N
+        right_j, left_j = right[1 : j + 1], left[j:0:-1]
+        temp = right_j + left_j
+        np.divide(N[:j], temp, out=temp)
+        saved = left_j * temp
+        np.multiply(right_j, temp, out=N[:j])
+        # the recursion adds the first entry to a saved 0.0, which turns
+        # a -0.0 into +0.0
+        N[0] += 0.0
+        N[1:j] += saved[: j - 1]
+        N[j] = saved[j - 1]
+    return N.T

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._kernels import find_span0_many, kernel_many
+from ._kernels import _BLOCK, find_span0_many, kernel_many
 
 __all__ = [
     "KnotVector",
@@ -251,6 +251,18 @@ def _window_slices(p: int, k0: int) -> tuple[slice, slice]:
     return slice(k0 - p + 1, k0 + p + 1), slice(k0 - p, k0 + 1)
 
 
+def _gathered_windows(
+    knots: np.ndarray, coeffs: np.ndarray, p: int, spans: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Knot and coefficient windows at every 0-based anchor, one row each."""
+    kw, cw = _window_slices(p, 0)
+    col = spans[:, None]
+    return (
+        knots[col + np.arange(kw.start, kw.stop)],
+        coeffs[col + np.arange(cw.start, cw.stop)],
+    )
+
+
 def _refine_rows(
     knots: np.ndarray,
     coeffs: np.ndarray,
@@ -260,19 +272,15 @@ def _refine_rows(
 ) -> np.ndarray:
     """Kernel value of every fine row at its 0-based anchor spans[r].
 
-    Rows are grouped by anchor, stably, so each group shares one knot and
-    coefficient window and takes one kernel_many call.
+    Each row's knot and coefficient window is gathered, 3p + 1 doubles,
+    and one kernel_many call refines each block of about _BLOCK doubles.
     """
     out = np.empty(spans.size)
-    if spans.size == 0:
-        return out
-    order = np.argsort(spans, kind="stable")
-    boundaries = np.flatnonzero(np.diff(spans[order])) + 1
-    for group in np.split(order, boundaries):
-        knot_win, coeff_win = _window_slices(p, int(spans[group[0]]))
-        out[group] = kernel_many(
-            knots[knot_win], coeffs[coeff_win], fine_rows[group]
-        )
+    step = max(1, _BLOCK // (3 * p + 1))
+    for lo in range(0, spans.size, step):
+        rows = slice(lo, lo + step)
+        tau, c = _gathered_windows(knots, coeffs, p, spans[rows])
+        out[rows] = kernel_many(tau, c, fine_rows[rows])
     return out
 
 
@@ -297,7 +305,12 @@ def evaluate(s: Spline, x):
 
 
 def greville_abscissae(kv: KnotVector) -> np.ndarray:
-    """Knot averages x_i = (t_{i+1} + .. + t_{i+p}) / p for i = 1..dimension."""
+    """Knot averages x_i = (t_{i+1} + .. + t_{i+p}) / p for i = 1..dimension.
+
+    Each average is clipped into its window [t_{i+1}, t_{i+p}], since the
+    rounded mean of p equal knots can miss them (7 x -1.7 averages to
+    -1.6999999999999997).
+    """
     p = kv.degree
     if p < 1:
         raise ValueError("degree must be at least 1 for Greville abscissae")
@@ -305,7 +318,7 @@ def greville_abscissae(kv: KnotVector) -> np.ndarray:
         raise ValueError("knot vector must be open")
     n = kv.dimension
     windows = np.lib.stride_tricks.sliding_window_view(kv.knots[1 : n + p], p)
-    return windows.mean(axis=1)
+    return np.clip(windows.mean(axis=1), windows[:, 0], windows[:, -1])
 
 
 def _merge_breakpoints(

@@ -19,11 +19,12 @@ from functools import lru_cache
 
 import numpy as np
 
-from ._kernels import _stage_factors, find_span0_many, kernel_many
+from ._kernels import _BLOCK, _stage_factors, find_span0_many, kernel_many
 from .core import (
     BreakpointRun,
     KnotVector,
     Spline,
+    _gathered_windows,
     _window_slices,
     make_open,
     product_knot_vector,
@@ -49,12 +50,6 @@ _UINT128_MAX = (1 << 128) - 1
 # that is materialized once instead of re-enumerated per coefficient
 _CHUNK = 1 << 16
 _PRECOMPUTE_LIMIT = 1 << 22
-
-# improved path: the doubles one block of rows may take into a stage,
-# each row counted at its plan's widest stage.  A block packs rows of
-# many window groups into one stage loop; one unblocked batch over all
-# rows ran at half speed from memory traffic
-_BLOCK = 1 << 16
 
 
 class NaiveInfeasibleError(RuntimeError):
@@ -348,10 +343,13 @@ def _window_groups(t: KnotVector):
     breaks = np.lib.stride_tricks.sliding_window_view(
         knots[2 : m + p] != knots[1 : m + p - 1], p - 1
     )
-    patterns, inverse = np.unique(breaks, axis=0, return_inverse=True)
-    order = np.argsort(inverse.ravel(), kind="stable")
-    sizes = np.bincount(inverse.ravel(), minlength=len(patterns))
-    for pattern, rows in zip(patterns, np.split(order, np.cumsum(sizes)[:-1])):
+    # big-endian packed bits sort in the order of the boolean rows
+    packed = np.packbits(breaks, axis=1)
+    keys = packed.view(np.dtype((np.void, packed.shape[1]))).ravel()
+    _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+    order = np.argsort(inverse, kind="stable")
+    sizes = np.bincount(inverse, minlength=first.size)
+    for pattern, rows in zip(breaks[first], np.split(order, np.cumsum(sizes)[:-1])):
         starts = np.concatenate(([0], np.flatnonzero(pattern) + 1))
         mults = tuple(int(c) for c in np.diff(starts, append=p))
         yield mults, rows, starts
@@ -423,16 +421,6 @@ def morken_product(
         naive_term_count=count,
         distinct_term_counts=counts,
         mean_distinct=float(counts.mean()),
-    )
-
-
-def _gathered_windows(s: Spline, spans: np.ndarray):
-    """Knot and coefficient windows of s at every anchor, one row each."""
-    kw, cw = _window_slices(s.degree, 0)
-    col = spans[:, None]
-    return (
-        s.knots.knots[col + np.arange(kw.start, kw.stop)],
-        s.coefficients[col + np.arange(cw.start, cw.stop)],
     )
 
 
@@ -583,8 +571,8 @@ def improved_morken_product(
         for k, (_, _, piece_starts) in enumerate(pieces):
             starts[k, : piece_starts.size] = piece_starts
         values = t.knots[rows[:, None] + 1 + np.repeat(starts, sizes, axis=0)]
-        tau1, c1 = _gathered_windows(f, k1[rows])
-        tau2, c2 = _gathered_windows(g, k2[rows])
+        tau1, c1 = _gathered_windows(f.knots.knots, f.coefficients, p1, k1[rows])
+        tau2, c2 = _gathered_windows(g.knots.knots, g.coefficients, g.degree, k2[rows])
         bf = _block_values(
             _stage_tables([plan.f for plan in plans], sizes, runs), tau1, c1, values
         )

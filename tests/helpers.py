@@ -3,8 +3,11 @@
 Everything here is deliberately naive: textbook recursions and dense
 linear algebra, written without reference to the package internals, so
 the fast implementations have something honest to be checked against.
-The one exception is `improved_product_rows`, the per-row loop of the
-improved product, which the grouped evaluation must match bit for bit.
+The exceptions are the former loop forms of the package's batched
+steps, which the batched code must match bit for bit: the per-row loop
+of the improved product (`improved_product_rows`), the per-anchor refine
+loop (`refine_rows_by_anchor`) and the scalar-column Cox-de Boor
+triangle (`basis_triangle_rows`).
 """
 
 import itertools
@@ -230,3 +233,44 @@ def improved_product_rows(f, g):
         b[i] = float(np.dot(combo.weights * bf, bg)) / divisor
         counts[i] = len(combo.combinations)
     return b, counts
+
+
+def refine_rows_by_anchor(knots, coeffs, p, spans, fine_rows):
+    """Kernel value of every fine row at its 0-based anchor spans[r].
+
+    Rows are grouped by anchor, stably, so each group shares one knot and
+    coefficient window and takes one kernel_many call on 1-D windows.
+    """
+    from splineprod._kernels import kernel_many
+
+    out = np.empty(spans.size)
+    if spans.size == 0:
+        return out
+    order = np.argsort(spans, kind="stable")
+    boundaries = np.flatnonzero(np.diff(spans[order])) + 1
+    for group in np.split(order, boundaries):
+        k0 = int(spans[group[0]])
+        out[group] = kernel_many(
+            knots[k0 - p + 1 : k0 + p + 1], coeffs[k0 - p : k0 + 1], fine_rows[group]
+        )
+    return out
+
+
+def basis_triangle_rows(knots, degree, span0s, xs):
+    """All nonzero basis values per point, the triangle one column at a time."""
+    p = degree
+    m = xs.shape[0]
+    N = np.zeros((m, p + 1))
+    N[:, 0] = 1.0
+    left = np.empty((m, p + 1))
+    right = np.empty((m, p + 1))
+    for j in range(1, p + 1):
+        left[:, j] = xs - knots[span0s + 1 - j]
+        right[:, j] = knots[span0s + j] - xs
+        saved = np.zeros(m)
+        for r in range(j):
+            temp = N[:, r] / (right[:, r + 1] + left[:, j - r])
+            N[:, r] = saved + right[:, r + 1] * temp
+            saved = left[:, j - r] * temp
+        N[:, j] = saved
+    return N

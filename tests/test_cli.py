@@ -160,6 +160,22 @@ def test_collocation_well_conditioned_pair_does_not_warn(tmp_path, capsys):
     assert capsys.readouterr().err == ""
 
 
+def test_collocation_when_equal_knots_average_off_their_value(tmp_path, capsys):
+    """Degree 1 times degree 6 on [-3, -1.7]: the last Greville point is
+    the mean of seven copies of -1.7, which rounds past the span's end."""
+    f = make_spline(1, [-3, -3, -1.7, -1.7], [0.5, -1.25])
+    g = make_spline(
+        6, [-3] * 7 + [-1.7] * 7, [1.0, -0.5, 2.0, 0.25, -1.0, 0.75, 1.5]
+    )
+    f_path = write_spline(tmp_path / "f.json", f)
+    g_path = write_spline(tmp_path / "g.json", g)
+    assert main(["product", f_path, g_path, "--method", "collocation"]) == 0
+    colloc = json.loads(capsys.readouterr().out)
+    assert main(["product", f_path, g_path, "--method", "direct"]) == 0
+    direct = json.loads(capsys.readouterr().out)
+    npt.assert_allclose(direct["coefficients"], colloc["coefficients"], atol=1e-10)
+
+
 def test_collocation_factors_the_matrix_once(tmp_path, capsys, monkeypatch):
     """The solve and the condition estimate share one banded LU."""
     from splineprod.collocation import BandedMatrix

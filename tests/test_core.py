@@ -232,6 +232,26 @@ def test_greville_nesting_conditions_cubic():
         assert basis_value(kv.knots, 3, i, x) > 0.0
 
 
+def test_greville_stays_in_its_window():
+    """The rounded mean of p equal knots can miss their value."""
+    # seven copies of -1.7 average to -1.6999999999999997, past the span
+    kv = KnotVector(np.array([-3.0] * 8 + [-1.7] * 8), 7)
+    xs = greville_abscissae(kv)
+    assert xs[0] == -3.0 and xs[-1] == -1.7
+    rng = np.random.default_rng(29)
+    for _ in range(200):
+        p = int(rng.integers(1, 9))
+        start = float(rng.uniform(-5.0, 5.0))
+        kv = random_open_kv(
+            rng, p, max_interior=6, span=(start, start + float(rng.uniform(0.1, 3.0)))
+        )
+        xs = greville_abscissae(kv)
+        windows = np.lib.stride_tricks.sliding_window_view(
+            kv.knots[1 : kv.dimension + p], p
+        )
+        assert np.all(windows[:, 0] <= xs) and np.all(xs <= windows[:, -1])
+
+
 def test_greville_rejects_degree_zero():
     kv = KnotVector(np.array([0.0, 0.5, 1.0]), 0)
     with pytest.raises(ValueError, match="degree"):
