@@ -25,7 +25,6 @@ from .oslo import (
     InsertionMatrix,
     LocalWindow,
     deboor_kernel,
-    discrete_bspline_row,
     insertion_matrix,
     oslo_coefficients,
 )
@@ -73,7 +72,6 @@ __all__ = [
     "InsertionMatrix",
     "LocalWindow",
     "deboor_kernel",
-    "discrete_bspline_row",
     "insertion_matrix",
     "oslo_coefficients",
     "CombinationSet",

@@ -3,9 +3,8 @@
 Index convention: the public find_span returns 1-based indices k with
 degree+1 <= k <= dimension, matching the windows c_{k-p..k} used
 throughout; helper slices convert to 0-based internally.  Knot equality
-is exact floating-point equality everywhere; product_knot_vector takes
-an optional tolerance for merging near-coincident breakpoints and it
-defaults to 0.
+is exact floating-point equality everywhere, in product_knot_vector
+too: breakpoints 1e-12 apart stay two breakpoints.
 """
 from __future__ import annotations
 
@@ -158,14 +157,18 @@ class Spline:
         degree = data["degree"]
         if isinstance(degree, bool) or not isinstance(degree, int):
             raise ValueError("degree must be a nonnegative integer")
+        arrays = {}
         for key in ("knots", "coefficients"):
             seq = data[key]
             if not isinstance(seq, (list, tuple)) or not all(
                 isinstance(v, (int, float)) and not isinstance(v, bool) for v in seq
             ):
                 raise ValueError(f"{key} must be an array of numbers")
-        return cls(KnotVector(np.asarray(data["knots"], dtype=float), degree),
-                   np.asarray(data["coefficients"], dtype=float))
+            try:
+                arrays[key] = np.asarray(seq, dtype=float)
+            except OverflowError:  # a JSON integer past the double range
+                raise ValueError(f"{key} must be finite numbers") from None
+        return cls(KnotVector(arrays["knots"], degree), arrays["coefficients"])
 
 
 def make_spline(degree: int, knots, coefficients) -> Spline:
@@ -206,6 +209,13 @@ def bernstein_knots(degree: int, start: float = 0.0, end: float = 1.0) -> KnotVe
 def multiplicity(kv: KnotVector, value: float) -> int:
     """How many times `value` occurs in the knot vector (exact equality)."""
     return int(np.count_nonzero(kv.knots == value))
+
+
+def _multiplicities(kv: KnotVector, values: np.ndarray) -> np.ndarray:
+    """How many times each of `values` occurs in the knot vector."""
+    return np.searchsorted(kv.knots, values, "right") - np.searchsorted(
+        kv.knots, values
+    )
 
 
 def make_open(s: Spline) -> Spline:
@@ -321,47 +331,15 @@ def greville_abscissae(kv: KnotVector) -> np.ndarray:
     return np.clip(windows.mean(axis=1), windows[:, 0], windows[:, -1])
 
 
-def _merge_breakpoints(
-    kv1: KnotVector, kv2: KnotVector, tolerance: float
-) -> list[tuple[float, int, int]]:
-    """Sorted (value, mult in kv1, mult in kv2) with optional merging.
-
-    With tolerance > 0, breakpoints within tolerance of the group start
-    collapse onto the group's smallest value; per factor the merged
-    multiplicity is the maximum over the group's members.
-    """
-    runs: dict[float, list[int]] = {}
-    for which, kv in enumerate((kv1, kv2)):
-        for run in kv.breakpoints():
-            entry = runs.setdefault(run.value, [0, 0])
-            entry[which] = max(entry[which], run.multiplicity)
-    items = sorted(runs.items())
-    if tolerance <= 0:
-        return [(v, m[0], m[1]) for v, m in items]
-    merged: list[tuple[float, int, int]] = []
-    i = 0
-    while i < len(items):
-        v0, (m1, m2) = items[i]
-        j = i + 1
-        while j < len(items) and items[j][0] - v0 <= tolerance:
-            m1 = max(m1, items[j][1][0])
-            m2 = max(m2, items[j][1][1])
-            j += 1
-        merged.append((v0, m1, m2))
-        i = j
-    return merged
-
-
-def product_knot_vector(
-    kv1: KnotVector, kv2: KnotVector, tolerance: float = 0.0
-) -> KnotVector:
+def product_knot_vector(kv1: KnotVector, kv2: KnotVector) -> KnotVector:
     """Knot vector of degree p1+p2 containing all products of the two spaces.
 
     Breakpoints are the union of the factors' breakpoints.  An interior
     breakpoint appearing in both factors with multiplicities mu1, mu2 > 0
     gets multiplicity max(p1 + mu2, p2 + mu1); one appearing only in
     factor one gets p2 + mu1, only in factor two gets p1 + mu2.  Open
-    boundaries come out at multiplicity p1+p2+1.
+    boundaries come out at multiplicity p1+p2+1.  Where the factors hold
+    -0.0 and +0.0, the first factor's zero is kept.
     """
     p1, p2 = kv1.degree, kv2.degree
     if p1 < 1 or p2 < 1:
@@ -373,17 +351,14 @@ def product_knot_vector(
             "knot vectors must share the same span "
             f"(got {kv1.span} and {kv2.span})"
         )
-    p = p1 + p2
-    values = []
-    mults = []
-    for v, m1, m2 in _merge_breakpoints(kv1, kv2, tolerance):
-        if m1 > 0 and m2 > 0:
-            mu = max(p1 + m2, p2 + m1)
-        elif m1 > 0:
-            mu = p2 + m1
-        else:
-            mu = p1 + m2
-        values.append(v)
-        mults.append(min(mu, p + 1))
-    knots = np.repeat(np.asarray(values), np.asarray(mults))
-    return KnotVector(knots, p)
+    v1 = np.unique(kv1.knots)
+    v2 = np.unique(kv2.knots)
+    # the shared span keeps every index below v1.size; a value of kv2
+    # equal to one of kv1 (-0.0 and +0.0 included) is taken from kv1
+    only2 = v1[np.searchsorted(v1, v2)] != v2
+    values = np.sort(np.concatenate([v1, v2[only2]]))
+    mu1 = _multiplicities(kv1, values)
+    mu2 = _multiplicities(kv2, values)
+    # mu1 <= p1 + 1 and mu2 <= p2 + 1, so no multiplicity exceeds p1 + p2 + 1
+    mults = np.maximum(np.where(mu2 > 0, p1 + mu2, 0), np.where(mu1 > 0, p2 + mu1, 0))
+    return KnotVector(np.repeat(values, mults), p1 + p2)

@@ -16,11 +16,11 @@ import numpy as np
 from ._kernels import find_span0_many, kernel_many, _stage_factors
 from .core import (
     KnotVector,
+    _multiplicities,
     _refine_rows,
     _window_slices,
     make_open,
     make_spline,
-    multiplicity,
 )
 
 __all__ = [
@@ -29,7 +29,6 @@ __all__ = [
     "insertion_matrix",
     "deboor_kernel",
     "oslo_coefficients",
-    "discrete_bspline_row",
 ]
 
 
@@ -85,13 +84,6 @@ class InsertionMatrix:
         if self.diagonal.size != self.rows or self.superdiagonal.size != self.rows:
             raise ValueError("band lengths must equal the row count")
 
-    def to_dense(self) -> np.ndarray:
-        dense = np.zeros((self.rows, self.cols))
-        idx = np.arange(self.rows)
-        dense[idx, idx] = self.diagonal
-        dense[idx, idx + 1] = self.superdiagonal
-        return dense
-
     def apply(self, v: np.ndarray) -> np.ndarray:
         if v.shape[-1] != self.cols:
             raise ValueError("vector length must equal the column count")
@@ -142,14 +134,16 @@ def _validate_refinement(coarse: KnotVector, fine: KnotVector) -> None:
         raise ValueError(
             "not a refinement: fine span must lie within the coarse span"
         )
-    for run in coarse.breakpoints():
-        if lo < run.value < hi:
-            if multiplicity(fine, run.value) < run.multiplicity:
-                raise ValueError(
-                    "not a refinement: coarse knot "
-                    f"{run.value!r} has multiplicity {run.multiplicity} but "
-                    f"only {multiplicity(fine, run.value)} in the fine vector"
-                )
+    values, counts = np.unique(coarse.knots, return_counts=True)
+    have = _multiplicities(fine, values)
+    short = np.flatnonzero((have < counts) & (lo < values) & (values < hi))
+    if short.size:
+        i = short[0]
+        raise ValueError(
+            "not a refinement: coarse knot "
+            f"{float(values[i])!r} has multiplicity {int(counts[i])} but "
+            f"only {int(have[i])} in the fine vector"
+        )
 
 
 def oslo_coefficients(
@@ -175,29 +169,3 @@ def oslo_coefficients(
     fine_windows = np.lib.stride_tricks.sliding_window_view(fine.knots[1 : n + p], p)
     return _refine_rows(ckv.knots, src.coefficients, p, spans, fine_windows)
 
-
-def discrete_bspline_row(
-    p: int, coarse: KnotVector, k: int, fine_window: np.ndarray
-) -> np.ndarray:
-    """Row of discrete B-spline values alpha_{k-p..k} for one fine window.
-
-    Computed as the explicit product of the stage matrices R_1 .. R_p so
-    tests can cross-check the kernel; returns p+1 weights, nonnegative
-    with sum 1 whenever the fine window lies in the anchor interval.
-    """
-    n = coarse.dimension
-    if not p + 1 <= k <= n:
-        raise IndexError(
-            f"anchor k must satisfy degree+1 <= k <= dimension, got {k}"
-        )
-    fine_window = np.asarray(fine_window, dtype=float)
-    if fine_window.shape != (p,):
-        raise ValueError("fine window must contain exactly p knots")
-    if np.any(np.diff(fine_window) < 0):
-        raise ValueError("window knots must be nondecreasing")
-    if p == 0:
-        return np.ones(1)
-    row = insertion_matrix(coarse, k, 1, float(fine_window[0])).to_dense()
-    for d in range(2, p + 1):
-        row = row @ insertion_matrix(coarse, k, d, float(fine_window[d - 1])).to_dense()
-    return row[0]

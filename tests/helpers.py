@@ -6,8 +6,10 @@ the fast implementations have something honest to be checked against.
 The exceptions are the former loop forms of the package's batched
 steps, which the batched code must match bit for bit: the per-row loop
 of the improved product (`improved_product_rows`), the per-anchor refine
-loop (`refine_rows_by_anchor`) and the scalar-column Cox-de Boor
-triangle (`basis_triangle_rows`).
+loop (`refine_rows_by_anchor`), the scalar-column Cox-de Boor triangle
+(`basis_triangle_rows`) and the per-breakpoint merge of the product knot
+vector (`merged_product_knots`).  `insertion_dense` and
+`discrete_bspline_row` were package code that only tests used.
 """
 
 import itertools
@@ -195,6 +197,74 @@ def dense_cond1(matrix):
     norm = np.abs(dense).sum(axis=0).max()
     inv_norm = np.abs(np.linalg.inv(dense)).sum(axis=0).max()
     return norm * inv_norm
+
+
+def merged_product_knots(kv1, kv2):
+    """Product knot vector from one dict entry per distinct knot value.
+
+    Each factor's breakpoint runs go into a dict keyed by value, so where
+    -0.0 and +0.0 meet the first factor's zero is kept; then the
+    multiplicity rule of `product_knot_vector` is applied value by value.
+    """
+    from splineprod import KnotVector
+
+    runs = {}
+    for which, kv in enumerate((kv1, kv2)):
+        for run in kv.breakpoints():
+            entry = runs.setdefault(run.value, [0, 0])
+            entry[which] = max(entry[which], run.multiplicity)
+    p1, p2 = kv1.degree, kv2.degree
+    p = p1 + p2
+    values = []
+    mults = []
+    for v, (m1, m2) in sorted(runs.items()):
+        if m1 > 0 and m2 > 0:
+            mu = max(p1 + m2, p2 + m1)
+        elif m1 > 0:
+            mu = p2 + m1
+        else:
+            mu = p1 + m2
+        values.append(v)
+        mults.append(min(mu, p + 1))
+    return KnotVector(np.repeat(np.asarray(values), np.asarray(mults)), p)
+
+
+def insertion_dense(r):
+    """Dense (rows, cols) form of a bidiagonal InsertionMatrix."""
+    dense = np.zeros((r.rows, r.cols))
+    idx = np.arange(r.rows)
+    dense[idx, idx] = r.diagonal
+    dense[idx, idx + 1] = r.superdiagonal
+    return dense
+
+
+def discrete_bspline_row(p, coarse, k, fine_window):
+    """Row of discrete B-spline values alpha_{k-p..k} for one fine window.
+
+    Computed as the explicit product of the dense stage matrices R_1 ..
+    R_p, so tests can cross-check the kernel; returns p+1 weights,
+    nonnegative with sum 1 whenever the fine window lies in the anchor
+    interval.
+    """
+    from splineprod import insertion_matrix
+
+    n = coarse.dimension
+    if not p + 1 <= k <= n:
+        raise IndexError(
+            f"anchor k must satisfy degree+1 <= k <= dimension, got {k}"
+        )
+    fine_window = np.asarray(fine_window, dtype=float)
+    if fine_window.shape != (p,):
+        raise ValueError("fine window must contain exactly p knots")
+    if np.any(np.diff(fine_window) < 0):
+        raise ValueError("window knots must be nondecreasing")
+    if p == 0:
+        return np.ones(1)
+    row = insertion_dense(insertion_matrix(coarse, k, 1, float(fine_window[0])))
+    for d in range(2, p + 1):
+        r = insertion_matrix(coarse, k, d, float(fine_window[d - 1]))
+        row = row @ insertion_dense(r)
+    return row[0]
 
 
 def improved_product_rows(f, g):

@@ -1,9 +1,11 @@
-"""Batched refine and basis steps against their loop forms, byte for byte.
+"""Batched refine, basis and knot steps against their loop forms, byte for byte.
 
 `evaluate` and `oslo_coefficients` refine rows in blocks with one window
-per row, and `collocation_matrix` computes the Cox-de Boor triangle one
-whole row at a time.  Each must give the bits, zero signs included, of
-the per-anchor and scalar-column loops in `tests/helpers.py`.
+per row, `collocation_matrix` computes the Cox-de Boor triangle one
+whole row at a time, and `product_knot_vector` merges the factors'
+breakpoint runs as arrays.  Each must give the bits, zero signs
+included, of the per-anchor, scalar-column and per-breakpoint loops in
+`tests/helpers.py`.
 """
 
 import numpy as np
@@ -18,10 +20,17 @@ from splineprod import (
     greville_abscissae,
     make_spline,
     oslo_coefficients,
+    product_knot_vector,
     uniform_open_knots,
 )
 from splineprod._kernels import find_span0_many, nonzero_basis_rows
-from helpers import basis_triangle_rows, random_spline_on, refine_rows_by_anchor
+from splineprod.bench import FAMILY_PARAMETERS, SplitMix64, build_family_case
+from helpers import (
+    basis_triangle_rows,
+    merged_product_knots,
+    random_spline_on,
+    refine_rows_by_anchor,
+)
 
 hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import example, given, settings, strategies as st
@@ -30,6 +39,8 @@ from hypothesis import example, given, settings, strategies as st
 SPANS = ((0.0, 1.0), (-0.7, -0.0), (-3.0, -1.7), (-1.0, 1.0))
 # _BLOCK values that give one row per block, a few rows, and one block
 BLOCKS = (1, 64, 1 << 16)
+# spans with a zero at an end or (at eighth 4) inside
+ZERO_SPANS = ((-1.0, 1.0), (-0.7, 0.0), (0.0, 0.7), (0.0, 1.0))
 
 
 @st.composite
@@ -154,3 +165,47 @@ def test_refine_rows_one_kernel_call_per_block(monkeypatch):
     calls.clear()
     evaluate(s, xs)
     assert calls == [100] * 40 + [1]
+
+
+@st.composite
+def open_knot_pairs(draw):
+    """Two open knot vectors on one span, each zero knot of either sign.
+
+    Interior knots sit on eighths of the span, so the factors share some
+    breakpoints and hold others alone; runs repeat up to degree + 1 times.
+    """
+    a, b = draw(st.sampled_from(ZERO_SPANS))
+    pair = []
+    for _ in range(2):
+        p = draw(st.integers(1, 8))
+        steps = draw(st.lists(st.integers(1, 7), max_size=5, unique=True).map(sorted))
+        values = [a] * (p + 1)
+        for k in steps:
+            values += [a + (b - a) * k / 8] * draw(st.integers(1, p + 1))
+        values += [b] * (p + 1)
+        knots = [-0.0 if v == 0.0 and draw(st.booleans()) else v for v in values]
+        pair.append(KnotVector(np.array(knots), p))
+    return tuple(pair)
+
+
+@settings(max_examples=500, deadline=None)
+@given(open_knot_pairs())
+@example((KnotVector(np.array([-0.7, -0.7, -0.0, -0.0]), 1),
+          KnotVector(np.array([-0.7, -0.7, -0.7, 0.0, 0.0, 0.0]), 2)))
+@example((KnotVector(np.array([-1.0, -1.0, -0.0, 1.0, 1.0]), 1),
+          KnotVector(np.array([-1.0, -1.0, 0.0, 0.0, 1.0, 1.0]), 1)))
+def test_product_knot_vector_bytes_equal_merge_loop(pair):
+    for kv1, kv2 in (pair, pair[::-1]):
+        t = product_knot_vector(kv1, kv2)
+        expected = merged_product_knots(kv1, kv2)
+        assert t.degree == expected.degree
+        assert _same_bytes(t.knots, expected.knots)
+
+
+def test_product_knot_vector_bytes_equal_merge_loop_on_families():
+    """Every family at its largest parameter, every second factor."""
+    for family, params in FAMILY_PARAMETERS.items():
+        case = build_family_case(family, params[-1], SplitMix64(5))
+        for g in case.gs:
+            t = product_knot_vector(case.f.knots, g.knots)
+            assert _same_bytes(t.knots, merged_product_knots(case.f.knots, g.knots).knots)

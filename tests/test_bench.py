@@ -2,6 +2,7 @@
 
 import io
 import math
+from pathlib import Path
 
 import numpy as np
 import numpy.testing as npt
@@ -21,6 +22,9 @@ from splineprod import (
     write_csv,
 )
 from splineprod.bench import CSV_HEADER, FAMILY_PARAMETERS, _compute_row
+
+
+DATA = Path(__file__).parent / "data"
 
 
 # ---------- SplitMix64 ----------
@@ -209,6 +213,24 @@ def test_run_experiment_mesh_refine():
     write_csv(rows, first)
     write_csv(run_experiment(cfg), second)
     assert first.getvalue() == second.getvalue()
+
+
+@pytest.mark.parametrize(
+    "family, seed, name",
+    [("mesh_refine", 123, "mesh_refine_seed123.csv"),
+     ("spline_poly", 42, "spline_poly_seed42.csv")],
+)
+def test_experiment_csv_bytes_match_golden_file(family, seed, name):
+    """`splineprod experiment --family F --seed S` output, byte for byte.
+
+    The files pin this platform's BLAS dot bits: the improved product
+    reduces each row with a BLAS dot, and collocation factors its matrix
+    with LAPACK.  A change that moves a CSV value on purpose regenerates
+    them with the command above and says so.
+    """
+    stream = io.StringIO()
+    write_csv(run_experiment(ExperimentConfig(family=family, seed=seed)), stream)
+    assert stream.getvalue().encode() == (DATA / name).read_bytes()
 
 
 def test_write_csv_layout():

@@ -107,6 +107,22 @@ def test_product_invalid_documents_exit_2(tmp_path, capsys, cubic_pair):
     assert "missing required field" in capsys.readouterr().err
 
 
+def test_product_integer_past_double_range_exits_2(tmp_path, capsys, cubic_pair):
+    """A JSON integer that no double can hold is malformed input."""
+    huge = 10**400
+    documents = (
+        {"degree": 1, "knots": [0, 0, huge, huge], "coefficients": [1, 2]},
+        {"degree": 1, "knots": [0, 0, 1, 1], "coefficients": [1, huge]},
+    )
+    for document in documents:
+        path = tmp_path / "huge.json"
+        path.write_text(json.dumps(document))
+        assert main(["product", str(path), cubic_pair[1], "--method", "direct"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:")
+        assert err.count("\n") == 1
+
+
 def test_naive_guard_exits_3(tmp_path, capsys):
     f = Spline(bernstein_knots(30), np.ones(31))
     g = Spline(bernstein_knots(31), np.ones(32))

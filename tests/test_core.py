@@ -322,15 +322,12 @@ def test_product_knots_errors():
         product_knot_vector(KnotVector(np.array([0.0, 0.5, 1.0, 2.0]), 1), kv)
 
 
-def test_product_knots_merge_tolerance():
+def test_product_knots_keep_nearby_breakpoints_apart():
     kv1 = KnotVector(np.array([0.0, 0.0, 0.5, 1.0, 1.0]), 1)
     kv2 = KnotVector(np.array([0.0, 0.0, 0.5 + 1e-12, 1.0, 1.0]), 1)
     exact = product_knot_vector(kv1, kv2)
     # exact comparison keeps both nearby breakpoints
     assert len(np.unique(exact.knots)) == 4
-    merged = product_knot_vector(kv1, kv2, tolerance=1e-9)
-    assert len(np.unique(merged.knots)) == 3
-    assert multiplicity(merged, 0.5) == max(1 + 1, 1 + 1)
 
 
 # ---------- multiplicity ----------

@@ -10,7 +10,6 @@ from splineprod import (
     Spline,
     bernstein_knots,
     deboor_kernel,
-    discrete_bspline_row,
     evaluate,
     find_span,
     insertion_matrix,
@@ -21,7 +20,9 @@ from splineprod import (
 from helpers import (
     basis_value,
     boehm_insert,
+    discrete_bspline_row,
     fit_power_coeffs,
+    insertion_dense,
     power_to_bernstein,
     random_open_kv,
     random_spline_on,
@@ -63,7 +64,7 @@ def test_insertion_matrix_midpoint():
     r = insertion_matrix(kv, 2, 1, 0.5)
     npt.assert_allclose(r.diagonal, [0.5])
     npt.assert_allclose(r.superdiagonal, [0.5])
-    npt.assert_allclose(r.to_dense(), [[0.5, 0.5]])
+    npt.assert_allclose(insertion_dense(r), [[0.5, 0.5]])
 
 
 def test_insertion_matrix_left_endpoint():
@@ -82,7 +83,7 @@ def test_insertion_matrix_zero_denominator_not_nan():
     assert np.all(np.isfinite(r.diagonal))
     assert np.all(np.isfinite(r.superdiagonal))
     # the row with tau_{k+l} == tau_{k+l-d} is zeroed outright
-    dense = r.to_dense()
+    dense = insertion_dense(r)
     assert not np.any(np.isnan(dense))
 
 
@@ -296,6 +297,31 @@ def test_oslo_rejects_non_refinement():
     outside = KnotVector(np.array([0.0, 0.0, 0.0, 1.0, 2.0, 2.0, 2.0]), 2)
     with pytest.raises(ValueError, match="refinement|span"):
         oslo_coefficients(2, coarse, np.zeros(coarse.dimension), outside)
+
+
+def test_oslo_refinement_check_names_first_short_interior_knot():
+    # 0.25 and 0.5 both fall short; the message names 0.25
+    coarse = KnotVector(
+        np.array([0.0, 0.0, 0.0, 0.25, 0.25, 0.5, 0.5, 0.75, 1.0, 1.0, 1.0]), 2
+    )
+    fine = KnotVector(np.array([0.0, 0.0, 0.0, 0.25, 0.75, 1.0, 1.0, 1.0]), 2)
+    with pytest.raises(ValueError) as info:
+        oslo_coefficients(2, coarse, np.zeros(coarse.dimension), fine)
+    assert str(info.value) == (
+        "not a refinement: coarse knot 0.25 has multiplicity 2 but only 1 "
+        "in the fine vector"
+    )
+
+
+def test_oslo_refinement_check_ignores_knots_at_and_beyond_fine_ends():
+    # 0.25 and 0.75 are short at the fine span's ends, 0 and 1 lie beyond it
+    coarse = KnotVector(
+        np.array([0.0, 0.0, 0.0, 0.25, 0.25, 0.5, 0.5, 0.75, 0.75, 1.0, 1.0, 1.0]), 2
+    )
+    fine = KnotVector(np.array([0.25, 0.3, 0.5, 0.5, 0.7, 0.75]), 2)
+    b = oslo_coefficients(2, coarse, np.ones(coarse.dimension), fine)
+    # the constant spline keeps unit coefficients
+    npt.assert_allclose(b, np.ones(fine.dimension), rtol=0.0, atol=1e-15)
 
 
 # ---------- discrete_bspline_row ----------
