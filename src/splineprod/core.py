@@ -261,16 +261,11 @@ def _window_slices(p: int, k0: int) -> tuple[slice, slice]:
     return slice(k0 - p + 1, k0 + p + 1), slice(k0 - p, k0 + 1)
 
 
-def _gathered_windows(
-    knots: np.ndarray, coeffs: np.ndarray, p: int, spans: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Knot and coefficient windows at every 0-based anchor, one row each."""
+def _window_indices(p: int, spans: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Knot and coefficient window indices at every 0-based anchor, one row each."""
     kw, cw = _window_slices(p, 0)
     col = spans[:, None]
-    return (
-        knots[col + np.arange(kw.start, kw.stop)],
-        coeffs[col + np.arange(cw.start, cw.stop)],
-    )
+    return col + np.arange(kw.start, kw.stop), col + np.arange(cw.start, cw.stop)
 
 
 def _refine_rows(
@@ -289,8 +284,8 @@ def _refine_rows(
     step = max(1, _BLOCK // (3 * p + 1))
     for lo in range(0, spans.size, step):
         rows = slice(lo, lo + step)
-        tau, c = _gathered_windows(knots, coeffs, p, spans[rows])
-        out[rows] = kernel_many(tau, c, fine_rows[rows])
+        kw, cw = _window_indices(p, spans[rows])
+        out[rows] = kernel_many(knots[kw], coeffs[cw], fine_rows[rows])
     return out
 
 

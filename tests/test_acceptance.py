@@ -147,6 +147,23 @@ def test_criterion_02_direct_error_spline_spline_degree_50():
     assert e_direct <= 5e-14, f"direct error {e_direct:.3e} at degree 50"
 
 
+@pytest.mark.parametrize(
+    "family, param", [("spline_poly_general", 50), ("mesh_refine_highdeg", 10)]
+)
+def test_criterion_02_direct_error_at_largest_parameter(family, param):
+    """The 5e-14 bound also holds at the last row of two more families.
+
+    spline_poly_general 50 multiplies a random cubic by a random degree-50
+    polynomial; mesh_refine_highdeg 10 a random cubic by a random degree-30
+    spline on 1,027 breakpoints (m = 4,223 rows of degree 33).
+    """
+    case = build_family_case(family, param, SplitMix64(12345))
+    g = case.gs[0]
+    result = improved_morken_product(case.f, g)
+    e_direct = relative_linf_error(result.product, case.f, g)
+    assert e_direct <= 5e-14, f"direct error {e_direct:.3e} at {family} {param}"
+
+
 def test_criterion_03_term_counts_spline_poly(spline_poly_rows):
     """nu_bar < 4 for all degrees; naive count is exactly C(3 + d, 3)."""
     for row in spline_poly_rows:

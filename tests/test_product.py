@@ -377,6 +377,154 @@ def test_improved_bit_identical_on_claimed_rows():
             assert result.product.coefficients.tobytes() == coeffs.tobytes()
 
 
+# ---------- the kept layout of the last knot pair ----------
+
+
+@pytest.fixture
+def product_module(monkeypatch):
+    """splineprod.product with an empty layout slot, restored afterwards."""
+    import splineprod.product as module
+
+    monkeypatch.setattr(module, "_kept", None)
+    return module
+
+
+def _assert_rows_bytes(result, f, g):
+    coeffs, counts = improved_product_rows(f, g)
+    assert result.product.coefficients.tobytes() == coeffs.tobytes()
+    assert np.array_equal(result.distinct_term_counts, counts)
+
+
+def test_kept_layout_sequences_match_per_row_loop(product_module):
+    """A, A, A reuse one kept layout; A, B, A rebuilds it each time."""
+    a = build_family_case("galerkin_k", 6, SplitMix64(3))
+    b = build_family_case("galerkin_p", 5, SplitMix64(3))
+    f, g = a.f, a.gs[1]
+    result = improved_morken_product(f, g)
+    kept = product_module._kept
+    assert kept is not None
+    for _ in range(2):
+        _assert_rows_bytes(improved_morken_product(f, g), f, g)
+        assert product_module._kept is kept
+    _assert_rows_bytes(result, f, g)
+    _assert_rows_bytes(improved_morken_product(b.f, b.gs[0]), b.f, b.gs[0])
+    assert product_module._kept[0] != kept[0]
+    _assert_rows_bytes(improved_morken_product(f, g), f, g)
+    assert product_module._kept[0] == kept[0]
+    assert product_module._kept is not kept
+
+
+def test_kept_layout_with_new_coefficients_and_signed_zeros(product_module):
+    """Same knots, new coefficients: -0.0 entries and all-zero windows."""
+    rng = np.random.default_rng(17)
+    kv1 = KnotVector([0, 0, 0, 0, 0.25, 0.25, 0.5, 0.75, 0.75, 1, 1, 1, 1], 3)
+    kv2 = uniform_open_knots(2, 6)
+    f = random_spline_on(rng, kv1)
+    g = random_spline_on(rng, kv2)
+    improved_morken_product(f, g)
+    kept = product_module._kept
+    assert kept is not None
+    c1 = rng.uniform(-1, 1, kv1.dimension)
+    c1[:5] = -0.0
+    c2 = rng.uniform(-1, 1, kv2.dimension)
+    c2[2:] = 0.0
+    c2[-1] = -0.0
+    zeros = []
+    for f2, g2 in (
+        (Spline(kv1, c1), g),
+        (f, Spline(kv2, c2)),
+        (Spline(kv1, c1), Spline(kv2, c2)),
+        (Spline(kv1, np.full(kv1.dimension, -0.0)), g),
+    ):
+        result = improved_morken_product(f2, g2)
+        assert product_module._kept is kept
+        _assert_rows_bytes(result, f2, g2)
+        coeffs = result.product.coefficients
+        zeros.append(coeffs[coeffs == 0.0])
+    # the zero windows give zero coefficients of both signs
+    signs = np.signbit(np.concatenate(zeros))
+    assert signs.any() and not signs.all()
+
+
+def test_kept_layout_on_knots_that_are_not_open(product_module):
+    """The slot is keyed on the knots and degrees as passed; each call
+    still opens the knots."""
+    rng = np.random.default_rng(5)
+    kv = KnotVector([0, 0, 0.25, 0.5, 0.75, 1, 1], 2)
+    assert not kv.is_open
+    f = random_spline_on(rng, kv)
+    g = random_spline_on(rng, uniform_open_knots(1, 4))
+    improved_morken_product(f, g)
+    kept = product_module._kept
+    assert kept is not None
+    for _ in range(2):
+        f = random_spline_on(rng, kv)
+        result = improved_morken_product(f, g)
+        assert product_module._kept is kept
+        _assert_rows_bytes(result, f, g)
+    # the same knot array read at another degree is another knot vector
+    f = random_spline_on(rng, KnotVector(kv.knots, 1))
+    _assert_rows_bytes(improved_morken_product(f, g), f, g)
+    assert product_module._kept is not kept
+
+
+def test_kept_layout_still_checks_target_knots(product_module):
+    rng = np.random.default_rng(3)
+    kv = uniform_open_knots(2, 3)
+    f, g = random_spline_on(rng, kv), random_spline_on(rng, kv)
+    exact = product_knot_vector(f.knots, g.knots)
+    improved_morken_product(f, g, target_knots=exact)
+    kept = product_module._kept
+    with pytest.raises(ValueError, match="target"):
+        improved_morken_product(f, g, target_knots=bernstein_knots(4))
+    assert product_module._kept is kept
+    assert improved_morken_product(f, g, target_knots=exact).product.knots == exact
+
+
+def test_multi_block_product_leaves_slot_empty(product_module, monkeypatch):
+    rng = np.random.default_rng(41)
+    kv = uniform_open_knots(2, 5)
+    improved_morken_product(random_spline_on(rng, kv), random_spline_on(rng, kv))
+    assert product_module._kept is not None
+    monkeypatch.setattr(product_module, "_BLOCK", 64)
+    f = random_spline_on(rng, uniform_open_knots(3, 40))
+    g = random_spline_on(rng, uniform_open_knots(2, 40))
+    t = product_knot_vector(f.knots, g.knots)
+    assert len(list(product_module._row_blocks(t, 3))) > 1
+    for _ in range(2):
+        result = improved_morken_product(f, g)
+        # the miss freed the kept layout and kept no new one
+        assert product_module._kept is None
+        _assert_rows_bytes(result, f, g)
+
+
+def test_product_over_the_size_rule_leaves_slot_empty(product_module):
+    """spline_poly 30 packs into one block, but its g side keeps too much."""
+    case = build_family_case("spline_poly", 30, SplitMix64(9))
+    f, g = case.f, case.gs[0]
+    t = product_knot_vector(f.knots, g.knots)
+    packing = list(product_module._row_blocks(t, f.degree))
+    assert len(packing) == 1
+    assert not product_module._fits(packing[0], f.degree, g.degree)
+    for _ in range(2):
+        _assert_rows_bytes(improved_morken_product(f, g), f, g)
+        assert product_module._kept is None
+
+
+def test_kept_counts_are_read_only(product_module):
+    case = build_family_case("galerkin_p", 6, SplitMix64(3))
+    first = improved_morken_product(case.f, case.gs[0])
+    second = improved_morken_product(case.f, case.gs[1])
+    kept = product_module._kept[1].counts
+    for counts in (first.distinct_term_counts, second.distinct_term_counts, kept):
+        assert not counts.flags.writeable
+        with pytest.raises(ValueError):
+            counts[0] = -1
+        base = counts.base
+        assert base is None or not base.flags.writeable
+    assert np.array_equal(first.distinct_term_counts, second.distinct_term_counts)
+
+
 def _input_scale(f, g):
     """Largest coefficient magnitude of f times that of g."""
     return float(np.max(np.abs(f.coefficients)) * np.max(np.abs(g.coefficients)))
