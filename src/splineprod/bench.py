@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .collocation import collocation_matrix, condition_estimate_1norm
+from .collocation import _factored_condition, collocation_matrix
 from .core import (
     KnotVector,
     Spline,
@@ -80,12 +80,11 @@ class SplitMix64:
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """One experiment invocation: family, seed, grid size, output path."""
+    """One experiment invocation: family, seed and error-grid size."""
 
     family: str
     seed: int
     grid_points: int = 201
-    output: str | None = None
 
     def __post_init__(self):
         if self.family not in FAMILY_PARAMETERS:
@@ -263,7 +262,7 @@ def _compute_row(
         param=param,
         e_direct=float(np.mean(e_direct)),
         e_colloc=float(np.mean(e_colloc)),
-        cond_estimate=condition_estimate_1norm(matrix),
+        cond_estimate=_factored_condition(matrix, lu),
         nu_bar=nu_bar,
         naive_terms=direct[0].naive_term_count,
         t_direct=1.5 * nu_bar * m * (p1**2 + p2**2),

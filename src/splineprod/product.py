@@ -26,7 +26,6 @@ from .core import (
     KnotVector,
     Spline,
     _window_indices,
-    _window_slices,
     make_open,
     product_knot_vector,
 )
@@ -47,10 +46,8 @@ NAIVE_TERM_GUARD = 10**8
 # cap on exact numerator growth before switching binomial() to log-Gamma
 _UINT128_MAX = (1 << 128) - 1
 
-# naive-path batching: kernel rows per chunk, and the largest subset count
-# that is materialized once instead of re-enumerated per coefficient
+# naive-path batching: kernel rows per chunk of index subsets
 _CHUNK = 1 << 16
-_PRECOMPUTE_LIMIT = 1 << 22
 
 
 class NaiveInfeasibleError(RuntimeError):
@@ -223,7 +220,7 @@ class _SuffixTree:
     such suffix is one node.  Stage d's nodes are offsets[q-d] ..
     offsets[q-d+1] of the flat arrays; node n refines node parent[n] of
     the stage before (node 0, the coefficient window, before stage q) at
-    window run knot[n].  leaf[k] is profile k's node after stage 1; parent
+    the window knot whose offset is knot[n], the first of its run.  leaf[k] is profile k's node after stage 1; parent
     and leaf count nodes from the first of their stage.  widest is the
     most doubles one row's nodes take into any stage, which is what a row
     costs an evaluation block (_row_blocks); _stage_tables lays the trees
@@ -238,11 +235,11 @@ class _SuffixTree:
 
 
 def _suffix_tree(rows: np.ndarray) -> _SuffixTree:
-    """Stage tables for profile rows of run indices, shape (T, q)."""
+    """Stage tables for profile rows of window offsets, shape (T, q)."""
     T, q = rows.shape
     # sorted by the last column first, every suffix is a contiguous block
     order = np.lexsort(rows.T)
-    # knots[j, i]: the run sorted profile i reads at stage d = q - j
+    # knots[j, i]: the offset sorted profile i reads at stage d = q - j
     knots = rows[order].T[::-1]
     # a profile opens a node at a stage when its knots from that stage
     # up differ from the previous sorted profile's
@@ -290,10 +287,13 @@ def _product_plan(mults: tuple[int, ...], p1: int) -> _ProductPlan:
     """Plan for windows with run multiplicities mults, split p1 + rest."""
     profiles = _profiles(mults, p1)
     rows_f, rows_g = _profile_runs(mults, [prof for prof, _ in profiles])
+    # the window offset where each run starts: offsets and runs are one
+    # to one, so the trees are those of the run indices
+    starts = np.cumsum((0,) + mults[:-1])
     return _ProductPlan(
         weights=np.array([w for _, w in profiles], dtype=float),
-        f=_suffix_tree(rows_f),
-        g=_suffix_tree(rows_g),
+        f=_suffix_tree(starts[rows_f]),
+        g=_suffix_tree(starts[rows_g]),
     )
 
 
@@ -337,9 +337,8 @@ def _row_geometry(f: Spline, g: Spline, t: KnotVector):
 def _window_groups(t: KnotVector):
     """Product rows grouped by the run multiplicities of their knot windows.
 
-    Yields (mults, rows, starts): the multiplicity tuple, the rows whose
-    window t_{i+1} .. t_{i+p} has it, and the window offset where each
-    run starts.  Rows come in ascending order within a group.
+    Yields (mults, rows): the multiplicity tuple and the rows whose
+    window t_{i+1} .. t_{i+p} has it, in ascending order.
     """
     p = t.degree
     m = t.dimension
@@ -356,8 +355,7 @@ def _window_groups(t: KnotVector):
     sizes = np.bincount(inverse, minlength=first.size)
     for pattern, rows in zip(breaks[first], np.split(order, np.cumsum(sizes)[:-1])):
         starts = np.concatenate(([0], np.flatnonzero(pattern) + 1))
-        mults = tuple(int(c) for c in np.diff(starts, append=p))
-        yield mults, rows, starts
+        yield tuple(int(c) for c in np.diff(starts, append=p)), rows
 
 
 def _subset_chunks(p: int, p1: int):
@@ -401,25 +399,22 @@ def morken_product(
             "pass force=True (or --force) to run it anyway"
         )
     m, k1, k2, windows = _row_geometry(f, g, t)
-    divisor = float(math.comb(p, p1))
-    cached = None
-    if count <= _PRECOMPUTE_LIMIT:
-        cached = list(_subset_chunks(p, p1))
-    b = np.empty(m)
-    for i in range(m):
-        kw1, cw1 = _window_slices(p1, int(k1[i]))
-        kw2, cw2 = _window_slices(g.degree, int(k2[i]))
-        tau1, c1 = f.knots.knots[kw1], f.coefficients[cw1]
-        tau2, c2 = g.knots.knots[kw2], g.coefficients[cw2]
-        win = windows[i]
-        acc = 0.0
-        for idx_f, idx_g in cached if cached is not None else _subset_chunks(p, p1):
-            bf = kernel_many(tau1, c1, win[idx_f])
-            bg = kernel_many(tau2, c2, win[idx_g])
-            acc += float(np.dot(bf, bg))
-        b[i] = acc / divisor
+    kw1, cw1 = _window_indices(p1, k1)
+    kw2, cw2 = _window_indices(g.degree, k2)
+    tau1, c1 = f.knots.knots[kw1], f.coefficients[cw1]
+    tau2, c2 = g.knots.knots[kw2], g.coefficients[cw2]
+    # each chunk is enumerated once; every row still adds its chunks'
+    # dots in chunk order, starting from 0.0
+    acc = np.zeros(m)
+    for idx_f, idx_g in _subset_chunks(p, p1):
+        for i in range(m):
+            win = windows[i]
+            bf = kernel_many(tau1[i], c1[i], win[idx_f])
+            bg = kernel_many(tau2[i], c2[i], win[idx_g])
+            acc[i] += float(np.dot(bf, bg))
+    b = acc / float(math.comb(p, p1))
     counts = np.empty(m, dtype=np.int64)
-    for mults, rows, _ in _window_groups(t):
+    for mults, rows in _window_groups(t):
         counts[rows] = len(_profiles(mults, p1))
     return ProductResult(
         product=Spline(t, b),
@@ -432,7 +427,7 @@ def morken_product(
 def _row_blocks(t: KnotVector, p1: int):
     """Window groups cut into pieces and packed into evaluation blocks.
 
-    Yields one list of (plan, rows, starts) pieces per block.  A piece is
+    Yields one list of (plan, rows) pieces per block.  A piece is
     a run of consecutive rows of one window group; each row costs its
     plan's widest stage, and a block takes pieces greedily, splitting a
     group where the block fills, until its rows cost _BLOCK doubles.  A
@@ -440,7 +435,7 @@ def _row_blocks(t: KnotVector, p1: int):
     """
     block: list = []
     used = 0
-    for mults, rows, starts in _window_groups(t):
+    for mults, rows in _window_groups(t):
         plan = _product_plan(mults, p1)
         width = max(plan.f.widest, plan.g.widest)
         lo = 0
@@ -451,7 +446,7 @@ def _row_blocks(t: KnotVector, p1: int):
                 block, used = [], 0
                 continue
             take = min(rows.size - lo, max(room, 1))
-            block.append((plan, rows[lo : lo + take], starts))
+            block.append((plan, rows[lo : lo + take]))
             used += take * width
             lo += take
     if block:
@@ -463,18 +458,19 @@ def _ranges(lengths: np.ndarray) -> np.ndarray:
     return np.arange(lengths.sum()) - np.repeat(np.cumsum(lengths) - lengths, lengths)
 
 
-def _stage_tables(trees: list[_SuffixTree], sizes: np.ndarray, runs: int):
+def _stage_tables(trees: list[_SuffixTree], sizes: np.ndarray, pairs: np.ndarray):
     """Flat stage tables of one factor side over the pieces of a block.
 
-    trees[k] is piece k's suffix tree and sizes[k] its row count; runs is
-    the block's longest window run list.  The block's row-nodes are
-    listed stage by stage; within a stage, piece by piece; within a
-    piece, node by node, each node once per row.  Returns (bounds,
-    parent, rowrun, leaf): stage j's row-nodes are bounds[j] ..
-    bounds[j + 1]; row-node e refines entry parent[e] of the stage
-    before (a block row, its coefficient window, before the first stage)
-    at flat (row, window run) index rowrun[e]; leaf lists every row's
-    profiles, row by row, as positions in the last stage.
+    trees[k] is piece k's suffix tree and sizes[k] its row count;
+    pairs[o, r] numbers the knot pair that block row r reads at window
+    offset o (_side).  The block's row-nodes are listed stage by stage;
+    within a stage, piece by piece; within a piece, node by node, each
+    node once per row.  Returns (bounds, parent, at, leaf): stage j's
+    row-nodes are bounds[j] .. bounds[j + 1]; row-node e refines entry
+    parent[e] of the stage before (a block row, its coefficient window,
+    before the first stage) with the factors of knot pair at[e]; leaf
+    lists every row's profiles, row by row, as positions in the last
+    stage.
     """
     q = len(trees[0].offsets) - 1
     offsets = np.array([tree.offsets for tree in trees])
@@ -495,12 +491,14 @@ def _stage_tables(trees: list[_SuffixTree], sizes: np.ndarray, runs: int):
     n = np.repeat(np.tile(sizes, q), lens)
     up = np.repeat(above.T.ravel(), lens)
     up += np.concatenate([tree.parent for tree in trees])[order] * n
-    run = np.repeat(np.tile(first, q), lens) * runs
-    run += np.concatenate([tree.knot for tree in trees])[order]
+    # where each node's first row reads its knot in the flat pairs
+    start = np.concatenate([tree.knot for tree in trees])[order].astype(np.intp)
+    start *= pairs.shape[1]
+    start += np.repeat(np.tile(first, q), lens)
     # node i of a piece with n rows holds its rows r = 0 .. n - 1 at i * n + r
     r = _ranges(n)
     parent = np.repeat(up, n) + r
-    rowrun = np.repeat(run, n) + r * runs
+    at = np.take(pairs, np.repeat(start, n) + r)
     # profile i of block row first[k] + r sits at base[k, -1] + leaf_i * n + r
     profiles = np.array([tree.leaf.size for tree in trees])
     per_row = np.repeat(profiles, sizes)
@@ -509,9 +507,7 @@ def _stage_tables(trees: list[_SuffixTree], sizes: np.ndarray, runs: int):
     pick = (np.cumsum(profiles) - profiles)[piece] + _ranges(per_row)
     leaf = np.concatenate([tree.leaf for tree in trees])[pick] * sizes[piece]
     leaf += (base[:, -1] - first)[piece] + row
-    return bounds, parent, rowrun, leaf
-
-
+    return bounds, parent, at, leaf
 
 
 @dataclass(frozen=True)
@@ -521,11 +517,11 @@ class _Side:
     cols[r] indexes block row r's coefficient window in the factor's
     coefficients.  stages gives (parent, at, diag, sup) for stage d = q,
     .., 1: the stage's row-nodes, each with its parent entry in the stage
-    before and its flat (row, window run) index at, and the stage's
-    diagonal and superdiagonal factors per (row, window run), shape
-    (rows * runs, d).  leaf lists every row's profiles, row by row, as
-    positions in the last stage.  A kept layout holds stages as a tuple;
-    otherwise it is a generator that computes one stage at a time.
+    before and its knot pair at, and the stage's diagonal and
+    superdiagonal factors per knot pair, shape (pairs, d).  leaf lists
+    every row's profiles, row by row, as positions in the last stage.  A
+    kept layout holds stages as a tuple; otherwise it is a generator that
+    computes one stage at a time.
     """
 
     cols: np.ndarray
@@ -563,77 +559,61 @@ class _Layout:
 def _stages(tables, tau: np.ndarray, values: np.ndarray):
     """Stage tables and factors of one side of a block, stage by stage.
 
-    tables comes from _stage_tables; tau holds one factor knot window per
-    block row and values the window run values of the row (padded to the
-    block's longest run list).  A stage's factors depend on a row-node
-    only through its row and window run, so they are computed once per
-    (row, run); padded runs are computed and never read.
+    tables comes from _stage_tables; tau holds the factor knot window of
+    every knot pair and values, a column, its fine knot value.
     """
-    bounds, parent, rowrun, _ = tables
+    bounds, parent, at, _ = tables
     q = tau.shape[1] // 2
-    tau = tau[:, None, :]
-    t = values[:, :, None]
     for j, d in enumerate(range(q, 0, -1)):
         nodes = slice(bounds[j], bounds[j + 1])
-        diag, sup = _stage_factors(tau, d, q, t)
-        yield parent[nodes], rowrun[nodes], diag.reshape(-1, d), sup.reshape(-1, d)
+        yield (parent[nodes], at[nodes], *_stage_factors(tau, d, q, values))
 
 
 def _block(pieces, f: Spline, g: Spline, t: KnotVector, k1, k2, keep: bool) -> _Block:
-    """Layout of one block of (plan, rows, starts) pieces from _row_blocks."""
-    p = t.degree
-    plans = [plan for plan, _, _ in pieces]
-    sizes = np.array([piece.size for _, piece, _ in pieces])
-    rows = np.concatenate([piece for _, piece, _ in pieces])
-    # run starts padded to the block's longest list with offset p - 1,
-    # the window's last knot
-    runs = max(starts.size for _, _, starts in pieces)
-    starts = np.full((len(pieces), runs), p - 1)
-    for k, (_, _, piece_starts) in enumerate(pieces):
-        starts[k, : piece_starts.size] = piece_starts
-    values = t.knots[rows[:, None] + 1 + np.repeat(starts, sizes, axis=0)]
+    """Layout of one block of (plan, rows) pieces from _row_blocks."""
+    plans = [plan for plan, _ in pieces]
+    sizes = np.array([piece.size for _, piece in pieces])
+    rows = np.concatenate([piece for _, piece in pieces])
+    # window knot t_{i+1+o} of every row i at offset o, as the first index
+    # of its value; offset by offset, so a node's rows read a contiguous run
+    knots = t.knots
+    rank = np.searchsorted(knots, knots[rows + np.arange(1, t.degree + 1)[:, None]])
     sides = (
-        _side(s, spans[rows], trees, sizes, runs, values, keep)
+        _side(s, spans[rows], trees, sizes, rank, knots, keep)
         for s, spans, trees in (
             (f, k1, [plan.f for plan in plans]),
             (g, k2, [plan.g for plan in plans]),
         )
     )
     return _Block(
-        [(plan.weights, piece) for plan, piece, _ in pieces],
+        [(plan.weights, piece) for plan, piece in pieces],
         tuple(sides) if keep else sides,
     )
 
 
-def _side(s: Spline, spans, trees, sizes, runs: int, values, keep: bool) -> _Side:
-    """One factor's side of a block whose rows have anchors spans in s."""
-    tables = _stage_tables(trees, sizes, runs)
-    kw, cols = _window_indices(s.degree, spans)
-    stages = _stages(tables, s.knots.knots[kw], values)
-    return _Side(cols, tuple(stages) if keep else stages, tables[3])
+def _side(s: Spline, spans, trees, sizes, rank, knots, keep: bool) -> _Side:
+    """One factor's side of a block whose rows have anchors spans in s.
 
-
-def _fits(pieces, p1: int, p2: int) -> bool:
-    """Whether a kept layout of the block holds at most 2 * _BLOCK entries a side.
-
-    Over its q stages a side keeps two indices per row-node (parent, at)
-    and two factors per (row, window run, stage entry), all 8 bytes wide.
+    A stage factor depends on a row-node only through the row's span,
+    which fixes the factor's knot window, and the fine knot value it
+    reads (the discrete B-splines of the Oslo algorithm).  So the block
+    gets one factor per distinct (span, value) pair and stage entry.
     """
-    rows = sum(piece.size for _, piece, _ in pieces)
-    runs = max(starts.size for _, _, starts in pieces)
-    for q, tree in ((p1, lambda plan: plan.f), (p2, lambda plan: plan.g)):
-        nodes = sum(piece.size * int(tree(plan).offsets[-1]) for plan, piece, _ in pieces)
-        if nodes + rows * runs * q * (q + 1) // 2 > _BLOCK:
-            return False
-    return True
+    keys, pairs = np.unique(spans * knots.size + rank, return_inverse=True)
+    tables = _stage_tables(trees, sizes, pairs.reshape(rank.shape))
+    pair_spans, pair_knots = np.divmod(keys, knots.size)
+    kw, _ = _window_indices(s.degree, pair_spans)
+    _, cols = _window_indices(s.degree, spans)
+    stages = _stages(tables, s.knots.knots[kw], knots[pair_knots, None])
+    return _Side(cols, tuple(stages) if keep else stages, tables[3])
 
 
 def _layout(f: Spline, g: Spline, t: KnotVector) -> tuple[_Layout, bool]:
     """Knot-only half of the product of open f and g, and whether to keep it.
 
-    A layout is kept when the product packs into one block that _fits;
-    the decision comes before any block is built, and a layout that is
-    not kept builds its blocks one at a time as they are read.
+    A layout is kept when the product packs into one block; the decision
+    comes before any block is built, and a layout that is not kept builds
+    its blocks one at a time as they are read.
     """
     p1 = f.degree
     p = t.degree
@@ -643,10 +623,10 @@ def _layout(f: Spline, g: Spline, t: KnotVector) -> tuple[_Layout, bool]:
     packing = list(_row_blocks(t, p1))
     counts = np.empty(m, dtype=np.int64)
     for pieces in packing:
-        for plan, piece, _ in pieces:
+        for plan, piece in pieces:
             counts[piece] = plan.weights.size
     counts.setflags(write=False)
-    keep = len(packing) == 1 and _fits(packing[0], p1, g.degree)
+    keep = len(packing) == 1
     blocks = (_block(pieces, f, g, t, k1, k2, keep) for pieces in packing)
     layout = _Layout(
         t=t,
@@ -668,7 +648,7 @@ def _side_values(coeffs: np.ndarray, side: _Side) -> np.ndarray:
     v = coeffs[side.cols]
     for parent, at, diag, sup in side.stages:
         vp = np.take(v, parent, axis=0)
-        # the factors stay per (row, run) and are gathered here: multiplying
+        # the factors stay per knot pair and are gathered here: multiplying
         # in place into the fresh gathered arrays streams a stage about 20%
         # faster than multiplying factors gathered ahead
         v = np.take(diag, at, axis=0)
@@ -704,17 +684,19 @@ def improved_morken_product(
     Everything but the coefficient pass depends on the knots alone: a
     refined coefficient is a knot-only linear map applied to the
     coefficient window (the discrete B-splines of the Oslo algorithm).
-    So the layout of the last call (product knot vector, blocks, stage
-    tables and stage factors) is kept, keyed on both factors' knots and
-    degrees as passed in, when the product packs into one block and each
-    factor's kept stage arrays hold at most 2 * _BLOCK entries (_fits): at
-    most 2 MiB of stage tables, plus each row's window and profile
-    positions.  A later call on the same knots runs only the
-    coefficient pass, after make_open and the target_knots check; any
-    other call frees the kept layout first, and a product over the rule
-    streams its stages one at a time.  There is no entry point taking
-    many second factors at once: consecutive calls on one knot pair
-    already share the layout, and each product is still its own call.
+    A stage factor depends only on the factor's knot window, which the
+    row's span fixes, and on one fine knot value, so each block computes
+    its factors once per distinct (span, knot value) pair.  The layout
+    of the last call (product knot vector, blocks, stage tables and
+    stage factors) is kept, keyed on both factors' knots and degrees as
+    passed in, when the product packs into one block; over every
+    experiment row the largest such layout takes 3.6 MiB.  A later call
+    on the same knots runs only the coefficient pass, after make_open
+    and the target_knots check; any other call frees the kept layout
+    first, and a product of more blocks streams its blocks and stages
+    one at a time.  There is no entry point taking many second factors
+    at once: consecutive calls on one knot pair already share the
+    layout, and each product is still its own call.
     """
     global _kept
     key = (f.knots.knots.tobytes(), f.degree, g.knots.knots.tobytes(), g.degree)

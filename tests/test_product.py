@@ -204,6 +204,24 @@ def test_product_guard_can_be_forced(monkeypatch):
     )
 
 
+def test_naive_in_small_subset_chunks_matches_improved(monkeypatch):
+    """Rows sum over many chunks of index subsets, and a last partial one."""
+    import splineprod.product as product_module
+
+    monkeypatch.setattr(product_module, "_CHUNK", 7)
+    rng = np.random.default_rng(29)
+    for p1, p2 in ((3, 4), (2, 3), (1, 7)):
+        f = random_spline_on(rng, random_open_kv(rng, p1, max_interior=3))
+        g = random_spline_on(rng, random_open_kv(rng, p2, max_interior=3))
+        assert math.comb(p1 + p2, p1) > product_module._CHUNK
+        naive = morken_product(f, g)
+        improved = improved_morken_product(f, g)
+        scale = np.max(np.abs(improved.product.coefficients))
+        diff = np.max(np.abs(naive.product.coefficients - improved.product.coefficients))
+        assert diff <= 1e-13 * max(scale, 1.0)
+        npt.assert_array_equal(naive.distinct_term_counts, improved.distinct_term_counts)
+
+
 def test_product_rejects_mismatched_spans_and_degree_zero():
     f = Spline(bernstein_knots(2), np.ones(3))
     g = Spline(bernstein_knots(2, end=2.0), np.ones(3))
@@ -343,8 +361,8 @@ def test_improved_bit_identical_across_row_blocks(monkeypatch):
         monkeypatch.setattr(product_module, "_BLOCK", block)
         packing = list(product_module._row_blocks(t, 3))
         # the window groups (one plan each) that have rows in each block
-        groups = [{id(plan) for plan, _, _ in pieces} for pieces in packing]
-        rows = np.concatenate([piece for pieces in packing for _, piece, _ in pieces])
+        groups = [{id(plan) for plan, _ in pieces} for pieces in packing]
+        rows = np.concatenate([piece for pieces in packing for _, piece in pieces])
         assert np.array_equal(np.sort(rows), np.arange(t.dimension))
         if block == 64:
             blocks = Counter(group for held in groups for group in held)
@@ -412,6 +430,15 @@ def test_kept_layout_sequences_match_per_row_loop(product_module):
     _assert_rows_bytes(improved_morken_product(f, g), f, g)
     assert product_module._kept[0] == kept[0]
     assert product_module._kept is not kept
+    # a degree-20 Galerkin product packs into one block too
+    c = build_family_case("galerkin_p", 20, SplitMix64(3))
+    f, g = c.f, c.gs[1]
+    _assert_rows_bytes(improved_morken_product(f, g), f, g)
+    kept = product_module._kept
+    assert kept is not None
+    for _ in range(2):
+        _assert_rows_bytes(improved_morken_product(f, g), f, g)
+        assert product_module._kept is kept
 
 
 def test_kept_layout_with_new_coefficients_and_signed_zeros(product_module):
@@ -498,17 +525,20 @@ def test_multi_block_product_leaves_slot_empty(product_module, monkeypatch):
         _assert_rows_bytes(result, f, g)
 
 
-def test_product_over_the_size_rule_leaves_slot_empty(product_module):
-    """spline_poly 30 packs into one block, but its g side keeps too much."""
+def test_one_block_product_is_kept(product_module):
+    """spline_poly 30 packs into one block, so its layout is kept and a
+    second call, with new coefficients too, runs on it."""
     case = build_family_case("spline_poly", 30, SplitMix64(9))
     f, g = case.f, case.gs[0]
     t = product_knot_vector(f.knots, g.knots)
-    packing = list(product_module._row_blocks(t, f.degree))
-    assert len(packing) == 1
-    assert not product_module._fits(packing[0], f.degree, g.degree)
-    for _ in range(2):
-        _assert_rows_bytes(improved_morken_product(f, g), f, g)
-        assert product_module._kept is None
+    assert len(list(product_module._row_blocks(t, f.degree))) == 1
+    _assert_rows_bytes(improved_morken_product(f, g), f, g)
+    kept = product_module._kept
+    assert kept is not None
+    rng = np.random.default_rng(9)
+    for f2 in (f, random_spline_on(rng, f.knots)):
+        _assert_rows_bytes(improved_morken_product(f2, g), f2, g)
+        assert product_module._kept is kept
 
 
 def test_kept_counts_are_read_only(product_module):
