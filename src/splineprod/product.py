@@ -15,8 +15,9 @@ from __future__ import annotations
 import itertools
 import math
 from collections.abc import Iterable
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
@@ -514,14 +515,16 @@ def _stage_tables(trees: list[_SuffixTree], sizes: np.ndarray, pairs: np.ndarray
 class _Side:
     """Knot-only stage loop of one factor over the rows of a block.
 
-    cols[r] indexes block row r's coefficient window in the factor's
+    cols[r] indexes root r's coefficient window in the factor's
     coefficients.  stages gives (parent, at, diag, sup) for stage d = q,
-    .., 1: the stage's row-nodes, each with its parent entry in the stage
-    before and its knot pair at, and the stage's diagonal and
-    superdiagonal factors per knot pair, shape (pairs, d).  leaf lists
-    every row's profiles, row by row, as positions in the last stage.  A
-    kept layout holds stages as a tuple; otherwise it is a generator that
-    computes one stage at a time.
+    .., 1: the stage's nodes, each with its parent entry in the stage
+    before (a root before the first stage) and its knot pair at, and the
+    stage's diagonal and superdiagonal factors per knot pair, shape
+    (pairs, d).  leaf lists every row's profiles, row by row, as
+    positions in the last stage.  As _side builds it, the roots are the
+    block rows and the nodes its row-nodes; _shared merges the nodes that
+    compute the same vector.  A kept layout holds stages as a tuple;
+    otherwise it is a generator that computes one stage at a time.
     """
 
     cols: np.ndarray
@@ -545,8 +548,9 @@ class _Layout:
     """Knot-only half of an improved product, for any coefficients.
 
     counts holds every row's distinct profile count, read-only, and
-    blocks the evaluation blocks: a tuple of one _Block in a kept layout,
-    a generator that builds one block at a time otherwise.
+    blocks the evaluation blocks: a tuple in a kept layout, a generator
+    that builds one block at a time otherwise.  shared tells whether
+    every side of a kept layout has passed through _shared.
     """
 
     t: KnotVector
@@ -554,6 +558,7 @@ class _Layout:
     divisor: float
     counts: np.ndarray
     blocks: Iterable[_Block]
+    shared: bool
 
 
 def _stages(tables, tau: np.ndarray, values: np.ndarray):
@@ -569,8 +574,12 @@ def _stages(tables, tau: np.ndarray, values: np.ndarray):
         yield (parent[nodes], at[nodes], *_stage_factors(tau, d, q, values))
 
 
-def _block(pieces, f: Spline, g: Spline, t: KnotVector, k1, k2, keep: bool) -> _Block:
-    """Layout of one block of (plan, rows) pieces from _row_blocks."""
+def _block(pieces, f: Spline, g: Spline, t: KnotVector, k1, k2) -> _Block:
+    """Layout of one block of (plan, rows) pieces from _row_blocks.
+
+    Its sides and their stages are generators: each side is built as it
+    is read, so one side's tables live at a time.
+    """
     plans = [plan for plan, _ in pieces]
     sizes = np.array([piece.size for _, piece in pieces])
     rows = np.concatenate([piece for _, piece in pieces])
@@ -579,19 +588,16 @@ def _block(pieces, f: Spline, g: Spline, t: KnotVector, k1, k2, keep: bool) -> _
     knots = t.knots
     rank = np.searchsorted(knots, knots[rows + np.arange(1, t.degree + 1)[:, None]])
     sides = (
-        _side(s, spans[rows], trees, sizes, rank, knots, keep)
+        _side(s, spans[rows], trees, sizes, rank, knots)
         for s, spans, trees in (
             (f, k1, [plan.f for plan in plans]),
             (g, k2, [plan.g for plan in plans]),
         )
     )
-    return _Block(
-        [(plan.weights, piece) for plan, piece in pieces],
-        tuple(sides) if keep else sides,
-    )
+    return _Block([(plan.weights, piece) for plan, piece in pieces], sides)
 
 
-def _side(s: Spline, spans, trees, sizes, rank, knots, keep: bool) -> _Side:
+def _side(s: Spline, spans, trees, sizes, rank, knots) -> _Side:
     """One factor's side of a block whose rows have anchors spans in s.
 
     A stage factor depends on a row-node only through the row's span,
@@ -605,15 +611,45 @@ def _side(s: Spline, spans, trees, sizes, rank, knots, keep: bool) -> _Side:
     kw, _ = _window_indices(s.degree, pair_spans)
     _, cols = _window_indices(s.degree, spans)
     stages = _stages(tables, s.knots.knots[kw], knots[pair_knots, None])
-    return _Side(cols, tuple(stages) if keep else stages, tables[3])
+    return _Side(cols, stages, tables[3])
 
 
-def _layout(f: Spline, g: Spline, t: KnotVector) -> tuple[_Layout, bool]:
+def _held(side: _Side) -> _Side:
+    """side with every stage computed and kept."""
+    return replace(side, stages=tuple(side.stages))
+
+
+def _shared(side: _Side) -> _Side:
+    """side with one node per distinct (parent node, knot pair) in each stage.
+
+    A node's vector after a stage depends only on its parent's vector and
+    the knot pair's factors, and before the first stage only on the
+    row's span.  So rows with one anchor span share a root, and a stage
+    keeps one node per (parent, pair): it computes the same elementwise
+    arithmetic on the same doubles as every row-node it replaces, and so
+    the same bits.  The stages are read, and built, one at a time.
+    """
+    _, first, ids = np.unique(side.cols[:, 0], return_index=True, return_inverse=True)
+    stages = []
+    for parent, at, diag, sup in side.stages:
+        pairs = diag.shape[0]
+        nodes, ids = np.unique(ids[parent] * pairs + at, return_inverse=True)
+        stages.append((nodes // pairs, nodes % pairs, diag, sup))
+    return _Side(side.cols[first], tuple(stages), ids[side.leaf])
+
+
+def _kept_blocks(blocks: Iterable[_Block], form) -> tuple[_Block, ...]:
+    """blocks, read one at a time, with each side put in form as it is read."""
+    return tuple(_Block(block.pieces, tuple(map(form, block.sides))) for block in blocks)
+
+
+def _layout(f: Spline, g: Spline, t: KnotVector, repeat: bool) -> tuple[_Layout, bool]:
     """Knot-only half of the product of open f and g, and whether to keep it.
 
-    A layout is kept when the product packs into one block; the decision
-    comes before any block is built, and a layout that is not kept builds
-    its blocks one at a time as they are read.
+    With repeat (the last call streamed a product on the same key) every
+    block is kept, and each side is shared as it is built.  Otherwise a
+    product that packs into one block is kept as built, and any other
+    builds its blocks one at a time as they are read.
     """
     p1 = f.degree
     p = t.degree
@@ -626,14 +662,17 @@ def _layout(f: Spline, g: Spline, t: KnotVector) -> tuple[_Layout, bool]:
         for plan, piece in pieces:
             counts[piece] = plan.weights.size
     counts.setflags(write=False)
-    keep = len(packing) == 1
-    blocks = (_block(pieces, f, g, t, k1, k2, keep) for pieces in packing)
+    keep = repeat or len(packing) == 1
+    blocks = (_block(pieces, f, g, t, k1, k2) for pieces in packing)
+    if keep:
+        blocks = _kept_blocks(blocks, _shared if repeat else _held)
     layout = _Layout(
         t=t,
         naive_terms=naive_terms,
         divisor=float(math.comb(p, p1)),
         counts=counts,
-        blocks=tuple(blocks) if keep else blocks,
+        blocks=blocks,
+        shared=repeat,
     )
     return layout, keep
 
@@ -659,10 +698,25 @@ def _side_values(coeffs: np.ndarray, side: _Side) -> np.ndarray:
     return v[side.leaf, 0]
 
 
-# (key, layout) of the last product whose layout was kept, the key being
-# (f knots, f degree, g knots, g degree) as passed in; replaced whole, so
-# a reader sees a key with its own layout
-_kept: tuple | None = None
+class _Slot(NamedTuple):
+    """What the last call keeps for its key, (f knots, f degree, g knots,
+    g degree) as passed in.
+
+    layout is None after a call that streamed a product of many blocks;
+    otherwise it is the kept layout, and f_bytes and f_values are the
+    coefficient bytes of the last call's open f and its kernel values,
+    one array per block.
+    """
+
+    key: tuple
+    layout: _Layout | None = None
+    f_bytes: bytes | None = None
+    f_values: tuple[np.ndarray, ...] = ()
+
+
+# the last call's _Slot; replaced whole, so a reader sees a key with its
+# own layout and f values
+_kept: _Slot | None = None
 
 
 def improved_morken_product(
@@ -687,35 +741,56 @@ def improved_morken_product(
     A stage factor depends only on the factor's knot window, which the
     row's span fixes, and on one fine knot value, so each block computes
     its factors once per distinct (span, knot value) pair.  The layout
-    of the last call (product knot vector, blocks, stage tables and
-    stage factors) is kept, keyed on both factors' knots and degrees as
-    passed in, when the product packs into one block; over every
-    experiment row the largest such layout takes 3.6 MiB.  A later call
-    on the same knots runs only the coefficient pass, after make_open
-    and the target_knots check; any other call frees the kept layout
-    first, and a product of more blocks streams its blocks and stages
-    one at a time.  There is no entry point taking many second factors
-    at once: consecutive calls on one knot pair already share the
-    layout, and each product is still its own call.
+    (product knot vector, blocks, stage tables and stage factors) is
+    kept, keyed on both factors' knots and degrees as passed in, when
+    the product packs into one block or when the call repeats the last
+    call's key; a first call of many blocks streams its blocks and
+    stages one at a time.  A later call on the same key runs only the
+    coefficient pass, after make_open and the target_knots check; its
+    first such call merges the kept stage loops' nodes across rows
+    (_shared), and so does a repeated call building the layout.  f's
+    kernel values are kept beside the layout and reused while f's
+    coefficient bytes (-0.0 is not 0.0) stay the same, so Galerkin
+    assembly, one f times many g, refines only g.  Over every experiment
+    row (row seed 12345) the largest kept layout takes 13.0 MiB, plus
+    0.5 MiB of f values (galerkin_k 50); galerkin_p 50 keeps 1.8 MiB.
+    A call on another key
+    frees the slot first.  There is no entry point taking many second
+    factors at once: consecutive calls on one knot pair already share
+    the layout, and each product is still its own call.
     """
     global _kept
     key = (f.knots.knots.tobytes(), f.degree, g.knots.knots.tobytes(), g.degree)
     kept = _kept
-    if kept is not None and kept[0] == key:
-        layout = kept[1]
+    if kept is not None and kept.key == key and kept.layout is not None:
+        layout = kept.layout
         f, g = make_open(f), make_open(g)
         _check_target(target_knots, layout.t)
+        if not layout.shared:
+            layout = replace(
+                layout, blocks=_kept_blocks(layout.blocks, _shared), shared=True
+            )
+        keep = True
     else:
-        _kept = None
+        repeat = kept is not None and kept.key == key
+        # free the kept layout before the new one is built
+        _kept = kept = None
         f, g, t = _prepared_factors(f, g, target_knots)
-        layout, keep = _layout(f, g, t)
-        if keep:
-            _kept = (key, layout)
+        layout, keep = _layout(f, g, t, repeat)
+    f_bytes = f.coefficients.tobytes()
+    memo = kept.f_values if kept is not None and kept.f_bytes == f_bytes else None
+    f_values = []
     b = np.empty(layout.counts.size)
-    for block in layout.blocks:
-        bf, bg = (
-            _side_values(s.coefficients, side) for s, side in zip((f, g), block.sides)
-        )
+    for n, block in enumerate(layout.blocks):
+        if memo is None:
+            bf, bg = (
+                _side_values(s.coefficients, side)
+                for s, side in zip((f, g), block.sides)
+            )
+        else:
+            bf, bg = memo[n], _side_values(g.coefficients, block.sides[1])
+        if keep:
+            f_values.append(bf)
         lo = 0
         for weights, piece in block.pieces:
             hi = lo + piece.size * weights.size
@@ -731,6 +806,7 @@ def improved_morken_product(
                 dots = (wbf[:, None, :] @ cols[:, :, None]).ravel()
             b[piece] = dots / layout.divisor
             lo = hi
+    _kept = _Slot(key, layout, f_bytes, tuple(f_values)) if keep else _Slot(key)
     return ProductResult(
         product=Spline(layout.t, b),
         naive_term_count=layout.naive_terms,

@@ -164,6 +164,23 @@ def test_criterion_02_direct_error_at_largest_parameter(family, param):
     assert e_direct <= 5e-14, f"direct error {e_direct:.3e} at {family} {param}"
 
 
+@pytest.mark.parametrize("family", ["galerkin_p", "galerkin_k"])
+def test_criterion_02_direct_error_galerkin_degree_50(family):
+    """The 5e-14 bound holds for every product of a degree-50 Galerkin row.
+
+    One f times 99 (galerkin_p) or 54 (galerkin_k) g on one knot pair:
+    the first product streams its blocks, the second keeps a shared
+    layout, and the rest reuse it and f's kernel values.
+    """
+    case = build_family_case(family, 50, SplitMix64(12345))
+    for j, g in enumerate(case.gs):
+        result = improved_morken_product(case.f, g)
+        e_direct = relative_linf_error(result.product, case.f, g)
+        assert e_direct <= 5e-14, (
+            f"direct error {e_direct:.3e} at {family} 50, product {j}"
+        )
+
+
 def test_criterion_03_term_counts_spline_poly(spline_poly_rows):
     """nu_bar < 4 for all degrees; naive count is exactly C(3 + d, 3)."""
     for row in spline_poly_rows:

@@ -413,6 +413,19 @@ def _assert_rows_bytes(result, f, g):
     assert np.array_equal(result.distinct_term_counts, counts)
 
 
+def _hit_layout(module, kept):
+    """The layout of the slot after a hit on kept's key: kept's own once
+    shared, its shared form after the first hit."""
+    slot = module._kept
+    assert slot.key == kept.key
+    assert slot.layout.shared
+    if kept.layout.shared:
+        assert slot.layout is kept.layout
+    else:
+        assert slot.layout is not kept.layout
+    return slot
+
+
 def test_kept_layout_sequences_match_per_row_loop(product_module):
     """A, A, A reuse one kept layout; A, B, A rebuilds it each time."""
     a = build_family_case("galerkin_k", 6, SplitMix64(3))
@@ -420,25 +433,26 @@ def test_kept_layout_sequences_match_per_row_loop(product_module):
     f, g = a.f, a.gs[1]
     result = improved_morken_product(f, g)
     kept = product_module._kept
-    assert kept is not None
+    assert kept.layout is not None and not kept.layout.shared
     for _ in range(2):
         _assert_rows_bytes(improved_morken_product(f, g), f, g)
-        assert product_module._kept is kept
+        kept = _hit_layout(product_module, kept)
     _assert_rows_bytes(result, f, g)
     _assert_rows_bytes(improved_morken_product(b.f, b.gs[0]), b.f, b.gs[0])
     assert product_module._kept[0] != kept[0]
     _assert_rows_bytes(improved_morken_product(f, g), f, g)
     assert product_module._kept[0] == kept[0]
-    assert product_module._kept is not kept
+    assert product_module._kept.layout is not kept.layout
+    assert not product_module._kept.layout.shared
     # a degree-20 Galerkin product packs into one block too
     c = build_family_case("galerkin_p", 20, SplitMix64(3))
     f, g = c.f, c.gs[1]
     _assert_rows_bytes(improved_morken_product(f, g), f, g)
     kept = product_module._kept
-    assert kept is not None
+    assert kept.layout is not None
     for _ in range(2):
         _assert_rows_bytes(improved_morken_product(f, g), f, g)
-        assert product_module._kept is kept
+        kept = _hit_layout(product_module, kept)
 
 
 def test_kept_layout_with_new_coefficients_and_signed_zeros(product_module):
@@ -450,7 +464,7 @@ def test_kept_layout_with_new_coefficients_and_signed_zeros(product_module):
     g = random_spline_on(rng, kv2)
     improved_morken_product(f, g)
     kept = product_module._kept
-    assert kept is not None
+    assert kept.layout is not None
     c1 = rng.uniform(-1, 1, kv1.dimension)
     c1[:5] = -0.0
     c2 = rng.uniform(-1, 1, kv2.dimension)
@@ -464,13 +478,37 @@ def test_kept_layout_with_new_coefficients_and_signed_zeros(product_module):
         (Spline(kv1, np.full(kv1.dimension, -0.0)), g),
     ):
         result = improved_morken_product(f2, g2)
-        assert product_module._kept is kept
+        kept = _hit_layout(product_module, kept)
         _assert_rows_bytes(result, f2, g2)
         coeffs = result.product.coefficients
         zeros.append(coeffs[coeffs == 0.0])
     # the zero windows give zero coefficients of both signs
     signs = np.signbit(np.concatenate(zeros))
     assert signs.any() and not signs.all()
+
+
+def test_kept_f_values_follow_the_coefficient_bytes(product_module):
+    """f's kept kernel values are reused only for the same bytes: f with
+    its +0.0 entries flipped to -0.0 is refined again, with g kept."""
+    case = build_family_case("galerkin_p", 12, SplitMix64(4))
+    f, gs = case.f, case.gs
+    assert np.count_nonzero(f.coefficients == 0.0) > 0
+    flipped = Spline(f.knots, np.where(f.coefficients == 0.0, -0.0, f.coefficients))
+    assert np.array_equal(flipped.coefficients, f.coefficients)
+    assert flipped.coefficients.tobytes() != f.coefficients.tobytes()
+    for f2, g in ((f, gs[0]), (f, gs[1]), (f, gs[2]), (flipped, gs[2]),
+                  (flipped, gs[3]), (f, gs[3])):
+        _assert_rows_bytes(improved_morken_product(f2, g), f2, g)
+        slot = product_module._kept
+        assert slot.f_bytes == f2.coefficients.tobytes()
+    # the f values each memo holds are those of its own bytes
+    values = slot.f_values
+    _assert_rows_bytes(improved_morken_product(flipped, gs[0]), flipped, gs[0])
+    assert product_module._kept.f_values is not values
+    # a hit whose f bytes match keeps the values it reads
+    values = product_module._kept.f_values
+    improved_morken_product(flipped, gs[1])
+    assert all(a is b for a, b in zip(product_module._kept.f_values, values))
 
 
 def test_kept_layout_on_knots_that_are_not_open(product_module):
@@ -483,16 +521,16 @@ def test_kept_layout_on_knots_that_are_not_open(product_module):
     g = random_spline_on(rng, uniform_open_knots(1, 4))
     improved_morken_product(f, g)
     kept = product_module._kept
-    assert kept is not None
+    assert kept.layout is not None
     for _ in range(2):
         f = random_spline_on(rng, kv)
         result = improved_morken_product(f, g)
-        assert product_module._kept is kept
+        kept = _hit_layout(product_module, kept)
         _assert_rows_bytes(result, f, g)
     # the same knot array read at another degree is another knot vector
     f = random_spline_on(rng, KnotVector(kv.knots, 1))
     _assert_rows_bytes(improved_morken_product(f, g), f, g)
-    assert product_module._kept is not kept
+    assert product_module._kept.layout is not kept.layout
 
 
 def test_kept_layout_still_checks_target_knots(product_module):
@@ -508,21 +546,60 @@ def test_kept_layout_still_checks_target_knots(product_module):
     assert improved_morken_product(f, g, target_knots=exact).product.knots == exact
 
 
-def test_multi_block_product_leaves_slot_empty(product_module, monkeypatch):
+def test_multi_block_product_is_kept_when_its_key_repeats(product_module, monkeypatch):
+    """A product of many blocks streams on its first call and is kept,
+    shared, on the second; later calls reuse it, with new f or g
+    coefficients too."""
     rng = np.random.default_rng(41)
     kv = uniform_open_knots(2, 5)
     improved_morken_product(random_spline_on(rng, kv), random_spline_on(rng, kv))
-    assert product_module._kept is not None
+    assert product_module._kept.layout is not None
     monkeypatch.setattr(product_module, "_BLOCK", 64)
     f = random_spline_on(rng, uniform_open_knots(3, 40))
     g = random_spline_on(rng, uniform_open_knots(2, 40))
     t = product_knot_vector(f.knots, g.knots)
-    assert len(list(product_module._row_blocks(t, 3))) > 1
-    for _ in range(2):
-        result = improved_morken_product(f, g)
-        # the miss freed the kept layout and kept no new one
-        assert product_module._kept is None
-        _assert_rows_bytes(result, f, g)
+    blocks = len(list(product_module._row_blocks(t, 3)))
+    assert blocks > 1
+    _assert_rows_bytes(improved_morken_product(f, g), f, g)
+    # the miss freed the kept layout and kept only the key
+    kept = product_module._kept
+    assert kept.layout is None and kept.f_bytes is None
+    _assert_rows_bytes(improved_morken_product(f, g), f, g)
+    layout = product_module._kept.layout
+    assert layout.shared and len(layout.blocks) == blocks
+    assert len(product_module._kept.f_values) == blocks
+    f2 = random_spline_on(rng, f.knots)
+    g2 = random_spline_on(rng, g.knots)
+    for f3, g3 in ((f, g), (f2, g), (f2, g2), (f, g2)):
+        _assert_rows_bytes(improved_morken_product(f3, g3), f3, g3)
+        assert product_module._kept.layout is layout
+    # another key frees it; the key repeated after that streams again
+    improved_morken_product(random_spline_on(rng, kv), random_spline_on(rng, kv))
+    _assert_rows_bytes(improved_morken_product(f, g), f, g)
+    assert product_module._kept.layout is None
+
+
+def test_shared_stages_hold_one_node_per_parent_and_pair(product_module):
+    """After sharing, no stage of a galerkin_k 12 layout holds two nodes
+    with the same (parent, knot pair), and the node count drops."""
+    case = build_family_case("galerkin_k", 12, SplitMix64(12345))
+    f, g = case.f, case.gs[0]
+    improved_morken_product(f, g)
+    unshared = product_module._kept.layout
+    assert not unshared.shared and len(unshared.blocks) == 1
+    _assert_rows_bytes(improved_morken_product(f, g), f, g)
+    shared = product_module._kept.layout
+    assert shared.shared
+    for before, after in zip(unshared.blocks[0].sides, shared.blocks[0].sides):
+        assert len(after.stages) == len(before.stages)
+        assert after.cols.shape[0] < before.cols.shape[0]
+        for (parent, at, diag, sup), old in zip(after.stages, before.stages):
+            assert diag is old[2] and sup is old[3]
+            keys = parent * diag.shape[0] + at
+            assert np.unique(keys).size == keys.size
+        nodes = sum(stage[0].size for stage in after.stages)
+        assert nodes < sum(stage[0].size for stage in before.stages)
+        assert after.leaf.size == before.leaf.size
 
 
 def test_one_block_product_is_kept(product_module):
@@ -534,11 +611,11 @@ def test_one_block_product_is_kept(product_module):
     assert len(list(product_module._row_blocks(t, f.degree))) == 1
     _assert_rows_bytes(improved_morken_product(f, g), f, g)
     kept = product_module._kept
-    assert kept is not None
+    assert kept.layout is not None
     rng = np.random.default_rng(9)
     for f2 in (f, random_spline_on(rng, f.knots)):
         _assert_rows_bytes(improved_morken_product(f2, g), f2, g)
-        assert product_module._kept is kept
+        kept = _hit_layout(product_module, kept)
 
 
 def test_kept_counts_are_read_only(product_module):
