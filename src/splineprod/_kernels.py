@@ -9,8 +9,8 @@ from __future__ import annotations
 import numpy as np
 
 # the doubles one block of rows may take into a stage loop, in the
-# improved product and in the refine step under evaluate; one unblocked
-# batch over all rows ran at half speed from memory traffic
+# improved product, evaluate's coefficient pass and oslo's refine step;
+# one unblocked batch over all rows ran at half speed from memory traffic
 _BLOCK = 1 << 16
 
 __all__ = [

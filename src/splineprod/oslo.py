@@ -13,11 +13,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._kernels import find_span0_many, kernel_many, _stage_factors
+from ._kernels import _BLOCK, _stage_factors, find_span0_many, kernel_many
 from .core import (
     KnotVector,
     _multiplicities,
-    _refine_rows,
+    _window_indices,
     _window_slices,
     make_open,
     make_spline,
@@ -144,6 +144,29 @@ def _validate_refinement(coarse: KnotVector, fine: KnotVector) -> None:
             f"{float(values[i])!r} has multiplicity {int(counts[i])} but "
             f"only {int(have[i])} in the fine vector"
         )
+
+
+def _refine_rows(
+    knots: np.ndarray,
+    coeffs: np.ndarray,
+    p: int,
+    spans: np.ndarray,
+    fine_rows: np.ndarray,
+) -> np.ndarray:
+    """Kernel value of every fine row at its 0-based anchor spans[r].
+
+    Each row's knot and coefficient window is gathered, 3p + 1 doubles,
+    and one kernel_many call refines each block of about _BLOCK doubles.
+    Every row has fine knots of its own, so nothing of a row's stage
+    factors is shared or kept, unlike evaluate's layouts.
+    """
+    out = np.empty(spans.size)
+    step = max(1, _BLOCK // (3 * p + 1))
+    for lo in range(0, spans.size, step):
+        rows = slice(lo, lo + step)
+        kw, cw = _window_indices(p, spans[rows])
+        out[rows] = kernel_many(knots[kw], coeffs[cw], fine_rows[rows])
+    return out
 
 
 def oslo_coefficients(

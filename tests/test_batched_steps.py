@@ -1,7 +1,8 @@
 """Batched refine, basis and knot steps against their loop forms, byte for byte.
 
-`evaluate` and `oslo_coefficients` refine rows in blocks with one window
-per row, `collocation_matrix` computes the Cox-de Boor triangle one
+`evaluate` runs a coefficient pass over a kept knot-only layout of its
+points, `oslo_coefficients` refines rows in blocks with one window per
+row, `collocation_matrix` computes the Cox-de Boor triangle one
 whole row at a time, and `product_knot_vector` merges the factors'
 breakpoint runs as arrays.  Each must give the bits, zero signs
 included, of the per-anchor, scalar-column and per-breakpoint loops in
@@ -13,11 +14,13 @@ import pytest
 
 import splineprod.collocation as collocation_module
 import splineprod.core as core
+import splineprod.oslo as oslo_module
 from splineprod import (
     KnotVector,
     collocation_matrix,
     evaluate,
     greville_abscissae,
+    make_open,
     make_spline,
     oslo_coefficients,
     product_knot_vector,
@@ -113,7 +116,7 @@ def test_oslo_bytes_equal_per_anchor_loop(s, odd, block):
     windows = np.lib.stride_tricks.sliding_window_view(fine.knots[1 : n + p], p)
     expected = refine_rows_by_anchor(kv.knots, s.coefficients, p, spans, windows)
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(core, "_BLOCK", block)
+        mp.setattr(oslo_module, "_BLOCK", block)
         refined = oslo_coefficients(p, kv, s.coefficients, fine)
     assert _same_bytes(refined, expected)
 
@@ -142,29 +145,94 @@ def test_collocation_bands_bytes_equal_scalar_triangle(s, fractions):
 
 
 def test_refine_rows_one_kernel_call_per_block(monkeypatch):
-    """evaluate and oslo_coefficients call the kernel once per block of rows."""
+    """oslo_coefficients calls the kernel once per block of rows; evaluate
+    keeps one layout per (knots, degree, points) in blocks of that size."""
     calls = []
-    kernel = core.kernel_many
+    kernel = oslo_module.kernel_many
 
     def counted(tau_window, coeff_window, fine_rows):
         calls.append(fine_rows.shape[0])
         return kernel(tau_window, coeff_window, fine_rows)
 
-    monkeypatch.setattr(core, "kernel_many", counted)
+    monkeypatch.setattr(oslo_module, "kernel_many", counted)
     rng = np.random.default_rng(3)
     s = random_spline_on(rng, uniform_open_knots(3, 1000))
     xs = np.linspace(0.0, 1.0, 4001)
-    evaluate(s, xs)
-    assert calls == [4001]
-    calls.clear()
     fine = uniform_open_knots(3, 1999)
     oslo_coefficients(3, s.knots, s.coefficients, fine)
     assert calls == [fine.dimension]
-    # a degree-3 row gathers 3p + 1 = 10 doubles
-    monkeypatch.setattr(core, "_BLOCK", 1000)
+    # a degree-3 row gathers, and a degree-3 point's pass allocates,
+    # 3p + 1 = 10 doubles
+    monkeypatch.setattr(oslo_module, "_BLOCK", 1000)
     calls.clear()
+    oslo_coefficients(3, s.knots, s.coefficients, fine)
+    assert calls == [100] * (fine.dimension // 100) + [fine.dimension % 100]
+    monkeypatch.setattr(core, "_BLOCK", 1000)
+    core._evaluation_layout.cache_clear()
     evaluate(s, xs)
-    assert calls == [100] * 40 + [1]
+    evaluate(random_spline_on(rng, s.knots), xs.copy())
+    info = core._evaluation_layout.cache_info()
+    assert (info.misses, info.hits) == (1, 1)
+    layout = core._evaluation_layout(s.knots.knots.tobytes(), 3, xs.tobytes())
+    assert [block.cols.shape[1] for block in layout] == [100] * 40 + [1]
+    assert all(block.knots.shape == (6, block.cols.shape[1]) for block in layout)
+
+
+def _by_anchor(s, x):
+    """evaluate's value of s at x from the per-anchor refine loop."""
+    s = make_open(s)
+    kv = s.knots
+    p = kv.degree
+    flat = np.ravel(np.asarray(x, dtype=float))
+    spans = find_span0_many(kv.knots, p, kv.dimension, flat)
+    fine = np.broadcast_to(flat[:, None], (flat.size, p))
+    values = refine_rows_by_anchor(kv.knots, s.coefficients, p, spans, fine)
+    return values.reshape(np.shape(x))
+
+
+def test_evaluate_on_kept_layouts_bytes_equal_per_anchor_loop():
+    """Calls that run only the coefficient pass give the loop's bytes."""
+    rng = np.random.default_rng(17)
+    core._evaluation_layout.cache_clear()
+    # kept layout, new coefficients with zeros of both signs
+    kv = KnotVector(np.array([-0.7] * 5 + [-0.35] * 2 + [-0.0] * 5), 4)
+    xs = np.concatenate((kv.knots, np.linspace(-0.7, -0.0, 33)))
+    for coeffs in (rng.uniform(-1, 1, 7), [-0.0, 0.0, -0.0, 1.0, -0.0, 0.0, -0.0],
+                   [1.0, -0.0, 0.5, -0.0, -0.0, 2.0, -0.0]):
+        s = make_spline(4, kv.knots, coeffs)
+        assert _same_bytes(evaluate(s, xs), _by_anchor(s, xs))
+    assert core._evaluation_layout.cache_info().misses == 1
+    # points that differ only in the sign of zero: hi - x at the knot
+    # -0.0 is +0.0 for x = -0.0 and -0.0 for x = +0.0
+    s = make_spline(1, [-0.7, -0.7, -0.0, -0.0], [1.0, -0.0])
+    for x in (np.array([0.0]), np.array([-0.0]), np.array([0.0])):
+        assert _same_bytes(evaluate(s, x), _by_anchor(s, x))
+    assert evaluate(s, np.array([0.0])).tobytes() != evaluate(s, np.array([-0.0])).tobytes()
+    # non-open knots, a scalar point and 2-D points, each twice
+    s = make_spline(3, [0.0, 0.0, 0.1, 0.25, 0.5, 0.75, 0.9, 1.0, 1.0], rng.uniform(-1, 1, 5))
+    grid = np.linspace(0.1, 0.9, 12).reshape(3, 4)
+    for _ in range(2):
+        assert _same_bytes(evaluate(s, grid), _by_anchor(s, grid))
+        value = evaluate(s, 0.3)
+        assert isinstance(value, float)
+        assert _same_bytes(np.array(value), _by_anchor(s, 0.3))
+
+
+def test_evaluate_bytes_equal_per_anchor_loop_across_evictions():
+    """Four keys interleaved evict kept layouts; every call stays exact."""
+    rng = np.random.default_rng(23)
+    core._evaluation_layout.cache_clear()
+    knots = (uniform_open_knots(2, 6), uniform_open_knots(5, 4, 2, -1.0, 0.0))
+    keys = [(kv, np.linspace(*kv.span, n)) for kv in knots for n in (40, 41)]
+    for i in (0, 1, 2, 0, 3, 1, 0, 2, 3, 3, 1):
+        kv, xs = keys[i]
+        c = rng.uniform(-1, 1, kv.dimension)
+        c[rng.random(kv.dimension) < 0.3] = -0.0
+        s = make_spline(kv.degree, kv.knots, c)
+        assert _same_bytes(evaluate(s, xs), _by_anchor(s, xs))
+    info = core._evaluation_layout.cache_info()
+    # least recently used first out of core._LAYOUTS = 3 entries
+    assert (info.misses, info.hits, info.currsize) == (8, 3, 3)
 
 
 @st.composite

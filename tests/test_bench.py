@@ -233,6 +233,25 @@ def test_experiment_csv_bytes_match_golden_file(family, seed, name):
     assert stream.getvalue().encode() == (DATA / name).read_bytes()
 
 
+@pytest.mark.parametrize("family", ["galerkin_p", "galerkin_k"])
+def test_galerkin_rows_bytes_match_golden_file(family):
+    """CSV lines of the experiment's rows 3-8 of a Galerkin family, seed 7.
+
+    Every g shares f's knots in these rows, so after the first call each
+    evaluate of a row runs on a kept layout.  The files were written by
+    `splineprod experiment --family F --seed 7` before evaluate kept
+    layouts, cut to these rows.
+    """
+    master = SplitMix64(7)
+    seeds = [master.next_u64() for _ in FAMILY_PARAMETERS[family]]
+    rows = [_compute_row(family, param, seed, 201)
+            for param, seed in zip(range(3, 9), seeds)]
+    stream = io.StringIO()
+    write_csv(rows, stream)
+    golden = DATA / f"{family}_seed7_params3-8.csv"
+    assert stream.getvalue().encode() == golden.read_bytes()
+
+
 def test_write_csv_layout():
     row = ExperimentRow("spline_poly", 2, 0.1, 0.25, 10.0, 2.0, 10, 1.0, 2.0)
     stream = io.StringIO()

@@ -2,8 +2,9 @@
 
 A traced benchmark run drops a layer's metrics when one of the entry
 points it wraps is renamed or moved, so this loads the tracer by path,
-unchanged, and runs one product, one collocation solve and one error
-grid under it.
+unchanged, and runs the improved and the naive product, one collocation
+solve and one error grid under it.  evaluate runs no kernel_many call,
+so the naive product is the one that reaches it.
 """
 
 import importlib.util
@@ -33,6 +34,7 @@ def test_tracer_finds_every_entry_point():
     tracer.install()
     try:
         direct = product.improved_morken_product(f, g).product
+        product.morken_product(f, g)
         collocation.collocation_product(f, g)
         bench.relative_linf_error(direct, f, g)
     finally:
