@@ -2,21 +2,25 @@
 
 Everything here works on plain numpy arrays with 0-based indices and no
 validation; the public modules wrap these with typed containers, 1-based
-index contracts and error checking.
+index contracts and error checking.  stage_pass is the one batched de
+Boor stage loop: kernel_many runs it on rows of fine knots, and
+core.evaluate on blocks of points with their kept numerators.
 """
 from __future__ import annotations
 
 import numpy as np
 
 # the doubles one block of rows may take into a stage loop, in the
-# improved product, evaluate's coefficient pass and oslo's refine step;
-# one unblocked batch over all rows ran at half speed from memory traffic
+# improved product's tree pass and in the stage passes of evaluate and
+# oslo's refine step; one unblocked batch over all rows ran at half
+# speed from memory traffic
 _BLOCK = 1 << 16
 
 __all__ = [
     "find_span0_many",
     "kernel_many",
     "nonzero_basis_rows",
+    "stage_pass",
 ]
 
 
@@ -86,6 +90,39 @@ def _stage_factors(
     return diag, sup
 
 
+def stage_pass(tau: np.ndarray, v: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """Apply the de Boor stages R_p, .., R_1 in place to windows in columns.
+
+    tau holds knot windows tau_{k+1-p} .. tau_{k+p}, (2p, B) or (2p, 1)
+    for one shared window; v coefficient windows c_{k-p} .. c_k, (p + 1,
+    B); t fine windows t_{i+1} .. t_{i+p}, (p, B), stage d reading row d.
+    When every stage reads one point x, t instead holds the numerators of
+    all stages, tau[p:] - x over x - tau[:p], (2p, B), and tau is (2p, B).
+    A stage takes one subtraction (two more for numerators from fine
+    knots), two divisions, two in-place multiplies and one add, the
+    arithmetic of _stage_factors, so values keep their bits.  Every
+    anchor interval [tau_k, tau_{k+1}) must be nonempty, so that every
+    denominator hi - lo is positive.  Returns row 0 of v.
+    """
+    p = v.shape[0] - 1
+    one_point = t.shape[0] > p
+    for d in range(p, 0, -1):
+        hi, lo = tau[p : p + d], tau[p - d : p]
+        w = hi - lo
+        if one_point:  # hi - x and x - lo are rows of the numerators
+            a = t[:d] / w
+            b = np.divide(t[2 * p - d :], w, out=w)
+        else:
+            a = hi - t[d - 1]
+            a /= w
+            b = t[d - 1] - lo
+            b /= w
+        a *= v[:d]
+        b *= v[1 : d + 1]
+        np.add(a, b, out=v[:d])
+    return v[0]
+
+
 def kernel_many(
     tau_window: np.ndarray,
     coeff_window: np.ndarray,
@@ -97,18 +134,15 @@ def kernel_many(
     length p+1 (c_{k-p} .. c_k), fine_rows shape (B, p), each row a fine
     window t_{i+1} .. t_{i+p}.  Either window may also hold one window per
     row, shapes (B, 2p) and (B, p+1); p is read from coeff_window's last
-    axis.  Applies the bidiagonal stages R_p, .., R_1; stage d uses fine
-    knot number d and shrinks the vector from d+1 to d entries.  Cost is
-    3p(p+1)/2 flops per row.  With p = 0 every row gets its coefficient.
+    axis.  The rows run as the columns of one stage_pass, so every anchor
+    interval must be nonempty.  With p = 0 every row gets its coefficient.
     """
     p = coeff_window.shape[-1] - 1
     B = fine_rows.shape[0]
-    v = np.broadcast_to(np.asarray(coeff_window, dtype=float), (B, p + 1)).copy()
-    for d in range(p, 0, -1):
-        t = fine_rows[:, d - 1 : d]
-        diag, sup = _stage_factors(tau_window, d, p, t)
-        v = diag * v[:, :d] + sup * v[:, 1 : d + 1]
-    return v[:, 0]
+    # one window per row is copied, so that every stage slice is contiguous
+    tau = np.ascontiguousarray(np.atleast_2d(tau_window).T)
+    v = np.array(np.broadcast_to(coeff_window, (B, p + 1)).T, dtype=float, order="C")
+    return stage_pass(tau, v, fine_rows.T)
 
 
 def nonzero_basis_rows(

@@ -10,11 +10,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import NamedTuple
 
 import numpy as np
 
-from ._kernels import _BLOCK, find_span0_many
+from ._kernels import _BLOCK, find_span0_many, stage_pass
 
 __all__ = [
     "KnotVector",
@@ -270,23 +269,6 @@ def _window_indices(p: int, spans: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return col + np.arange(kw.start, kw.stop), col + np.arange(cw.start, cw.stop)
 
 
-class _EvaluationLayout(NamedTuple):
-    """Knot-only half of evaluating one knot vector at one block of B points.
-
-    cols holds the coefficient windows, shape (p + 1, B), and knots the
-    knot windows, (2p, B), one column per point.  Every fine knot of an
-    evaluation row is the point x, so the stage numerators hi - x and
-    x - lo of all stages are leading rows of right = knots[p:] - x and
-    trailing rows of left = x - knots[:p], both (p, B).  With the points
-    along the rows, every slice a stage takes is one contiguous run.
-    """
-
-    cols: np.ndarray
-    knots: np.ndarray
-    right: np.ndarray
-    left: np.ndarray
-
-
 # layouts kept across evaluate calls.  spline_poly rows evaluate f's,
 # g's and the product's knots in turn on one grid, which three entries
 # hold: layout misses over three short_products passes were 633 with one
@@ -297,16 +279,17 @@ _LAYOUTS = 3
 @lru_cache(maxsize=_LAYOUTS)
 def _evaluation_layout(
     knot_bytes: bytes, p: int, point_bytes: bytes
-) -> tuple[_EvaluationLayout, ...]:
-    """Layout blocks of the points on the open knots, 5p + 1 words per point.
+) -> tuple[tuple[np.ndarray, ...], ...]:
+    """Knot-only blocks of the points on the open knots, 5p + 1 words per point.
 
-    A block takes as many points as oslo's refine step puts in one
-    kernel call, so the coefficient pass's own arrays (the coefficient
-    vector and two stage arrays, 3p + 1 doubles per point) stay within
-    _BLOCK doubles.  The key is bytes, so a -0.0 and a +0.0 point, whose
-    numerators can differ in sign, never share a layout.  The span
-    lookup and its checks run on every miss; a key that fails them is
-    not kept.
+    A block of B points holds, one column per point, the coefficient
+    window indices (p + 1, B), the knot windows (2p, B) and the stage
+    numerators hi - x over x - lo (2p, B); taking the numerators per call
+    made hits 4-29% slower.  A block takes as many points as oslo's
+    refine step puts in one kernel call.  The key is bytes, so a -0.0 and
+    a +0.0 point, whose numerators can differ in sign, never share a
+    layout.  The span lookup and its checks run on every miss; a key
+    that fails them is not kept.
     """
     knots = np.frombuffer(knot_bytes)
     xs = np.frombuffer(point_bytes)
@@ -316,50 +299,21 @@ def _evaluation_layout(
     blocks = []
     for lo in range(0, spans.size, step):
         k0 = spans[lo : lo + step]
-        tau = knots[kw + k0]
-        x = xs[lo : lo + step]
-        blocks.append(_EvaluationLayout(cw + k0, tau, tau[p:] - x, x - tau[:p]))
+        tau, x = knots[kw + k0], xs[lo : lo + step]
+        blocks.append((cw + k0, tau, np.concatenate((tau[p:] - x, x - tau[:p]))))
     return tuple(blocks)
-
-
-def _coefficient_pass(
-    layout: tuple[_EvaluationLayout, ...], coeffs: np.ndarray, p: int, size: int
-) -> np.ndarray:
-    """Spline values at the layout's points, block by block.
-
-    Stage d takes one subtraction (the denominators hi - lo), two
-    divisions, two in-place multiplies and one add: elementwise the
-    arithmetic of kernel_many on the fine row (x, .., x), so every value
-    keeps its bits, zero signs included.  On a nonempty anchor interval
-    every denominator is positive, so kernel_many's zero-denominator
-    branch never applies.
-    """
-    out = np.empty(size)
-    lo = 0
-    for cols, tau, right, left in layout:
-        v = coeffs[cols]
-        for d in range(p, 0, -1):
-            w = tau[p : p + d] - tau[p - d : p]
-            a = right[:d] / w
-            np.divide(left[p - d :], w, out=w)
-            a *= v[:d]
-            w *= v[1 : d + 1]
-            np.add(a, w, out=v[:d])
-        out[lo : lo + v.shape[1]] = v[0]
-        lo += v.shape[1]
-    return out
 
 
 def evaluate(s: Spline, x):
     """Value of the spline at x (scalar or array).
 
-    Two steps: a knot-only layout of the points (spans, windows and the
-    numerators of every de Boor stage) and a coefficient pass over it,
-    see _evaluation_layout and _coefficient_pass.  The last _LAYOUTS
-    layouts are kept, so evaluating another spline on the same knots
-    and points (an error grid, a collocation right-hand side) runs only
-    the coefficient pass.  Non-open knot vectors are normalized first so
-    every point in the span has a full coefficient window.
+    Two steps: a knot-only layout of the points (windows and stage
+    numerators, see _evaluation_layout) and one stage_pass per layout
+    block, each point the one fine knot of every stage.  The last
+    _LAYOUTS layouts are kept, so evaluating another spline on the same
+    knots and points (an error grid, a collocation right-hand side) runs
+    only the stage passes.  Non-open knot vectors are normalized first
+    so every point in the span has a full coefficient window.
     """
     scalar = np.ndim(x) == 0
     xs = np.atleast_1d(np.asarray(x, dtype=float))
@@ -367,8 +321,13 @@ def evaluate(s: Spline, x):
         s = make_open(s)
     kv = s.knots
     p = kv.degree
-    layout = _evaluation_layout(kv.knots.tobytes(), p, xs.tobytes())
-    out = _coefficient_pass(layout, s.coefficients, p, xs.size).reshape(xs.shape)
+    out = np.empty(xs.size)
+    lo = 0
+    for cols, tau, num in _evaluation_layout(kv.knots.tobytes(), p, xs.tobytes()):
+        hi = lo + cols.shape[1]
+        out[lo:hi] = stage_pass(tau, s.coefficients[cols], num)
+        lo = hi
+    out = out.reshape(xs.shape)
     return float(out[0]) if scalar else out
 
 

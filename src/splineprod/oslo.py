@@ -115,15 +115,19 @@ def deboor_kernel(window: LocalWindow, p: int) -> float:
 
     Equals the product R_1(t'_1) .. R_p(t'_p) applied to the coefficient
     window; the stages are applied right to left, stage d consuming fine
-    knot number d.
+    knot number d, with the factors of insertion_matrix: where the anchor
+    interval is empty, a stage row with a zero denominator gives 0.
     """
     if window.degree != p:
         raise ValueError(
             f"inconsistent window sizes: window has degree {window.degree}, "
             f"kernel called with p = {p}"
         )
-    row = window.fine_knots[None, :]
-    return float(kernel_many(window.coarse_knots, window.coarse_coeffs, row)[0])
+    v = window.coarse_coeffs
+    for d in range(p, 0, -1):
+        diag, sup = _stage_factors(window.coarse_knots, d, p, window.fine_knots[d - 1])
+        v = diag * v[:d] + sup * v[1 : d + 1]
+    return float(v[0])
 
 
 def _validate_refinement(coarse: KnotVector, fine: KnotVector) -> None:

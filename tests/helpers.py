@@ -4,9 +4,10 @@ Everything here is deliberately naive: textbook recursions and dense
 linear algebra, written without reference to the package internals, so
 the fast implementations have something honest to be checked against.
 The exceptions are the former loop forms of the package's batched
-steps, which the batched code must match bit for bit: the per-row loop
-of the improved product (`improved_product_rows`), the per-anchor refine
-loop (`refine_rows_by_anchor`), the scalar-column Cox-de Boor triangle
+steps, which the batched code must match bit for bit: the row-major
+de Boor kernel (`kernel_rows_reference`), the per-row loop of the
+improved product (`improved_product_rows`), the per-anchor refine loop
+(`refine_rows_by_anchor`), the scalar-column Cox-de Boor triangle
 (`basis_triangle_rows`) and the per-breakpoint merge of the product knot
 vector (`merged_product_knots`).  `insertion_dense` and
 `discrete_bspline_row` were package code that only tests used.
@@ -267,16 +268,36 @@ def discrete_bspline_row(p, coarse, k, fine_window):
     return row[0]
 
 
+def kernel_rows_reference(tau_window, coeff_window, fine_rows):
+    """Refined coefficients, one per row of fine knots, rows along the first axis.
+
+    The row-major form of `splineprod._kernels.kernel_many`, with the same
+    arguments: windows of shape (2p,) and (p + 1,) or one per row, and
+    fine_rows (B, p).  Each stage takes its factors from `_stage_factors`,
+    so a zero denominator zeroes its row's factors.
+    """
+    from splineprod._kernels import _stage_factors
+
+    p = coeff_window.shape[-1] - 1
+    B = fine_rows.shape[0]
+    v = np.broadcast_to(np.asarray(coeff_window, dtype=float), (B, p + 1)).copy()
+    for d in range(p, 0, -1):
+        t = fine_rows[:, d - 1 : d]
+        diag, sup = _stage_factors(tau_window, d, p, t)
+        v = diag * v[:, :d] + sup * v[:, 1 : d + 1]
+    return v[:, 0]
+
+
 def improved_product_rows(f, g):
     """Improved-product coefficients and distinct counts, one row at a time.
 
     Each row enumerates its window's distinct profiles, builds their knot
-    rows, runs one kernel_many call per factor over them and reduces with
-    one dot of weights * bf against bg, divided by C(p, p1).  Returns
-    (coefficients, distinct counts).
+    rows, runs one kernel_rows_reference call per factor over them and
+    reduces with one dot of weights * bf against bg, divided by C(p, p1).
+    Returns (coefficients, distinct counts).
     """
     from splineprod import knot_combinations, make_open, product_knot_vector
-    from splineprod._kernels import find_span0_many, kernel_many
+    from splineprod._kernels import find_span0_many
 
     f, g = make_open(f), make_open(g)
     t = product_knot_vector(f.knots, g.knots)
@@ -290,12 +311,12 @@ def improved_product_rows(f, g):
     for i in range(m):
         combo = knot_combinations(t.knots[i + 1 : i + 1 + p], p1)
         rows_f, rows_g = combo.knot_rows()
-        bf = kernel_many(
+        bf = kernel_rows_reference(
             f.knots.knots[k1[i] - p1 + 1 : k1[i] + p1 + 1],
             f.coefficients[k1[i] - p1 : k1[i] + 1],
             rows_f,
         )
-        bg = kernel_many(
+        bg = kernel_rows_reference(
             g.knots.knots[k2[i] - p2 + 1 : k2[i] + p2 + 1],
             g.coefficients[k2[i] - p2 : k2[i] + 1],
             rows_g,
@@ -309,10 +330,9 @@ def refine_rows_by_anchor(knots, coeffs, p, spans, fine_rows):
     """Kernel value of every fine row at its 0-based anchor spans[r].
 
     Rows are grouped by anchor, stably, so each group shares one knot and
-    coefficient window and takes one kernel_many call on 1-D windows.
+    coefficient window and takes one kernel_rows_reference call on 1-D
+    windows.
     """
-    from splineprod._kernels import kernel_many
-
     out = np.empty(spans.size)
     if spans.size == 0:
         return out
@@ -320,7 +340,7 @@ def refine_rows_by_anchor(knots, coeffs, p, spans, fine_rows):
     boundaries = np.flatnonzero(np.diff(spans[order])) + 1
     for group in np.split(order, boundaries):
         k0 = int(spans[group[0]])
-        out[group] = kernel_many(
+        out[group] = kernel_rows_reference(
             knots[k0 - p + 1 : k0 + p + 1], coeffs[k0 - p : k0 + 1], fine_rows[group]
         )
     return out

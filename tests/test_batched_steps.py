@@ -1,6 +1,6 @@
 """Batched refine, basis and knot steps against their loop forms, byte for byte.
 
-`evaluate` runs a coefficient pass over a kept knot-only layout of its
+`evaluate` runs stage passes over a kept knot-only layout of its
 points, `oslo_coefficients` refines rows in blocks with one window per
 row, `collocation_matrix` computes the Cox-de Boor triangle one
 whole row at a time, and `product_knot_vector` merges the factors'
@@ -26,10 +26,11 @@ from splineprod import (
     product_knot_vector,
     uniform_open_knots,
 )
-from splineprod._kernels import find_span0_many, nonzero_basis_rows
+from splineprod._kernels import find_span0_many, kernel_many, nonzero_basis_rows
 from splineprod.bench import FAMILY_PARAMETERS, SplitMix64, build_family_case
 from helpers import (
     basis_triangle_rows,
+    kernel_rows_reference,
     merged_product_knots,
     random_spline_on,
     refine_rows_by_anchor,
@@ -144,6 +145,40 @@ def test_collocation_bands_bytes_equal_scalar_triangle(s, fractions):
     assert _same_bytes(matrix.bands, expected.bands)
 
 
+@settings(max_examples=300, deadline=None)
+@given(
+    open_splines(max_degree=8),
+    st.lists(st.floats(0.0, 1.0), max_size=20),
+    st.integers(0, 2**32 - 1),
+)
+def test_kernel_many_and_evaluate_bytes_equal_row_reference(s, fractions, seed):
+    """kernel_many with one window per row and with one shared window, and
+    evaluate, give the row-major reference's bits."""
+    rng = np.random.default_rng(seed)
+    kv = s.knots
+    p = kv.degree
+    coeffs = s.coefficients.copy()
+    coeffs[rng.random(coeffs.size) < 0.3] = -0.0
+    s = make_spline(p, kv.knots, coeffs)
+    xs = _points(s, fractions)
+    spans = find_span0_many(kv.knots, p, kv.dimension, xs)[:, None]
+    tau = kv.knots[spans + np.arange(1 - p, p + 1)]
+    c = coeffs[spans + np.arange(-p, 1)]
+    # fine knots drawn from each row's knot window and its point, so
+    # many sit on the window ends
+    candidates = np.concatenate((tau, xs[:, None]), axis=1)
+    picks = rng.integers(0, 2 * p + 1, (xs.size, p))
+    fine = np.sort(np.take_along_axis(candidates, picks, axis=1), axis=1)
+    assert _same_bytes(kernel_many(tau, c, fine), kernel_rows_reference(tau, c, fine))
+    r = int(rng.integers(xs.size))
+    shared = np.sort(candidates[r][picks], axis=1)
+    assert _same_bytes(
+        kernel_many(tau[r], c[r], shared), kernel_rows_reference(tau[r], c[r], shared)
+    )
+    points = np.repeat(xs[:, None], p, axis=1)
+    assert _same_bytes(evaluate(s, xs), kernel_rows_reference(tau, c, points))
+
+
 def test_refine_rows_one_kernel_call_per_block(monkeypatch):
     """oslo_coefficients calls the kernel once per block of rows; evaluate
     keeps one layout per (knots, degree, points) in blocks of that size."""
@@ -174,8 +209,8 @@ def test_refine_rows_one_kernel_call_per_block(monkeypatch):
     info = core._evaluation_layout.cache_info()
     assert (info.misses, info.hits) == (1, 1)
     layout = core._evaluation_layout(s.knots.knots.tobytes(), 3, xs.tobytes())
-    assert [block.cols.shape[1] for block in layout] == [100] * 40 + [1]
-    assert all(block.knots.shape == (6, block.cols.shape[1]) for block in layout)
+    assert [cols.shape[1] for cols, _, _ in layout] == [100] * 40 + [1]
+    assert all(tau.shape == (6, cols.shape[1]) for cols, tau, _ in layout)
 
 
 def _by_anchor(s, x):
@@ -191,7 +226,7 @@ def _by_anchor(s, x):
 
 
 def test_evaluate_on_kept_layouts_bytes_equal_per_anchor_loop():
-    """Calls that run only the coefficient pass give the loop's bytes."""
+    """Calls that run only the stage passes give the loop's bytes."""
     rng = np.random.default_rng(17)
     core._evaluation_layout.cache_clear()
     # kept layout, new coefficients with zeros of both signs

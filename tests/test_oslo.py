@@ -159,6 +159,37 @@ def test_kernel_matches_dense_stage_product():
         assert deboor_kernel(window, p) == pytest.approx(expected, abs=1e-15)
 
 
+@pytest.mark.parametrize(
+    "coarse, coeffs, fines",
+    [
+        (
+            [0.0, 0.5, 0.5, 1.0],
+            [1.0, -2.0, 0.5],
+            [[0.25, 0.75], [0.0, 1.0], [0.5, 0.5], [0.0, 0.0], [1.0, 1.0]],
+        ),
+        (
+            [0.0, 0.5, 0.5, 0.5, 0.75, 1.0],
+            [-0.0, 1.5, -1.0, 0.25],
+            [[0.25, 0.5, 0.9], [0.0, 0.5, 1.0], [0.5] * 3, [0.0] * 3, [1.0] * 3],
+        ),
+    ],
+)
+def test_kernel_empty_anchor_interval_matches_dense_stage_product(
+    coarse, coeffs, fines
+):
+    """A window whose anchor interval is empty has zero denominators; each
+    such stage row contributes 0, as in insertion_matrix."""
+    p = len(coeffs) - 1
+    assert coarse[p - 1] == coarse[p]
+    for fine in fines:
+        window = LocalWindow(np.array(coarse), np.array(coeffs), np.array(fine))
+        value = deboor_kernel(window, p)
+        assert np.isfinite(value)
+        assert np.float64(value).tobytes() == np.float64(
+            dense_stage_product(window)
+        ).tobytes()
+
+
 def test_kernel_intermediate_convexity():
     """Every stage output stays inside [min c, max c] for interior fine knots."""
     rng = np.random.default_rng(88)
