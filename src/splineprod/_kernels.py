@@ -3,8 +3,9 @@
 Everything here works on plain numpy arrays with 0-based indices and no
 validation; the public modules wrap these with typed containers, 1-based
 index contracts and error checking.  stage_pass is the one batched de
-Boor stage loop: kernel_many runs it on rows of fine knots, and
-core.evaluate on blocks of points with their kept numerators.
+Boor stage loop: kernel_many runs it on rows of fine knots for the naive
+product, and core.evaluate and oslo.oslo_coefficients on the column
+windows of core._window_blocks, with kept numerators or fine windows.
 """
 from __future__ import annotations
 
@@ -12,7 +13,7 @@ import numpy as np
 
 # the doubles one block of rows may take into a stage loop, in the
 # improved product's tree pass and in the stage passes of evaluate and
-# oslo's refine step; one unblocked batch over all rows ran at half
+# oslo_coefficients; one unblocked batch over all rows ran at half
 # speed from memory traffic
 _BLOCK = 1 << 16
 
@@ -24,20 +25,20 @@ __all__ = [
 ]
 
 
-def find_span0_many(
-    knots: np.ndarray, degree: int, dimension: int, xs: np.ndarray
-) -> np.ndarray:
+def find_span0_many(knots: np.ndarray, degree: int, xs: np.ndarray) -> np.ndarray:
     """0-based anchor k0 with knots[k0] <= x < knots[k0+1], per point of xs.
 
     The right endpoint is closed: x == knots[-1] anchors to the last
-    nonempty interval.  The result is clamped into [degree, dimension-1]
-    so the coefficient window c[k0-degree .. k0] always exists; when the
-    clamped interval is empty the scan moves to the nearest nonempty one
-    (left first, matching right-endpoint closure, then right).  NaN
-    points lie outside every span.
+    nonempty interval.  The result is clamped into [degree, dimension-1],
+    dimension = knots.size - degree - 1, so the coefficient window
+    c[k0-degree .. k0] always exists; when the clamped interval is empty
+    the scan moves to the nearest nonempty one (left first, matching
+    right-endpoint closure, then right).  NaN points lie outside every
+    span.
     """
     if xs.size == 0:
         return np.empty(0, dtype=np.intp)
+    dimension = knots.size - degree - 1
     if not (knots[0] <= xs.min() and xs.max() <= knots[-1]):
         raise ValueError("evaluation point lies outside the knot span")
     if dimension < degree + 1:

@@ -96,8 +96,7 @@ class ExperimentConfig:
             raise ValueError("seed must be an integer")
         if not 0 <= self.seed <= _MASK64:
             raise ValueError("seed must fit in an unsigned 64-bit integer")
-        if self.grid_points < 2:
-            raise ValueError("grid must contain at least 2 points")
+        _check_grid_points(self.grid_points)
 
     @property
     def parameters(self) -> range:
@@ -192,6 +191,14 @@ def build_family_case(family: str, param: int, rng: SplitMix64) -> FamilyCase:
     return FamilyCase(f, (_random_spline(fine, rng),))
 
 
+def _check_grid_points(grid_points) -> None:
+    """An error grid takes an integer number of points, at least 2."""
+    if isinstance(grid_points, bool) or not isinstance(grid_points, (int, np.integer)):
+        raise ValueError("grid size must be an integer")
+    if grid_points < 2:
+        raise ValueError("grid must contain at least 2 points")
+
+
 def relative_linf_error(
     computed: Spline, f: Spline, g: Spline, grid_points: int = 201
 ) -> float:
@@ -200,8 +207,7 @@ def relative_linf_error(
     A reference that vanishes on the whole grid makes the relative error
     undefined; that case warns and reports the absolute error instead.
     """
-    if grid_points < 2:
-        raise ValueError("grid must contain at least 2 points")
+    _check_grid_points(grid_points)
     span = computed.knots.span
     if span != f.knots.span or span != g.knots.span:
         raise ValueError("splines must share the same span")

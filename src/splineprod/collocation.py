@@ -149,7 +149,7 @@ def collocation_matrix(kv: KnotVector, abscissae) -> BandedMatrix:
         )
     if np.any(np.diff(xs) <= 0):
         raise ValueError("abscissae must be strictly increasing")
-    spans = find_span0_many(kv.knots, p, m, xs)
+    spans = find_span0_many(kv.knots, p, xs)
     values = nonzero_basis_rows(kv.knots, p, spans, xs)
     first_cols = spans - p
     rows = np.arange(m)

@@ -250,7 +250,7 @@ def find_span(kv: KnotVector, x: float) -> int:
     interval at or to the right of x).
     """
     xs = np.array([float(x)])
-    return int(find_span0_many(kv.knots, kv.degree, kv.dimension, xs)[0]) + 1
+    return int(find_span0_many(kv.knots, kv.degree, xs)[0]) + 1
 
 
 def _window_slices(p: int, k0: int) -> tuple[slice, slice]:
@@ -269,6 +269,24 @@ def _window_indices(p: int, spans: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return col + np.arange(kw.start, kw.stop), col + np.arange(cw.start, cw.stop)
 
 
+def _window_blocks(knots: np.ndarray, p: int, spans: np.ndarray):
+    """Anchors in blocks, with their windows laid out one column each.
+
+    Yields (rows, cols, tau) for every block of _BLOCK // (3p + 1)
+    anchors, whose windows (3p + 1 words each) take about _BLOCK doubles:
+    rows slices spans, cols holds the coefficient window indices c_{k-p}
+    .. c_k, (p + 1, B), and tau the knot windows tau_{k+1-p} .. tau_{k+p},
+    (2p, B).  Both are gathered along the columns, so every stage slice
+    of stage_pass is contiguous.
+    """
+    kw, cw = (np.arange(w.start, w.stop)[:, None] for w in _window_slices(p, 0))
+    step = max(1, _BLOCK // (3 * p + 1))
+    for lo in range(0, spans.size, step):
+        rows = slice(lo, lo + step)
+        k0 = spans[rows]
+        yield rows, cw + k0, knots[kw + k0]
+
+
 # layouts kept across evaluate calls.  spline_poly rows evaluate f's,
 # g's and the product's knots in turn on one grid, which three entries
 # hold: layout misses over three short_products passes were 633 with one
@@ -279,29 +297,22 @@ _LAYOUTS = 3
 @lru_cache(maxsize=_LAYOUTS)
 def _evaluation_layout(
     knot_bytes: bytes, p: int, point_bytes: bytes
-) -> tuple[tuple[np.ndarray, ...], ...]:
+) -> tuple[tuple, ...]:
     """Knot-only blocks of the points on the open knots, 5p + 1 words per point.
 
-    A block of B points holds, one column per point, the coefficient
-    window indices (p + 1, B), the knot windows (2p, B) and the stage
-    numerators hi - x over x - lo (2p, B); taking the numerators per call
-    made hits 4-29% slower.  A block takes as many points as oslo's
-    refine step puts in one kernel call.  The key is bytes, so a -0.0 and
-    a +0.0 point, whose numerators can differ in sign, never share a
-    layout.  The span lookup and its checks run on every miss; a key
-    that fails them is not kept.
+    The blocks of _window_blocks, each with the stage numerators hi - x
+    over x - lo, (2p, B), of its points; taking the numerators per call
+    made hits 4-29% slower.  The key is bytes, so a -0.0 and a +0.0
+    point, whose numerators can differ in sign, never share a layout.
+    The span lookup and its checks run on every miss; a key that fails
+    them is not kept.
     """
     knots = np.frombuffer(knot_bytes)
     xs = np.frombuffer(point_bytes)
-    spans = find_span0_many(knots, p, knots.size - p - 1, xs)
-    kw, cw = (np.arange(w.start, w.stop)[:, None] for w in _window_slices(p, 0))
-    step = max(1, _BLOCK // (3 * p + 1))
-    blocks = []
-    for lo in range(0, spans.size, step):
-        k0 = spans[lo : lo + step]
-        tau, x = knots[kw + k0], xs[lo : lo + step]
-        blocks.append((cw + k0, tau, np.concatenate((tau[p:] - x, x - tau[:p]))))
-    return tuple(blocks)
+    return tuple(
+        (rows, cols, tau, np.concatenate((tau[p:] - xs[rows], xs[rows] - tau[:p])))
+        for rows, cols, tau in _window_blocks(knots, p, find_span0_many(knots, p, xs))
+    )
 
 
 def evaluate(s: Spline, x):
@@ -320,13 +331,10 @@ def evaluate(s: Spline, x):
     if not s.knots.is_open:
         s = make_open(s)
     kv = s.knots
-    p = kv.degree
+    layout = _evaluation_layout(kv.knots.tobytes(), kv.degree, xs.tobytes())
     out = np.empty(xs.size)
-    lo = 0
-    for cols, tau, num in _evaluation_layout(kv.knots.tobytes(), p, xs.tobytes()):
-        hi = lo + cols.shape[1]
-        out[lo:hi] = stage_pass(tau, s.coefficients[cols], num)
-        lo = hi
+    for rows, cols, tau, num in layout:
+        out[rows] = stage_pass(tau, s.coefficients[cols], num)
     out = out.reshape(xs.shape)
     return float(out[0]) if scalar else out
 

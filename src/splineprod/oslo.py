@@ -13,11 +13,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._kernels import _BLOCK, _stage_factors, find_span0_many, kernel_many
+from ._kernels import _stage_factors, find_span0_many, stage_pass
 from .core import (
     KnotVector,
     _multiplicities,
-    _window_indices,
+    _window_blocks,
     _window_slices,
     make_open,
     make_spline,
@@ -150,29 +150,6 @@ def _validate_refinement(coarse: KnotVector, fine: KnotVector) -> None:
         )
 
 
-def _refine_rows(
-    knots: np.ndarray,
-    coeffs: np.ndarray,
-    p: int,
-    spans: np.ndarray,
-    fine_rows: np.ndarray,
-) -> np.ndarray:
-    """Kernel value of every fine row at its 0-based anchor spans[r].
-
-    Each row's knot and coefficient window is gathered, 3p + 1 doubles,
-    and one kernel_many call refines each block of about _BLOCK doubles.
-    Every row has fine knots of its own, so nothing of a row's stage
-    factors is shared or kept, unlike evaluate's layouts.
-    """
-    out = np.empty(spans.size)
-    step = max(1, _BLOCK // (3 * p + 1))
-    for lo in range(0, spans.size, step):
-        rows = slice(lo, lo + step)
-        kw, cw = _window_indices(p, spans[rows])
-        out[rows] = kernel_many(knots[kw], coeffs[cw], fine_rows[rows])
-    return out
-
-
 def oslo_coefficients(
     p: int, coarse: KnotVector, coeffs: np.ndarray, fine: KnotVector
 ) -> np.ndarray:
@@ -183,7 +160,9 @@ def oslo_coefficients(
     multiplicity; a fine span strictly inside the coarse span yields the
     coefficients of the restriction.  The coarse side is normalized to an
     open vector first so every anchor has a full coefficient window; the
-    returned array has one coefficient per fine B-spline.
+    returned array has one coefficient per fine B-spline.  Rows run one
+    stage_pass per block of core._window_blocks, each row's fine window
+    t_{i+1} .. t_{i+p} in one column.
     """
     if coarse.degree != p or fine.degree != p:
         raise ValueError("degree mismatch between knot vectors and p")
@@ -191,8 +170,11 @@ def oslo_coefficients(
     ckv = src.knots
     _validate_refinement(ckv, fine)
     n = fine.dimension
-    anchors = fine.knots[:n]
-    spans = find_span0_many(ckv.knots, p, ckv.dimension, anchors)
-    fine_windows = np.lib.stride_tricks.sliding_window_view(fine.knots[1 : n + p], p)
-    return _refine_rows(ckv.knots, src.coefficients, p, spans, fine_windows)
+    spans = find_span0_many(ckv.knots, p, fine.knots[:n])
+    # rows of the transposed view are contiguous: sliced, not copied
+    fine_windows = np.lib.stride_tricks.sliding_window_view(fine.knots[1 : n + p], p).T
+    out = np.empty(n)
+    for rows, cols, tau in _window_blocks(ckv.knots, p, spans):
+        out[rows] = stage_pass(tau, src.coefficients[cols], fine_windows[:, rows])
+    return out
 

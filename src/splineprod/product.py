@@ -329,8 +329,8 @@ def _row_geometry(f: Spline, g: Spline, t: KnotVector):
     p = t.degree
     m = t.dimension
     anchors = t.knots[:m]
-    k1 = find_span0_many(f.knots.knots, f.degree, f.knots.dimension, anchors)
-    k2 = find_span0_many(g.knots.knots, g.degree, g.knots.dimension, anchors)
+    k1 = find_span0_many(f.knots.knots, f.degree, anchors)
+    k2 = find_span0_many(g.knots.knots, g.degree, anchors)
     windows = np.lib.stride_tricks.sliding_window_view(t.knots[1 : m + p], p)
     return m, k1, k2, windows
 

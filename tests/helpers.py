@@ -303,8 +303,8 @@ def improved_product_rows(f, g):
     t = product_knot_vector(f.knots, g.knots)
     p1, p2, p, m = f.degree, g.degree, t.degree, t.dimension
     anchors = t.knots[:m]
-    k1 = find_span0_many(f.knots.knots, p1, f.knots.dimension, anchors)
-    k2 = find_span0_many(g.knots.knots, p2, g.knots.dimension, anchors)
+    k1 = find_span0_many(f.knots.knots, p1, anchors)
+    k2 = find_span0_many(g.knots.knots, p2, anchors)
     divisor = float(math.comb(p, p1))
     b = np.empty(m)
     counts = np.empty(m, dtype=np.int64)

@@ -1,12 +1,12 @@
 """Batched refine, basis and knot steps against their loop forms, byte for byte.
 
 `evaluate` runs stage passes over a kept knot-only layout of its
-points, `oslo_coefficients` refines rows in blocks with one window per
-row, `collocation_matrix` computes the Cox-de Boor triangle one
-whole row at a time, and `product_knot_vector` merges the factors'
-breakpoint runs as arrays.  Each must give the bits, zero signs
-included, of the per-anchor, scalar-column and per-breakpoint loops in
-`tests/helpers.py`.
+points, `oslo_coefficients` one stage pass per block of rows with one
+window per column, `collocation_matrix` computes the Cox-de Boor
+triangle one whole row at a time, and `product_knot_vector` merges the
+factors' breakpoint runs as arrays.  Each must give the bits, zero
+signs included, of the per-anchor, scalar-column and per-breakpoint
+loops in `tests/helpers.py`.
 """
 
 import numpy as np
@@ -90,7 +90,7 @@ def test_evaluate_bytes_equal_per_anchor_loop(s, fractions, block):
     kv = s.knots
     p = kv.degree
     xs = _points(s, fractions)
-    spans = find_span0_many(kv.knots, p, kv.dimension, xs)
+    spans = find_span0_many(kv.knots, p, xs)
     fine = np.broadcast_to(xs[:, None], (xs.size, p))
     expected = refine_rows_by_anchor(kv.knots, s.coefficients, p, spans, fine)
     with pytest.MonkeyPatch.context() as mp:
@@ -113,11 +113,11 @@ def test_oslo_bytes_equal_per_anchor_loop(s, odd, block):
     extra = [a + (b - a) * (2 * k + 1) / 32 for k in odd]
     fine = KnotVector(np.sort(np.concatenate((kv.knots, extra))), p)
     n = fine.dimension
-    spans = find_span0_many(kv.knots, p, kv.dimension, fine.knots[:n])
+    spans = find_span0_many(kv.knots, p, fine.knots[:n])
     windows = np.lib.stride_tricks.sliding_window_view(fine.knots[1 : n + p], p)
     expected = refine_rows_by_anchor(kv.knots, s.coefficients, p, spans, windows)
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(oslo_module, "_BLOCK", block)
+        mp.setattr(core, "_BLOCK", block)
         refined = oslo_coefficients(p, kv, s.coefficients, fine)
     assert _same_bytes(refined, expected)
 
@@ -134,7 +134,7 @@ def test_collocation_bands_bytes_equal_scalar_triangle(s, fractions):
     kv = s.knots
     p = kv.degree
     xs = _points(s, fractions)
-    spans = find_span0_many(kv.knots, p, kv.dimension, xs)
+    spans = find_span0_many(kv.knots, p, xs)
     rows = nonzero_basis_rows(kv.knots, p, spans, xs)
     assert _same_bytes(rows, basis_triangle_rows(kv.knots, p, spans, xs))
     greville = greville_abscissae(kv)
@@ -161,7 +161,7 @@ def test_kernel_many_and_evaluate_bytes_equal_row_reference(s, fractions, seed):
     coeffs[rng.random(coeffs.size) < 0.3] = -0.0
     s = make_spline(p, kv.knots, coeffs)
     xs = _points(s, fractions)
-    spans = find_span0_many(kv.knots, p, kv.dimension, xs)[:, None]
+    spans = find_span0_many(kv.knots, p, xs)[:, None]
     tau = kv.knots[spans + np.arange(1 - p, p + 1)]
     c = coeffs[spans + np.arange(-p, 1)]
     # fine knots drawn from each row's knot window and its point, so
@@ -180,37 +180,35 @@ def test_kernel_many_and_evaluate_bytes_equal_row_reference(s, fractions, seed):
 
 
 def test_refine_rows_one_kernel_call_per_block(monkeypatch):
-    """oslo_coefficients calls the kernel once per block of rows; evaluate
+    """oslo_coefficients runs one stage pass per block of rows; evaluate
     keeps one layout per (knots, degree, points) in blocks of that size."""
     calls = []
-    kernel = oslo_module.kernel_many
+    stage_pass = oslo_module.stage_pass
 
-    def counted(tau_window, coeff_window, fine_rows):
-        calls.append(fine_rows.shape[0])
-        return kernel(tau_window, coeff_window, fine_rows)
+    def counted(tau, v, t):
+        calls.append(v.shape[1])
+        return stage_pass(tau, v, t)
 
-    monkeypatch.setattr(oslo_module, "kernel_many", counted)
+    monkeypatch.setattr(oslo_module, "stage_pass", counted)
     rng = np.random.default_rng(3)
     s = random_spline_on(rng, uniform_open_knots(3, 1000))
     xs = np.linspace(0.0, 1.0, 4001)
     fine = uniform_open_knots(3, 1999)
     oslo_coefficients(3, s.knots, s.coefficients, fine)
     assert calls == [fine.dimension]
-    # a degree-3 row gathers, and a degree-3 point's pass allocates,
-    # 3p + 1 = 10 doubles
-    monkeypatch.setattr(oslo_module, "_BLOCK", 1000)
+    # a degree-3 row or point gathers 3p + 1 = 10 doubles of windows
+    monkeypatch.setattr(core, "_BLOCK", 1000)
     calls.clear()
     oslo_coefficients(3, s.knots, s.coefficients, fine)
     assert calls == [100] * (fine.dimension // 100) + [fine.dimension % 100]
-    monkeypatch.setattr(core, "_BLOCK", 1000)
     core._evaluation_layout.cache_clear()
     evaluate(s, xs)
     evaluate(random_spline_on(rng, s.knots), xs.copy())
     info = core._evaluation_layout.cache_info()
     assert (info.misses, info.hits) == (1, 1)
     layout = core._evaluation_layout(s.knots.knots.tobytes(), 3, xs.tobytes())
-    assert [cols.shape[1] for cols, _, _ in layout] == [100] * 40 + [1]
-    assert all(tau.shape == (6, cols.shape[1]) for cols, tau, _ in layout)
+    assert [cols.shape[1] for _, cols, _, _ in layout] == [100] * 40 + [1]
+    assert all(tau.shape == (6, cols.shape[1]) for _, cols, tau, _ in layout)
 
 
 def _by_anchor(s, x):
@@ -219,7 +217,7 @@ def _by_anchor(s, x):
     kv = s.knots
     p = kv.degree
     flat = np.ravel(np.asarray(x, dtype=float))
-    spans = find_span0_many(kv.knots, p, kv.dimension, flat)
+    spans = find_span0_many(kv.knots, p, flat)
     fine = np.broadcast_to(flat[:, None], (flat.size, p))
     values = refine_rows_by_anchor(kv.knots, s.coefficients, p, spans, fine)
     return values.reshape(np.shape(x))

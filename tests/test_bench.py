@@ -71,6 +71,10 @@ def test_experiment_config_validation():
         ExperimentConfig(family="spline_poly", seed=2**64)
     with pytest.raises(ValueError, match="grid"):
         ExperimentConfig(family="spline_poly", seed=7, grid_points=1)
+    for size in (2.5, 201.0, True, "201"):
+        with pytest.raises(ValueError, match="grid"):
+            ExperimentConfig(family="spline_poly", seed=7, grid_points=size)
+    assert ExperimentConfig("spline_poly", 7, grid_points=np.int64(5)).grid_points == 5
 
 
 def test_family_parameter_ranges():
@@ -178,6 +182,10 @@ def test_relative_error_validation():
         relative_linf_error(s1, s2, s2)
     with pytest.raises(ValueError, match="grid"):
         relative_linf_error(s1, s1, s1, grid_points=1)
+    for size in (5.5, 5.0, False, "5"):
+        with pytest.raises(ValueError, match="grid"):
+            relative_linf_error(s1, s1, s1, grid_points=size)
+    assert relative_linf_error(s1, s1, s1, grid_points=np.int64(5)) == 0.0
 
 
 # ---------- rows and CSV ----------
@@ -218,7 +226,10 @@ def test_run_experiment_mesh_refine():
 @pytest.mark.parametrize(
     "family, seed, name",
     [("mesh_refine", 123, "mesh_refine_seed123.csv"),
-     ("spline_poly", 42, "spline_poly_seed42.csv")],
+     ("spline_poly", 42, "spline_poly_seed42.csv"),
+     ("spline_poly_general", 7, "spline_poly_general_seed7.csv"),
+     ("spline_spline", 7, "spline_spline_seed7.csv"),
+     ("mesh_refine_highdeg", 7, "mesh_refine_highdeg_seed7.csv")],
 )
 def test_experiment_csv_bytes_match_golden_file(family, seed, name):
     """`splineprod experiment --family F --seed S` output, byte for byte.
