@@ -15,7 +15,7 @@ from __future__ import annotations
 import itertools
 import math
 from collections.abc import Iterable
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import lru_cache
 from typing import NamedTuple
 
@@ -324,6 +324,17 @@ def _check_target(target_knots: KnotVector | None, t: KnotVector) -> None:
         )
 
 
+def _product_spline(t: KnotVector, b: np.ndarray) -> Spline:
+    """Spline(t, b), where b is not finite only when stage values, which grow
+    like the inverse length of a very short knot interval, overflowed."""
+    if not np.isfinite(b).all():
+        raise ValueError(
+            "the product's stage values overflowed the double range "
+            "on a very short knot interval"
+        )
+    return Spline(t, b)
+
+
 def _row_geometry(f: Spline, g: Spline, t: KnotVector):
     """Anchor spans in both factors and the knot window of every row."""
     p = t.degree
@@ -418,7 +429,7 @@ def morken_product(
     for mults, rows in _window_groups(t):
         counts[rows] = len(_profiles(mults, p1))
     return ProductResult(
-        product=Spline(t, b),
+        product=_product_spline(t, b),
         naive_term_count=count,
         distinct_term_counts=counts,
         mean_distinct=float(counts.mean()),
@@ -522,9 +533,10 @@ class _Side:
     stage's diagonal and superdiagonal factors per knot pair, shape
     (pairs, d).  leaf lists every row's profiles, row by row, as
     positions in the last stage.  As _side builds it, the roots are the
-    block rows and the nodes its row-nodes; _shared merges the nodes that
-    compute the same vector.  A kept layout holds stages as a tuple;
-    otherwise it is a generator that computes one stage at a time.
+    block rows, the nodes its row-nodes, and stages a generator that
+    computes one stage at a time; that is how a streamed product reads
+    it.  A kept layout holds each side as _shared returns it: the nodes
+    that compute the same vector merged, and stages a tuple.
     """
 
     cols: np.ndarray
@@ -548,9 +560,9 @@ class _Layout:
     """Knot-only half of an improved product, for any coefficients.
 
     counts holds every row's distinct profile count, read-only, and
-    blocks the evaluation blocks: a tuple in a kept layout, a generator
-    that builds one block at a time otherwise.  shared tells whether
-    every side of a kept layout has passed through _shared.
+    blocks the evaluation blocks: in a kept layout a tuple of blocks
+    whose sides are shared (_shared), otherwise a generator that builds
+    one block at a time.
     """
 
     t: KnotVector
@@ -558,7 +570,6 @@ class _Layout:
     divisor: float
     counts: np.ndarray
     blocks: Iterable[_Block]
-    shared: bool
 
 
 def _stages(tables, tau: np.ndarray, values: np.ndarray):
@@ -614,11 +625,6 @@ def _side(s: Spline, spans, trees, sizes, rank, knots) -> _Side:
     return _Side(cols, stages, tables[3])
 
 
-def _held(side: _Side) -> _Side:
-    """side with every stage computed and kept."""
-    return replace(side, stages=tuple(side.stages))
-
-
 def _shared(side: _Side) -> _Side:
     """side with one node per distinct (parent node, knot pair) in each stage.
 
@@ -638,18 +644,14 @@ def _shared(side: _Side) -> _Side:
     return _Side(side.cols[first], tuple(stages), ids[side.leaf])
 
 
-def _kept_blocks(blocks: Iterable[_Block], form) -> tuple[_Block, ...]:
-    """blocks, read one at a time, with each side put in form as it is read."""
-    return tuple(_Block(block.pieces, tuple(map(form, block.sides))) for block in blocks)
-
-
 def _layout(f: Spline, g: Spline, t: KnotVector, repeat: bool) -> tuple[_Layout, bool]:
     """Knot-only half of the product of open f and g, and whether to keep it.
 
-    With repeat (the last call streamed a product on the same key) every
-    block is kept, and each side is shared as it is built.  Otherwise a
-    product that packs into one block is kept as built, and any other
-    builds its blocks one at a time as they are read.
+    A product is kept when it packs into one block or when repeat is set
+    (the last call streamed a product on the same key).  A kept layout
+    builds its blocks one at a time and shares each side as it is built,
+    so it has one form from the start; any other product builds its
+    blocks one at a time as they are read.
     """
     p1 = f.degree
     p = t.degree
@@ -665,14 +667,15 @@ def _layout(f: Spline, g: Spline, t: KnotVector, repeat: bool) -> tuple[_Layout,
     keep = repeat or len(packing) == 1
     blocks = (_block(pieces, f, g, t, k1, k2) for pieces in packing)
     if keep:
-        blocks = _kept_blocks(blocks, _shared if repeat else _held)
+        blocks = tuple(
+            _Block(block.pieces, tuple(map(_shared, block.sides))) for block in blocks
+        )
     layout = _Layout(
         t=t,
         naive_terms=naive_terms,
         divisor=float(math.comb(p, p1)),
         counts=counts,
         blocks=blocks,
-        shared=repeat,
     )
     return layout, keep
 
@@ -745,19 +748,18 @@ def improved_morken_product(
     kept, keyed on both factors' knots and degrees as passed in, when
     the product packs into one block or when the call repeats the last
     call's key; a first call of many blocks streams its blocks and
-    stages one at a time.  A later call on the same key runs only the
-    coefficient pass, after make_open and the target_knots check; its
-    first such call merges the kept stage loops' nodes across rows
-    (_shared), and so does a repeated call building the layout.  f's
-    kernel values are kept beside the layout and reused while f's
-    coefficient bytes (-0.0 is not 0.0) stay the same, so Galerkin
-    assembly, one f times many g, refines only g.  Over every experiment
-    row (row seed 12345) the largest kept layout takes 13.0 MiB, plus
-    0.5 MiB of f values (galerkin_k 50); galerkin_p 50 keeps 1.8 MiB.
-    A call on another key
-    frees the slot first.  There is no entry point taking many second
-    factors at once: consecutive calls on one knot pair already share
-    the layout, and each product is still its own call.
+    stages one at a time.  A kept layout merges its stage loops' nodes
+    across rows (_shared) as each side is built, and a later call on the
+    same key runs only the coefficient pass on it, after make_open and
+    the target_knots check.  f's kernel values are kept beside the
+    layout and reused while f's coefficient bytes (-0.0 is not 0.0) stay
+    the same, so Galerkin assembly, one f times many g, refines only g.
+    Over every experiment row (row seed 12345) the largest kept layout
+    takes 13.0 MiB, plus 0.5 MiB of f values (galerkin_k 50); galerkin_p
+    50 keeps 1.8 MiB.  A call on another key frees the slot first.
+    There is no entry point taking many second factors at once:
+    consecutive calls on one knot pair already share the layout, and
+    each product is still its own call.
     """
     global _kept
     key = (f.knots.knots.tobytes(), f.degree, g.knots.knots.tobytes(), g.degree)
@@ -766,10 +768,6 @@ def improved_morken_product(
         layout = kept.layout
         f, g = make_open(f), make_open(g)
         _check_target(target_knots, layout.t)
-        if not layout.shared:
-            layout = replace(
-                layout, blocks=_kept_blocks(layout.blocks, _shared), shared=True
-            )
         keep = True
     else:
         repeat = kept is not None and kept.key == key
@@ -806,9 +804,10 @@ def improved_morken_product(
                 dots = (wbf[:, None, :] @ cols[:, :, None]).ravel()
             b[piece] = dots / layout.divisor
             lo = hi
+    product = _product_spline(layout.t, b)
     _kept = _Slot(key, layout, f_bytes, tuple(f_values)) if keep else _Slot(key)
     return ProductResult(
-        product=Spline(layout.t, b),
+        product=product,
         naive_term_count=layout.naive_terms,
         distinct_term_counts=layout.counts,
         mean_distinct=float(layout.counts.mean()),

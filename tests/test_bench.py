@@ -244,23 +244,35 @@ def test_experiment_csv_bytes_match_golden_file(family, seed, name):
     assert stream.getvalue().encode() == (DATA / name).read_bytes()
 
 
-@pytest.mark.parametrize("family", ["galerkin_p", "galerkin_k"])
-def test_galerkin_rows_bytes_match_golden_file(family):
-    """CSV lines of the experiment's rows 3-8 of a Galerkin family, seed 7.
+@pytest.mark.parametrize(
+    "family, params, name",
+    [
+        pytest.param(family, params, f"{family}_seed7_{tag}.csv", id=id_)
+        for family in ("galerkin_p", "galerkin_k")
+        for params, tag, id_ in (
+            (range(3, 9), "params3-8", family),
+            ([50], "param50", f"{family}-50"),
+        )
+    ],
+)
+def test_galerkin_rows_bytes_match_golden_file(family, params, name):
+    """CSV lines of the experiment's rows params of a Galerkin family, seed 7.
 
     Every g shares f's knots in these rows, so after the first call each
-    evaluate of a row runs on a kept layout.  The files were written by
-    `splineprod experiment --family F --seed 7` before evaluate kept
-    layouts, cut to these rows.
+    evaluate of a row runs on a kept layout.  Row 50's products pack into
+    many blocks (3 in galerkin_p, 9 in galerkin_k): each row's first
+    product streams its blocks, and the second builds the shared layout
+    that the later ones reuse.  The files were written by `splineprod
+    experiment --family F --seed 7`, rows 3-8 before evaluate kept
+    layouts and row 50 before every kept product layout was shared as it
+    was built, and cut to these rows.
     """
     master = SplitMix64(7)
-    seeds = [master.next_u64() for _ in FAMILY_PARAMETERS[family]]
-    rows = [_compute_row(family, param, seed, 201)
-            for param, seed in zip(range(3, 9), seeds)]
+    seeds = {param: master.next_u64() for param in FAMILY_PARAMETERS[family]}
+    rows = [_compute_row(family, param, seeds[param], 201) for param in params]
     stream = io.StringIO()
     write_csv(rows, stream)
-    golden = DATA / f"{family}_seed7_params3-8.csv"
-    assert stream.getvalue().encode() == golden.read_bytes()
+    assert stream.getvalue().encode() == (DATA / name).read_bytes()
 
 
 def test_write_csv_layout():

@@ -7,7 +7,13 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from splineprod import Spline, bernstein_knots, make_spline, uniform_open_knots
+from splineprod import (
+    KnotVector,
+    Spline,
+    bernstein_knots,
+    make_spline,
+    uniform_open_knots,
+)
 from splineprod.bench import CSV_HEADER
 from splineprod.cli import build_parser, main
 
@@ -143,6 +149,21 @@ def test_product_degree_600_exits_2(tmp_path, capsys):
         err = capsys.readouterr().err
         assert err.startswith("error:")
         assert "Traceback" not in err
+
+
+def test_product_overflow_on_a_very_short_knot_interval_exits_2(tmp_path, capsys):
+    """A knot interval of length 5e-324 overflows the stage factors' division:
+    exit 2 with one error line that names the overflow."""
+    f = Spline(KnotVector([0, 0, 0, 5e-324, 1, 1, 1], 2), [0.5, -0.25, 1.0, 0.75])
+    g = Spline(uniform_open_knots(1, 2), [1.0, -0.5])
+    f_path = write_spline(tmp_path / "f.json", f)
+    g_path = write_spline(tmp_path / "g.json", g)
+    for method in ("direct", "naive"):
+        with pytest.warns(RuntimeWarning):
+            assert main(["product", f_path, g_path, "--method", method]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert "overflowed the double range" in err
 
 
 def test_collocation_warns_when_condition_reaches_inverse_eps(tmp_path, capsys):

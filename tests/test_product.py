@@ -414,15 +414,10 @@ def _assert_rows_bytes(result, f, g):
 
 
 def _hit_layout(module, kept):
-    """The layout of the slot after a hit on kept's key: kept's own once
-    shared, its shared form after the first hit."""
+    """The slot after a hit on kept's key: it holds kept's very layout."""
     slot = module._kept
     assert slot.key == kept.key
-    assert slot.layout.shared
-    if kept.layout.shared:
-        assert slot.layout is kept.layout
-    else:
-        assert slot.layout is not kept.layout
+    assert slot.layout is kept.layout
     return slot
 
 
@@ -433,7 +428,7 @@ def test_kept_layout_sequences_match_per_row_loop(product_module):
     f, g = a.f, a.gs[1]
     result = improved_morken_product(f, g)
     kept = product_module._kept
-    assert kept.layout is not None and not kept.layout.shared
+    assert kept.layout is not None
     for _ in range(2):
         _assert_rows_bytes(improved_morken_product(f, g), f, g)
         kept = _hit_layout(product_module, kept)
@@ -443,7 +438,6 @@ def test_kept_layout_sequences_match_per_row_loop(product_module):
     _assert_rows_bytes(improved_morken_product(f, g), f, g)
     assert product_module._kept[0] == kept[0]
     assert product_module._kept.layout is not kept.layout
-    assert not product_module._kept.layout.shared
     # a degree-20 Galerkin product packs into one block too
     c = build_family_case("galerkin_p", 20, SplitMix64(3))
     f, g = c.f, c.gs[1]
@@ -566,7 +560,7 @@ def test_multi_block_product_is_kept_when_its_key_repeats(product_module, monkey
     assert kept.layout is None and kept.f_bytes is None
     _assert_rows_bytes(improved_morken_product(f, g), f, g)
     layout = product_module._kept.layout
-    assert layout.shared and len(layout.blocks) == blocks
+    assert len(layout.blocks) == blocks
     assert len(product_module._kept.f_values) == blocks
     f2 = random_spline_on(rng, f.knots)
     g2 = random_spline_on(rng, g.knots)
@@ -580,21 +574,27 @@ def test_multi_block_product_is_kept_when_its_key_repeats(product_module, monkey
 
 
 def test_shared_stages_hold_one_node_per_parent_and_pair(product_module):
-    """After sharing, no stage of a galerkin_k 12 layout holds two nodes
-    with the same (parent, knot pair), and the node count drops."""
+    """The first call's kept galerkin_k 12 layout is already shared: no
+    stage holds two nodes with the same (parent, knot pair), and it holds
+    fewer nodes than the block's row-nodes."""
     case = build_family_case("galerkin_k", 12, SplitMix64(12345))
     f, g = case.f, case.gs[0]
-    improved_morken_product(f, g)
-    unshared = product_module._kept.layout
-    assert not unshared.shared and len(unshared.blocks) == 1
     _assert_rows_bytes(improved_morken_product(f, g), f, g)
     shared = product_module._kept.layout
-    assert shared.shared
-    for before, after in zip(unshared.blocks[0].sides, shared.blocks[0].sides):
+    assert len(shared.blocks) == 1
+    # the unshared reference: the one block's sides as _block builds them
+    f, g, t = product_module._prepared_factors(f, g, None)
+    _, k1, k2, _ = product_module._row_geometry(f, g, t)
+    (pieces,) = product_module._row_blocks(t, f.degree)
+    unshared = [
+        product_module._Side(side.cols, tuple(side.stages), side.leaf)
+        for side in product_module._block(pieces, f, g, t, k1, k2).sides
+    ]
+    for before, after in zip(unshared, shared.blocks[0].sides):
         assert len(after.stages) == len(before.stages)
         assert after.cols.shape[0] < before.cols.shape[0]
         for (parent, at, diag, sup), old in zip(after.stages, before.stages):
-            assert diag is old[2] and sup is old[3]
+            assert np.array_equal(diag, old[2]) and np.array_equal(sup, old[3])
             keys = parent * diag.shape[0] + at
             assert np.unique(keys).size == keys.size
         nodes = sum(stage[0].size for stage in after.stages)
@@ -630,6 +630,48 @@ def test_kept_counts_are_read_only(product_module):
         base = counts.base
         assert base is None or not base.flags.writeable
     assert np.array_equal(first.distinct_term_counts, second.distinct_term_counts)
+
+
+# ---------- stage values past the double range ----------
+
+
+def _short_interval_pair(eps):
+    """f of degree 5 whose first knot interval has length eps, and g of
+    degree 2, with coefficients uniform in [-1, 1]."""
+    rng = np.random.default_rng(23)
+    f = random_spline_on(rng, KnotVector([0] * 6 + [eps, 0.5] + [1] * 6, 5))
+    g = random_spline_on(rng, KnotVector([0] * 3 + [0.3, 0.55] + [1] * 3, 2))
+    return f, g
+
+
+@pytest.mark.parametrize("eps", [1e-80, 1e-100])
+@pytest.mark.parametrize("method", ["naive", "direct"])
+def test_products_name_the_overflow_on_a_very_short_knot_interval(
+    product_module, method, eps
+):
+    """The stage values pass the double range before they cancel, although
+    the product is bounded: the error names that, not the coefficients."""
+    f, g = _short_interval_pair(eps)
+    product = morken_product if method == "naive" else improved_morken_product
+    with pytest.raises(ValueError, match="overflowed the double range"):
+        with pytest.warns(RuntimeWarning):
+            product(f, g)
+    # a failed product keeps no layout
+    assert product_module._kept is None
+
+
+def test_products_on_a_short_knot_interval_within_the_double_range(product_module):
+    """At eps = 1e-64 the stage values stay finite and both paths agree."""
+    f, g = _short_interval_pair(1e-64)
+    result = improved_morken_product(f, g)
+    _assert_rows_bytes(result, f, g)
+    npt.assert_allclose(
+        morken_product(f, g).product.coefficients,
+        result.product.coefficients,
+        rtol=0,
+        atol=1e-13,
+    )
+    assert np.max(np.abs(result.product.coefficients)) < 1
 
 
 def _input_scale(f, g):
