@@ -125,7 +125,10 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.handler(args)
+        # a failed product ends in one error line, without numpy's
+        # floating-point warnings ahead of it; the library still warns
+        with np.errstate(all="ignore"):
+            return args.handler(args)
     except NaiveInfeasibleError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3

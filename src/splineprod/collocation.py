@@ -261,6 +261,17 @@ def _factored_product(
     """collocation_product, plus its collocation matrix and that matrix's LU."""
     f, g, t = _prepared_factors(f, g, target_knots)
     xs = greville_abscissae(t)
+    # consecutive windows t_{i+1} .. t_{i+p} and t_{i+2} .. t_{i+p+1} differ
+    # in t_{i+1} and t_{i+p+1}; on a knot interval that short their means
+    # round to one double
+    equal = np.flatnonzero(np.diff(xs) <= 0)
+    if equal.size:
+        i = int(equal[0])
+        lo, hi = float(t.knots[i + 1]), float(t.knots[i + t.degree + 1])
+        raise ValueError(
+            f"knot interval [{lo!r}, {hi!r}] is too short for collocation: "
+            "the Greville points of the product space on it round to equal doubles"
+        )
     matrix = collocation_matrix(t, xs)
     rhs = evaluate(f, xs) * evaluate(g, xs)
     lu = matrix.lu()

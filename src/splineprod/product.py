@@ -266,7 +266,9 @@ def _compact(index: np.ndarray) -> np.ndarray:
     """Nonnegative indices in the narrowest unsigned type that holds them.
 
     Plans stay cached for the life of the process, so their size is
-    memory that every later product keeps.
+    memory that every later product keeps; a product's knot pair
+    numbers (_pairs) are read into a block's row-nodes, whose tables
+    are the largest arrays while a layout is built.
     """
     return index.astype(np.min_scalar_type(int(index.max())))
 
@@ -467,7 +469,9 @@ def _row_blocks(t: KnotVector, p1: int):
 
 def _ranges(lengths: np.ndarray) -> np.ndarray:
     """Offset of every element within its range, for ranges laid end to end."""
-    return np.arange(lengths.sum()) - np.repeat(np.cumsum(lengths) - lengths, lengths)
+    offsets = np.arange(lengths.sum())
+    offsets -= np.repeat(np.cumsum(lengths) - lengths, lengths)
+    return offsets
 
 
 def _stage_tables(trees: list[_SuffixTree], sizes: np.ndarray, pairs: np.ndarray):
@@ -508,9 +512,14 @@ def _stage_tables(trees: list[_SuffixTree], sizes: np.ndarray, pairs: np.ndarray
     start *= pairs.shape[1]
     start += np.repeat(np.tile(first, q), lens)
     # node i of a piece with n rows holds its rows r = 0 .. n - 1 at i * n + r
+    # in place, so that few arrays of the block's row-nodes live at once
     r = _ranges(n)
-    parent = np.repeat(up, n) + r
-    at = np.take(pairs, np.repeat(start, n) + r)
+    parent = np.repeat(up, n)
+    parent += r
+    at = np.repeat(start, n)
+    at += r
+    del r
+    at = np.take(pairs, at)
     # profile i of block row first[k] + r sits at base[k, -1] + leaf_i * n + r
     profiles = np.array([tree.leaf.size for tree in trees])
     per_row = np.repeat(profiles, sizes)
@@ -524,35 +533,25 @@ def _stage_tables(trees: list[_SuffixTree], sizes: np.ndarray, pairs: np.ndarray
 
 @dataclass(frozen=True)
 class _Side:
-    """Knot-only stage loop of one factor over the rows of a block.
+    """Knot-only stage loop of one factor over the rows of some blocks.
 
     cols[r] indexes root r's coefficient window in the factor's
     coefficients.  stages gives (parent, at, diag, sup) for stage d = q,
     .., 1: the stage's nodes, each with its parent entry in the stage
     before (a root before the first stage) and its knot pair at, and the
     stage's diagonal and superdiagonal factors per knot pair, shape
-    (pairs, d).  leaf lists every row's profiles, row by row, as
-    positions in the last stage.  As _side builds it, the roots are the
-    block rows, the nodes its row-nodes, and stages a generator that
-    computes one stage at a time; that is how a streamed product reads
-    it.  A kept layout holds each side as _shared returns it: the nodes
-    that compute the same vector merged, and stages a tuple.
+    (pairs, d).  leaves holds one array per block it covers, which lists
+    every row's profiles, row by row, as positions in the last stage.
+    A merged side (_merged) covers every block of a product, with one
+    root per anchor span and one node per vector; an unmerged side
+    (_side) covers one block, with the block rows as roots and its
+    row-nodes as nodes, and its stages are a generator that computes
+    one stage at a time unless a layout keeps them.
     """
 
     cols: np.ndarray
     stages: Iterable[tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]]
-    leaf: np.ndarray
-
-
-@dataclass(frozen=True)
-class _Block:
-    """One evaluation block: (plan weights, rows) per piece, and the f and
-    g sides, a tuple in a kept layout and otherwise a generator that
-    builds each side as it is read, so one side's tables live at a time.
-    """
-
-    pieces: list[tuple[np.ndarray, np.ndarray]]
-    sides: Iterable[_Side]
+    leaves: tuple[np.ndarray, ...]
 
 
 @dataclass(frozen=True)
@@ -560,132 +559,230 @@ class _Layout:
     """Knot-only half of an improved product, for any coefficients.
 
     counts holds every row's distinct profile count, read-only, and
-    blocks the evaluation blocks: in a kept layout a tuple of blocks
-    whose sides are shared (_shared), otherwise a generator that builds
-    one block at a time.
+    pieces every block's (plan weights, rows) pieces.  sides holds the
+    f and g sides, each as the _Side parts whose leaves list the blocks
+    in order: one merged side, or one unmerged side per block.  A kept
+    layout holds the parts in tuples; otherwise an unmerged factor's
+    parts are a generator that builds one block's side at a time.
     """
 
     t: KnotVector
     naive_terms: int | float
     divisor: float
     counts: np.ndarray
-    blocks: Iterable[_Block]
+    pieces: tuple[list[tuple[np.ndarray, np.ndarray]], ...]
+    sides: tuple[Iterable[_Side], Iterable[_Side]]
 
 
-def _stages(tables, tau: np.ndarray, values: np.ndarray):
-    """Stage tables and factors of one side of a block, stage by stage.
+def _pairs(spans, rank, knots):
+    """Distinct knot pairs that a factor's rows read, numbered.
 
-    tables comes from _stage_tables; tau holds the factor knot window of
-    every knot pair and values, a column, its fine knot value.
-    """
-    bounds, parent, at, _ = tables
-    q = tau.shape[1] // 2
-    for j, d in enumerate(range(q, 0, -1)):
-        nodes = slice(bounds[j], bounds[j + 1])
-        yield (parent[nodes], at[nodes], *_stage_factors(tau, d, q, values))
-
-
-def _block(pieces, f: Spline, g: Spline, t: KnotVector, k1, k2) -> _Block:
-    """Layout of one block of (plan, rows) pieces from _row_blocks.
-
-    Its sides and their stages are generators: each side is built as it
-    is read, so one side's tables live at a time.
-    """
-    plans = [plan for plan, _ in pieces]
-    sizes = np.array([piece.size for _, piece in pieces])
-    rows = np.concatenate([piece for _, piece in pieces])
-    # window knot t_{i+1+o} of every row i at offset o, as the first index
-    # of its value; offset by offset, so a node's rows read a contiguous run
-    knots = t.knots
-    rank = np.searchsorted(knots, knots[rows + np.arange(1, t.degree + 1)[:, None]])
-    sides = (
-        _side(s, spans[rows], trees, sizes, rank, knots)
-        for s, spans, trees in (
-            (f, k1, [plan.f for plan in plans]),
-            (g, k2, [plan.g for plan in plans]),
-        )
-    )
-    return _Block([(plan.weights, piece) for plan, piece in pieces], sides)
-
-
-def _side(s: Spline, spans, trees, sizes, rank, knots) -> _Side:
-    """One factor's side of a block whose rows have anchors spans in s.
-
-    A stage factor depends on a row-node only through the row's span,
+    Row r has anchor span spans[r] in the factor, and reads at window
+    offset o the knot value whose first index in knots is rank[o, r].  A
+    stage factor depends on a row-node only through the row's span,
     which fixes the factor's knot window, and the fine knot value it
-    reads (the discrete B-splines of the Oslo algorithm).  So the block
-    gets one factor per distinct (span, value) pair and stage entry.
+    reads (the discrete B-splines of the Oslo algorithm), so the stage
+    factors go per distinct (span, value) pair.  Returns every pair's
+    span and knot value, in ascending order, and the number of the pair
+    every (o, r) reads, shaped as rank, in the narrowest type that holds
+    it.
     """
-    keys, pairs = np.unique(spans * knots.size + rank, return_inverse=True)
-    tables = _stage_tables(trees, sizes, pairs.reshape(rank.shape))
+    keys, ids = np.unique(spans * knots.size + rank, return_inverse=True)
     pair_spans, pair_knots = np.divmod(keys, knots.size)
-    kw, _ = _window_indices(s.degree, pair_spans)
-    _, cols = _window_indices(s.degree, spans)
-    stages = _stages(tables, s.knots.knots[kw], knots[pair_knots, None])
-    return _Side(cols, stages, tables[3])
+    return pair_spans, knots[pair_knots], _compact(ids.reshape(rank.shape))
 
 
-def _shared(side: _Side) -> _Side:
-    """side with one node per distinct (parent node, knot pair) in each stage.
+def _factors(s: Spline, pair_spans, pair_values):
+    """(diag, sup) of every knot pair in factor s, stage by stage."""
+    q = s.degree
+    kw, _ = _window_indices(q, pair_spans)
+    tau, values = s.knots.knots[kw], pair_values[:, None]
+    for d in range(q, 0, -1):
+        yield _stage_factors(tau, d, q, values)
 
-    A node's vector after a stage depends only on its parent's vector and
-    the knot pair's factors, and before the first stage only on the
-    row's span.  So rows with one anchor span share a root, and a stage
-    keeps one node per (parent, pair): it computes the same elementwise
-    arithmetic on the same doubles as every row-node it replaces, and so
-    the same bits.  The stages are read, and built, one at a time.
+
+def _side(s: Spline, spans, trees, sizes, numbered, kept: bool, tables) -> _Side:
+    """One factor's unmerged side of a block whose rows have anchors spans in s.
+
+    numbered is _pairs of the product's rows, read at the block's rows;
+    the block computes the factors of the pairs it reads, renumbered in
+    the same order.  tables are the block's _stage_tables on numbered's
+    pairs, when _merged built them before it stopped, or None.  The
+    stages are a tuple when kept, and otherwise a generator that
+    computes one at a time.
     """
-    _, first, ids = np.unique(side.cols[:, 0], return_index=True, return_inverse=True)
-    stages = []
-    for parent, at, diag, sup in side.stages:
-        pairs = diag.shape[0]
-        nodes, ids = np.unique(ids[parent] * pairs + at, return_inverse=True)
-        stages.append((nodes // pairs, nodes % pairs, diag, sup))
-    return _Side(side.cols[first], tuple(stages), ids[side.leaf])
+    pair_spans, pair_values, pairs = numbered
+    used = np.zeros(pair_spans.size, dtype=bool)
+    used[pairs] = True
+    local = np.cumsum(used) - 1
+    if tables is None:
+        bounds, parent, at, leaf = _stage_tables(trees, sizes, local[pairs])
+    else:
+        bounds, parent, at, leaf = tables
+        at = local[at]
+    _, cols = _window_indices(s.degree, spans)
+    factors = _factors(s, pair_spans[used], pair_values[used])
+    stages = (
+        (parent[lo:hi], at[lo:hi], diag, sup)
+        for lo, hi, (diag, sup) in zip(bounds[:-1], bounds[1:], factors)
+    )
+    return _Side(cols, tuple(stages) if kept else stages, (leaf,))
 
 
-def _layout(f: Spline, g: Spline, t: KnotVector, repeat: bool) -> tuple[_Layout, bool]:
+def _merged(s: Spline, spans, blocks, numbered):
+    """One factor's side over every block, with one node per vector.
+
+    A node's vector after a stage depends only on its parent's vector
+    and the knot pair it reads, and before the first stage only on the
+    row's span.  So rows with one anchor span share a root, and each
+    stage numbers its nodes by (parent node, pair), in order of first
+    appearance, across the blocks: block by block, _stage_tables lists
+    the unmerged row-nodes and a dense table of parents x pairs maps
+    them to node ids, then the block's tables are dropped.  A merged
+    node runs the same elementwise arithmetic on the same doubles as
+    every row-node it replaces, and so gives the same bits.  blocks
+    holds (trees, sizes, rows) per block and numbered is _pairs of all
+    rows.  As soon as a stage's table would pass _BLOCK entries, which
+    happens on a side that reads many pairs, few of them more than once,
+    it stops and returns the index of the block it was numbering and
+    that block's tables (None before the first block).
+    """
+    pair_spans, pair_values, pairs = numbered
+    q = s.degree
+    n = pair_spans.size
+    roots, ids_of_rows = np.unique(spans, return_inverse=True)
+    # nodes[j] counts the nodes that stage j reads: the roots, then the
+    # nodes of the stage before; lookup[j] maps parent * n + pair to the
+    # id of stage j's node, or -1, and keys[j] lists the parent * n +
+    # pair of stage j's nodes in id order
+    nodes = [roots.size] + [0] * q
+    if nodes[0] * n > _BLOCK:
+        return 0, None
+    lookup = [np.empty(0, dtype=np.int32)] * q
+    keys: list[list[np.ndarray]] = [[] for _ in range(q)]
+    leaves = []
+    for k, (trees, sizes, rows) in enumerate(blocks):
+        tables = _stage_tables(trees, sizes, pairs[:, rows])
+        bounds, parent, at, leaf = tables
+        bounds = bounds.tolist()
+        ids = ids_of_rows[rows]
+        for j in range(q):
+            size = nodes[j] * n
+            if size > _BLOCK:
+                return k, tables
+            if lookup[j].size < size:
+                grown = np.full(size, -1, dtype=np.int32)
+                grown[: lookup[j].size] = lookup[j]
+                lookup[j] = grown
+            table = lookup[j]
+            lo, hi = bounds[j], bounds[j + 1]
+            # below size <= _BLOCK, so the int32 ids and keys never wrap
+            row_keys = at[lo:hi] + ids[parent[lo:hi]] * n
+            ids = table[row_keys]
+            # every row-node is new while the stage has no nodes
+            new = ids < 0 if nodes[j + 1] else slice(None)
+            fresh = row_keys[new]
+            if fresh.size:
+                # each key's first row-node writes last, so it wins; any
+                # winner would number the same nodes
+                pos = np.arange(fresh.size, dtype=np.int32)
+                table[fresh[::-1]] = pos[::-1]
+                first = fresh[table[fresh] == pos]
+                table[first] = np.arange(nodes[j + 1], nodes[j + 1] + first.size)
+                nodes[j + 1] += first.size
+                keys[j].append(first)
+                ids[new] = table[fresh]
+        leaves.append(ids[leaf].astype(np.intp))
+        # free this block's tables before the next block's are built
+        del tables, parent, at, leaf
+    del lookup
+    _, cols = _window_indices(q, roots)
+    # intp, which np.take reads without a conversion
+    stages = tuple(
+        (*np.divmod(np.concatenate(keys[j]).astype(np.intp), n), diag, sup)
+        for j, (diag, sup) in enumerate(_factors(s, pair_spans, pair_values))
+    )
+    return _Side(cols, stages, tuple(leaves))
+
+
+def _parts(s: Spline, spans, blocks, rank, knots) -> Iterable[_Side]:
+    """One factor's side of a product, as the _Side parts of a _Layout.
+
+    The side's knot pairs are numbered once for all its rows, and the
+    side is merged when every stage's table stays within _BLOCK entries
+    (_merged).  A side that does not merge streams: a tuple of its one
+    block's side, or a generator that builds each block's side as it
+    is read.
+    """
+    numbered = _pairs(spans, rank, knots)
+    merged = _merged(s, spans, blocks, numbered)
+    if isinstance(merged, _Side):
+        return (merged,)
+    stop, tables = merged
+    pair_spans, pair_values, pairs = numbered
+    sides = (
+        _side(
+            s, spans[rows], trees, sizes, (pair_spans, pair_values, pairs[:, rows]),
+            len(blocks) == 1, tables if k == stop else None,
+        )
+        for k, (trees, sizes, rows) in enumerate(blocks)
+    )
+    return tuple(sides) if len(blocks) == 1 else sides
+
+
+def _layout(f: Spline, g: Spline, t: KnotVector) -> tuple[_Layout, bool]:
     """Knot-only half of the product of open f and g, and whether to keep it.
 
-    A product is kept when it packs into one block or when repeat is set
-    (the last call streamed a product on the same key).  A kept layout
-    builds its blocks one at a time and shares each side as it is built,
-    so it has one form from the start; any other product builds its
-    blocks one at a time as they are read.
+    Rows pack into blocks (_row_blocks), and each factor's side is
+    merged across all blocks when its tables stay within _BLOCK
+    entries (_parts).  A layout is kept when it packs into one block or
+    when both its sides merged: it is then built whole, and the first
+    call pays nothing to keep it.  Any other layout streams its
+    unmerged sides one block at a time and is not kept.
     """
     p1 = f.degree
     p = t.degree
     # raises ValueError when C(p, p1) exceeds the double range
     naive_terms = binomial(p, p1)
     m, k1, k2, _ = _row_geometry(f, g, t)
-    packing = list(_row_blocks(t, p1))
     counts = np.empty(m, dtype=np.int64)
-    for pieces in packing:
-        for plan, piece in pieces:
+    pieces = []
+    blocks_f, blocks_g = [], []
+    for block in _row_blocks(t, p1):
+        sizes = np.array([piece.size for _, piece in block])
+        rows = np.concatenate([piece for _, piece in block])
+        for plan, piece in block:
             counts[piece] = plan.weights.size
+        pieces.append([(plan.weights, piece) for plan, piece in block])
+        blocks_f.append(([plan.f for plan, _ in block], sizes, rows))
+        blocks_g.append(([plan.g for plan, _ in block], sizes, rows))
     counts.setflags(write=False)
-    keep = repeat or len(packing) == 1
-    blocks = (_block(pieces, f, g, t, k1, k2) for pieces in packing)
-    if keep:
-        blocks = tuple(
-            _Block(block.pieces, tuple(map(_shared, block.sides))) for block in blocks
-        )
+    # window knot t_{i+1+o} of every row i at offset o, as the first index
+    # of its value; offset by offset, so a node's rows read a contiguous run
+    knots = t.knots
+    rank = np.searchsorted(knots, knots[np.arange(1, p + 1)[:, None] + np.arange(m)])
+    sides = (
+        _parts(f, k1, blocks_f, rank, knots),
+        _parts(g, k2, blocks_g, rank, knots),
+    )
     layout = _Layout(
         t=t,
         naive_terms=naive_terms,
         divisor=float(math.comb(p, p1)),
         counts=counts,
-        blocks=blocks,
+        pieces=tuple(pieces),
+        sides=sides,
     )
-    return layout, keep
+    return layout, all(isinstance(parts, tuple) for parts in sides)
 
 
 def _side_values(coeffs: np.ndarray, side: _Side) -> np.ndarray:
-    """Kernel value of every (row, profile) of a block, flat and row-major.
+    """Kernel value of every node of a side's last stage.
 
-    Each stage refines the parent vectors of its row-nodes, d + 1 -> d
+    Each stage refines the parent vectors of its nodes, d + 1 -> d
     entries, with the same arithmetic as kernel_many, so every value is
-    bit-identical to a kernel_many call on the profile's knot row.
+    bit-identical to a kernel_many call on the knot row of each profile
+    that reads it.
     """
     v = coeffs[side.cols]
     for parent, at, diag, sup in side.stages:
@@ -698,27 +795,32 @@ def _side_values(coeffs: np.ndarray, side: _Side) -> np.ndarray:
         right = np.take(sup, at, axis=0)
         right *= vp[:, 1:]
         v += right
-    return v[side.leaf, 0]
+    return v[:, 0]
+
+
+def _block_values(coeffs: np.ndarray, parts: Iterable[_Side]):
+    """Kernel value of every (row, profile) of each block in turn, flat and
+    row-major."""
+    for side in parts:
+        last = _side_values(coeffs, side)
+        for leaf in side.leaves:
+            yield last[leaf]
 
 
 class _Slot(NamedTuple):
     """What the last call keeps for its key, (f knots, f degree, g knots,
-    g degree) as passed in.
-
-    layout is None after a call that streamed a product of many blocks;
-    otherwise it is the kept layout, and f_bytes and f_values are the
-    coefficient bytes of the last call's open f and its kernel values,
-    one array per block.
+    g degree) as passed in: the kept layout, and the coefficient bytes
+    of the last call's open f with its kernel values, one array per block.
     """
 
     key: tuple
-    layout: _Layout | None = None
-    f_bytes: bytes | None = None
-    f_values: tuple[np.ndarray, ...] = ()
+    layout: _Layout
+    f_bytes: bytes
+    f_values: tuple[np.ndarray, ...]
 
 
-# the last call's _Slot; replaced whole, so a reader sees a key with its
-# own layout and f values
+# the last call's _Slot, or None; replaced whole, so a reader sees a key
+# with its own layout and f values
 _kept: _Slot | None = None
 
 
@@ -731,32 +833,34 @@ def improved_morken_product(
 
     Rows whose knot windows share their run multiplicities share one
     knot-only plan (profiles, weights, suffix-shared kernel stages).
-    Blocks of at most _BLOCK doubles pack rows of many such groups and
-    run one stage loop per factor over all of them, with one reduction
-    per group piece.  Every coefficient sums the same
-    kernel products in the same order as one kernel_many call per row and
-    factor over its distinct profiles; agrees with morken_product to
-    floating-point roundoff.
+    Blocks of at most _BLOCK doubles pack rows of many such groups, and
+    every group piece is reduced on its own.  Every coefficient sums the
+    same kernel products in the same order as one kernel_many call per
+    row and factor over its distinct profiles; agrees with
+    morken_product to floating-point roundoff.
 
     Everything but the coefficient pass depends on the knots alone: a
     refined coefficient is a knot-only linear map applied to the
     coefficient window (the discrete B-splines of the Oslo algorithm).
     A stage factor depends only on the factor's knot window, which the
-    row's span fixes, and on one fine knot value, so each block computes
-    its factors once per distinct (span, knot value) pair.  The layout
-    (product knot vector, blocks, stage tables and stage factors) is
-    kept, keyed on both factors' knots and degrees as passed in, when
-    the product packs into one block or when the call repeats the last
-    call's key; a first call of many blocks streams its blocks and
-    stages one at a time.  A kept layout merges its stage loops' nodes
-    across rows (_shared) as each side is built, and a later call on the
+    row's span fixes, and on one fine knot value, so each factor's side
+    computes its factors once per distinct (span, knot value) pair of
+    the product.  Each side numbers its stage nodes once across all
+    blocks, one node per (parent node, knot pair), and runs one stage
+    loop over them (_merged), unless a stage's dense numbering table
+    would pass _BLOCK entries; such a side streams its blocks one at a
+    time, with the unmerged row-nodes of each.  The layout (product
+    knot vector, blocks, stage tables and stage factors) is kept, keyed
+    on both factors' knots and degrees as passed in, when the product
+    packs into one block or when both sides merged; a later call on the
     same key runs only the coefficient pass on it, after make_open and
-    the target_knots check.  f's kernel values are kept beside the
+    the target_knots check; a layout with a side that streams over
+    several blocks is never kept.  f's kernel values are kept beside the
     layout and reused while f's coefficient bytes (-0.0 is not 0.0) stay
     the same, so Galerkin assembly, one f times many g, refines only g.
     Over every experiment row (row seed 12345) the largest kept layout
-    takes 13.0 MiB, plus 0.5 MiB of f values (galerkin_k 50); galerkin_p
-    50 keeps 1.8 MiB.  A call on another key frees the slot first.
+    takes 3.6 MiB, plus 0.5 MiB of f values (galerkin_k 50 and
+    spline_spline 50).  A call on another key frees the slot first.
     There is no entry point taking many second factors at once:
     consecutive calls on one knot pair already share the layout, and
     each product is still its own call.
@@ -764,33 +868,30 @@ def improved_morken_product(
     global _kept
     key = (f.knots.knots.tobytes(), f.degree, g.knots.knots.tobytes(), g.degree)
     kept = _kept
-    if kept is not None and kept.key == key and kept.layout is not None:
+    if kept is not None and kept.key == key:
         layout = kept.layout
         f, g = make_open(f), make_open(g)
         _check_target(target_knots, layout.t)
         keep = True
     else:
-        repeat = kept is not None and kept.key == key
         # free the kept layout before the new one is built
         _kept = kept = None
         f, g, t = _prepared_factors(f, g, target_knots)
-        layout, keep = _layout(f, g, t, repeat)
+        layout, keep = _layout(f, g, t)
     f_bytes = f.coefficients.tobytes()
-    memo = kept.f_values if kept is not None and kept.f_bytes == f_bytes else None
-    f_values = []
-    b = np.empty(layout.counts.size)
-    for n, block in enumerate(layout.blocks):
-        if memo is None:
-            bf, bg = (
-                _side_values(s.coefficients, side)
-                for s, side in zip((f, g), block.sides)
-            )
-        else:
-            bf, bg = memo[n], _side_values(g.coefficients, block.sides[1])
+    parts_f, parts_g = layout.sides
+    if kept is not None and kept.f_bytes == f_bytes:
+        f_values = kept.f_values
+    else:
+        f_values = _block_values(f.coefficients, parts_f)
         if keep:
-            f_values.append(bf)
+            f_values = tuple(f_values)
+    b = np.empty(layout.counts.size)
+    for pieces, bf, bg in zip(
+        layout.pieces, f_values, _block_values(g.coefficients, parts_g)
+    ):
         lo = 0
-        for weights, piece in block.pieces:
+        for weights, piece in pieces:
             hi = lo + piece.size * weights.size
             wbf = weights * bf[lo:hi].reshape(piece.size, -1)
             cols = bg[lo:hi].reshape(piece.size, -1)
@@ -805,7 +906,7 @@ def improved_morken_product(
             b[piece] = dots / layout.divisor
             lo = hi
     product = _product_spline(layout.t, b)
-    _kept = _Slot(key, layout, f_bytes, tuple(f_values)) if keep else _Slot(key)
+    _kept = _Slot(key, layout, f_bytes, f_values) if keep else None
     return ProductResult(
         product=product,
         naive_term_count=layout.naive_terms,

@@ -326,6 +326,41 @@ def improved_product_rows(f, g):
     return b, counts
 
 
+def stage_node_counts(f, g):
+    """Distinct stage nodes of each factor side of the improved product, per stage.
+
+    A kernel stage's vector depends only on the row's anchor span in the
+    factor and on the fine knots read so far: stage d = q, .., 1 reads
+    knot d of the profile's sorted knot row, so a node of stage d is one
+    (anchor span, sorted top q - d + 1 knot values).  Counted in plain
+    Python sets over every row's profiles.  Returns one list per factor,
+    f then g, of the counts for stages q, .., 1.
+    """
+    from splineprod import knot_combinations, make_open, product_knot_vector
+    from splineprod._kernels import find_span0_many
+
+    f, g = make_open(f), make_open(g)
+    t = product_knot_vector(f.knots, g.knots)
+    p1, p, m = f.degree, t.degree, t.dimension
+    anchors = t.knots[:m]
+    rows = [
+        knot_combinations(t.knots[i + 1 : i + 1 + p], p1).knot_rows()
+        for i in range(m)
+    ]
+    counts = []
+    for side, s in enumerate((f, g)):
+        q = s.degree
+        spans = find_span0_many(s.knots.knots, q, anchors)
+        nodes = [set() for _ in range(q)]
+        for i in range(m):
+            for row in rows[i][side]:
+                knots = sorted(float(x) for x in row)
+                for j, d in enumerate(range(q, 0, -1)):
+                    nodes[j].add((int(spans[i]), tuple(knots[d - 1 :])))
+        counts.append([len(stage) for stage in nodes])
+    return counts
+
+
 def refine_rows_by_anchor(knots, coeffs, p, spans, fine_rows):
     """Kernel value of every fine row at its 0-based anchor spans[r].
 

@@ -248,10 +248,13 @@ def test_experiment_csv_bytes_match_golden_file(family, seed, name):
     "family, params, name",
     [
         pytest.param(family, params, f"{family}_seed7_{tag}.csv", id=id_)
-        for family in ("galerkin_p", "galerkin_k")
-        for params, tag, id_ in (
-            (range(3, 9), "params3-8", family),
-            ([50], "param50", f"{family}-50"),
+        for family, params, tag, id_ in (
+            ("galerkin_p", range(3, 9), "params3-8", "galerkin_p"),
+            ("galerkin_k", range(3, 9), "params3-8", "galerkin_k"),
+            ("galerkin_p", [50], "param50", "galerkin_p-50"),
+            ("galerkin_k", [50], "param50", "galerkin_k-50"),
+            ("galerkin_p", [36, 44], "params36-44", "galerkin_p-36-44"),
+            ("galerkin_k", [28, 36, 44], "params28-36-44", "galerkin_k-28-36-44"),
         )
     ],
 )
@@ -259,13 +262,14 @@ def test_galerkin_rows_bytes_match_golden_file(family, params, name):
     """CSV lines of the experiment's rows params of a Galerkin family, seed 7.
 
     Every g shares f's knots in these rows, so after the first call each
-    evaluate of a row runs on a kept layout.  Row 50's products pack into
-    many blocks (3 in galerkin_p, 9 in galerkin_k): each row's first
-    product streams its blocks, and the second builds the shared layout
-    that the later ones reuse.  The files were written by `splineprod
-    experiment --family F --seed 7`, rows 3-8 before evaluate kept
-    layouts and row 50 before every kept product layout was shared as it
-    was built, and cut to these rows.
+    evaluate of a row runs on a kept layout.  Rows 28-50 pack their
+    products into several blocks (galerkin_k 28, 36, 44 and 50: 2, 3, 6
+    and 9; galerkin_p 36, 44 and 50: 2, 2 and 3), whose stage nodes each
+    side numbers across the blocks.  The files were written by
+    `splineprod experiment --family F --seed 7`, rows 3-8 before
+    evaluate kept layouts, row 50 before every kept product layout was
+    shared as it was built, and rows 28-44 before the sides were
+    numbered across blocks, and cut to these rows.
     """
     master = SplitMix64(7)
     seeds = {param: master.next_u64() for param in FAMILY_PARAMETERS[family]}

@@ -2,6 +2,11 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
+import warnings
+from pathlib import Path
 
 import numpy as np
 import numpy.testing as npt
@@ -16,6 +21,8 @@ from splineprod import (
 )
 from splineprod.bench import CSV_HEADER
 from splineprod.cli import build_parser, main
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def write_spline(path, spline):
@@ -151,19 +158,58 @@ def test_product_degree_600_exits_2(tmp_path, capsys):
         assert "Traceback" not in err
 
 
-def test_product_overflow_on_a_very_short_knot_interval_exits_2(tmp_path, capsys):
-    """A knot interval of length 5e-324 overflows the stage factors' division:
-    exit 2 with one error line that names the overflow."""
+def _short_interval_files(tmp_path):
+    """f of degree 2 whose first knot interval has length 5e-324, and a
+    linear g, written as spline documents."""
     f = Spline(KnotVector([0, 0, 0, 5e-324, 1, 1, 1], 2), [0.5, -0.25, 1.0, 0.75])
     g = Spline(uniform_open_knots(1, 2), [1.0, -0.5])
-    f_path = write_spline(tmp_path / "f.json", f)
-    g_path = write_spline(tmp_path / "g.json", g)
+    return write_spline(tmp_path / "f.json", f), write_spline(tmp_path / "g.json", g)
+
+
+def test_product_overflow_on_a_very_short_knot_interval_exits_2(tmp_path, capsys):
+    """A knot interval of length 5e-324 overflows the stage factors' division:
+    exit 2 with one error line that names the overflow, and no warning."""
+    f_path, g_path = _short_interval_files(tmp_path)
     for method in ("direct", "naive"):
-        with pytest.warns(RuntimeWarning):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
             assert main(["product", f_path, g_path, "--method", method]) == 2
+        assert caught == []
         err = capsys.readouterr().err
         assert err.startswith("error:") and err.count("\n") == 1
         assert "overflowed the double range" in err
+
+
+def test_collocation_names_a_knot_interval_too_short(tmp_path, capsys):
+    """On the same pair the product space's Greville points round to equal
+    doubles: exit 2 with one error line that names the knot interval."""
+    f_path, g_path = _short_interval_files(tmp_path)
+    assert main(["product", f_path, g_path, "--method", "collocation"]) == 2
+    err = capsys.readouterr().err
+    assert err == (
+        "error: knot interval [0.0, 5e-324] is too short for collocation: the "
+        "Greville points of the product space on it round to equal doubles\n"
+    )
+
+
+@pytest.mark.parametrize("method", ["direct", "naive"])
+def test_overflow_error_is_the_only_stderr_line(tmp_path, method):
+    """Run as a program, the overflowing product writes exactly one line to
+    stderr: numpy's floating-point warnings are silenced in main."""
+    f_path, g_path = _short_interval_files(tmp_path)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(SRC)] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else [])
+    )
+    done = subprocess.run(
+        [sys.executable, "-m", "splineprod", "product", f_path, g_path,
+         "--method", method],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert done.returncode == 2
+    assert done.stdout == ""
+    assert done.stderr.count("\n") == 1
+    assert done.stderr.startswith("error:") and "overflowed the double range" in done.stderr
 
 
 def test_collocation_warns_when_condition_reaches_inverse_eps(tmp_path, capsys):

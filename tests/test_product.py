@@ -28,6 +28,7 @@ from helpers import (
     improved_product_rows,
     random_open_kv,
     random_spline_on,
+    stage_node_counts,
 )
 
 hypothesis = pytest.importorskip("hypothesis")
@@ -540,66 +541,144 @@ def test_kept_layout_still_checks_target_knots(product_module):
     assert improved_morken_product(f, g, target_knots=exact).product.knots == exact
 
 
-def test_multi_block_product_is_kept_when_its_key_repeats(product_module, monkeypatch):
-    """A product of many blocks streams on its first call and is kept,
-    shared, on the second; later calls reuse it, with new f or g
-    coefficients too."""
-    rng = np.random.default_rng(41)
-    kv = uniform_open_knots(2, 5)
-    improved_morken_product(random_spline_on(rng, kv), random_spline_on(rng, kv))
-    assert product_module._kept.layout is not None
-    monkeypatch.setattr(product_module, "_BLOCK", 64)
-    f = random_spline_on(rng, uniform_open_knots(3, 40))
-    g = random_spline_on(rng, uniform_open_knots(2, 40))
-    t = product_knot_vector(f.knots, g.knots)
-    blocks = len(list(product_module._row_blocks(t, 3)))
-    assert blocks > 1
-    _assert_rows_bytes(improved_morken_product(f, g), f, g)
-    # the miss freed the kept layout and kept only the key
+def test_multi_block_product_is_kept_when_both_sides_merge(product_module):
+    """galerkin_k 40 packs into 4 blocks and both its sides merge across
+    them, so its first call keeps the layout; the next calls, with new g
+    or f coefficients too, reuse that very layout object."""
+    case = build_family_case("galerkin_k", 40, SplitMix64(12345))
+    f, gs = case.f, case.gs
+    t = product_knot_vector(f.knots, gs[0].knots)
+    assert len(list(product_module._row_blocks(t, f.degree))) == 4
+    _assert_rows_bytes(improved_morken_product(f, gs[0]), f, gs[0])
     kept = product_module._kept
-    assert kept.layout is None and kept.f_bytes is None
-    _assert_rows_bytes(improved_morken_product(f, g), f, g)
+    layout = kept.layout
+    assert len(layout.pieces) == 4
+    # one merged side per factor, with one leaf array per block
+    assert all(len(parts) == 1 and len(parts[0].leaves) == 4 for parts in layout.sides)
+    assert len(kept.f_values) == 4
+    f2 = random_spline_on(np.random.default_rng(40), f.knots)
+    for f3, g in ((f, gs[1]), (f2, gs[1])):
+        _assert_rows_bytes(improved_morken_product(f3, g), f3, g)
+        kept = _hit_layout(product_module, kept)
+    # another key frees it; the key after that builds a new layout
+    other = build_family_case("galerkin_p", 5, SplitMix64(3))
+    improved_morken_product(other.f, other.gs[0])
+    _assert_rows_bytes(improved_morken_product(f, gs[0]), f, gs[0])
+    assert product_module._kept.layout is not layout
+
+
+def test_side_past_the_table_bound_streams_unmerged(product_module):
+    """mesh_refine_highdeg 5 packs into 2 blocks.  Its g side reads 215
+    knot pairs, so a stage's numbering table would pass _BLOCK entries:
+    g streams block by block, unmerged, while f merges across both.  With
+    one side unmerged the layout is not kept, also when the key repeats,
+    and the bytes are those of the per-row loop."""
+    case = build_family_case("mesh_refine_highdeg", 5, SplitMix64(12345))
+    f, g = case.f, case.gs[0]
+    f2, g2, t = product_module._prepared_factors(f, g, None)
+    layout, keep = product_module._layout(f2, g2, t)
+    assert len(layout.pieces) == 2 and not keep
+    (merged,) = layout.sides[0]
+    assert len(merged.leaves) == 2
+    assert not isinstance(layout.sides[1], tuple)
+    streamed = list(layout.sides[1])
+    assert len(streamed) == 2 and all(len(side.leaves) == 1 for side in streamed)
+    for _ in range(2):
+        _assert_rows_bytes(improved_morken_product(f, g), f, g)
+        assert product_module._kept is None
+
+
+@pytest.mark.parametrize("block, blocks", [(1, 91), (1024, 4), (1 << 16, 1)])
+def test_numbering_across_block_sizes_matches_per_row_loop(
+    product_module, monkeypatch, block, blocks
+):
+    """galerkin_p 12 with one row per block (unmerged, streamed), 4 blocks
+    (merged across them) and one block: first calls, hits on new g
+    coefficients with f's values reused, and hits on new f coefficients
+    give the per-row loop's bytes."""
+    monkeypatch.setattr(product_module, "_BLOCK", block)
+    case = build_family_case("galerkin_p", 12, SplitMix64(12345))
+    f, gs = case.f, case.gs
+    t = product_knot_vector(f.knots, gs[0].knots)
+    packing = list(product_module._row_blocks(t, f.degree))
+    assert len(packing) == blocks
+    if block == 1:
+        assert all(sum(piece.size for _, piece in pieces) == 1 for pieces in packing)
+    f2 = random_spline_on(np.random.default_rng(12), f.knots)
+    for f3, g in ((f, gs[0]), (f, gs[1]), (f, gs[2]), (f2, gs[2]), (f2, gs[3])):
+        _assert_rows_bytes(improved_morken_product(f3, g), f3, g)
+        slot = product_module._kept
+        if block == 1:
+            assert slot is None
+        else:
+            assert len(slot.layout.pieces) == blocks
+            assert slot.f_bytes == f3.coefficients.tobytes()
+
+
+@pytest.mark.parametrize(
+    "family, param, block",
+    [("spline_spline", 7, 1 << 16), ("spline_spline", 10, 1 << 16),
+     ("galerkin_k", 12, 1 << 16), ("galerkin_k", 12, 4096)],
+)
+def test_merged_node_counts_match_an_independent_recount(
+    product_module, monkeypatch, family, param, block
+):
+    """Every stage of a merged side holds one node per distinct (anchor
+    span, sorted top knot values) over all rows' profiles, counted in
+    plain Python sets (tests/helpers.py); galerkin_k 12 at _BLOCK 4096
+    spreads them over 2 blocks."""
+    monkeypatch.setattr(product_module, "_BLOCK", block)
+    case = build_family_case(family, param, SplitMix64(12345))
+    f, g = case.f, case.gs[0]
+    improved_morken_product(f, g)
     layout = product_module._kept.layout
-    assert len(layout.blocks) == blocks
-    assert len(product_module._kept.f_values) == blocks
-    f2 = random_spline_on(rng, f.knots)
-    g2 = random_spline_on(rng, g.knots)
-    for f3, g3 in ((f, g), (f2, g), (f2, g2), (f, g2)):
-        _assert_rows_bytes(improved_morken_product(f3, g3), f3, g3)
-        assert product_module._kept.layout is layout
-    # another key frees it; the key repeated after that streams again
-    improved_morken_product(random_spline_on(rng, kv), random_spline_on(rng, kv))
-    _assert_rows_bytes(improved_morken_product(f, g), f, g)
-    assert product_module._kept.layout is None
+    assert len(layout.pieces) == (2 if block == 4096 else 1)
+    for (side,), counts in zip(layout.sides, stage_node_counts(f, g)):
+        assert len(side.leaves) == len(layout.pieces)
+        assert [stage[0].size for stage in side.stages] == counts
 
 
-def test_shared_stages_hold_one_node_per_parent_and_pair(product_module):
-    """The first call's kept galerkin_k 12 layout is already shared: no
-    stage holds two nodes with the same (parent, knot pair), and it holds
-    fewer nodes than the block's row-nodes."""
+def test_shared_stages_hold_one_node_per_parent_and_pair(product_module, monkeypatch):
+    """The first call's kept galerkin_k 12 layout, packed into 2 blocks, is
+    numbered across them: no stage holds two nodes with the same (parent,
+    knot pair), every block's stage factors are among the side's, the side
+    holds fewer nodes than the blocks' row-nodes, and its values are those
+    of the unmerged blocks, bit for bit."""
+    monkeypatch.setattr(product_module, "_BLOCK", 4096)
     case = build_family_case("galerkin_k", 12, SplitMix64(12345))
     f, g = case.f, case.gs[0]
     _assert_rows_bytes(improved_morken_product(f, g), f, g)
     shared = product_module._kept.layout
-    assert len(shared.blocks) == 1
-    # the unshared reference: the one block's sides as _block builds them
+    assert len(shared.pieces) == 2
+    # the unmerged reference: every block's sides as a side that does not
+    # merge streams them
+    monkeypatch.setattr(product_module, "_merged", lambda *args: (0, None))
     f, g, t = product_module._prepared_factors(f, g, None)
-    _, k1, k2, _ = product_module._row_geometry(f, g, t)
-    (pieces,) = product_module._row_blocks(t, f.degree)
-    unshared = [
-        product_module._Side(side.cols, tuple(side.stages), side.leaf)
-        for side in product_module._block(pieces, f, g, t, k1, k2).sides
-    ]
-    for before, after in zip(unshared, shared.blocks[0].sides):
-        assert len(after.stages) == len(before.stages)
-        assert after.cols.shape[0] < before.cols.shape[0]
-        for (parent, at, diag, sup), old in zip(after.stages, before.stages):
-            assert np.array_equal(diag, old[2]) and np.array_equal(sup, old[3])
+    unshared, keep = product_module._layout(f, g, t)
+    assert not keep
+    for s, (after,), parts in zip((f, g), shared.sides, unshared.sides):
+        before = [
+            product_module._Side(side.cols, tuple(side.stages), side.leaves)
+            for side in parts
+        ]
+        assert len(before) == 2 and len(after.leaves) == 2
+        assert all(len(after.stages) == len(side.stages) for side in before)
+        assert after.cols.shape[0] < sum(side.cols.shape[0] for side in before)
+        for j, (parent, at, diag, sup) in enumerate(after.stages):
+            pairs = {(d.tobytes(), u.tobytes()) for d, u in zip(diag, sup)}
+            for side in before:
+                _, _, old_diag, old_sup = side.stages[j]
+                assert {(d.tobytes(), u.tobytes()) for d, u in zip(old_diag, old_sup)} <= pairs
             keys = parent * diag.shape[0] + at
             assert np.unique(keys).size == keys.size
         nodes = sum(stage[0].size for stage in after.stages)
-        assert nodes < sum(stage[0].size for stage in before.stages)
-        assert after.leaf.size == before.leaf.size
+        assert nodes < sum(stage[0].size for side in before for stage in side.stages)
+        values = product_module._side_values(s.coefficients, after)
+        for leaf, side in zip(after.leaves, before):
+            (old_leaf,) = side.leaves
+            assert leaf.size == old_leaf.size
+            old = product_module._side_values(s.coefficients, side)[old_leaf]
+            assert values[leaf].tobytes() == old.tobytes()
 
 
 def test_one_block_product_is_kept(product_module):
