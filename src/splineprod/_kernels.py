@@ -26,15 +26,15 @@ __all__ = [
 
 
 def find_span0_many(knots: np.ndarray, degree: int, xs: np.ndarray) -> np.ndarray:
-    """0-based anchor k0 with knots[k0] <= x < knots[k0+1], per point of xs.
+    """0-based anchor k0 of every point of xs.
 
-    The right endpoint is closed: x == knots[-1] anchors to the last
-    nonempty interval.  The result is clamped into [degree, dimension-1],
-    dimension = knots.size - degree - 1, so the coefficient window
-    c[k0-degree .. k0] always exists; when the clamped interval is empty
-    the scan moves to the nearest nonempty one (left first, matching
-    right-endpoint closure, then right).  NaN points lie outside every
-    span.
+    k0 is the interval [knots[k0], knots[k0+1]) holding x, clipped into
+    the first and the last nonempty interval with full basis support,
+    degree <= k0 <= dimension - 1, dimension = knots.size - degree - 1,
+    so the coefficient window c[k0-degree .. k0] always exists.  The
+    interval holding x < knots[-1] is nonempty, so a point leaves it only
+    when the clip moves it (x == knots[-1] always is).  NaN points lie
+    outside every span.
     """
     if xs.size == 0:
         return np.empty(0, dtype=np.intp)
@@ -46,25 +46,15 @@ def find_span0_many(knots: np.ndarray, degree: int, xs: np.ndarray) -> np.ndarra
             "knot vector has no interval with full basis support; "
             "normalize with make_open first"
         )
-    k0 = np.searchsorted(knots, xs, side="right").astype(np.intp) - 1
-    np.clip(k0, degree, dimension - 1, out=k0)
-    # scan left over empty intervals (right-endpoint closure), then right
-    for _ in range(len(knots)):
-        mask = (knots[k0] == knots[k0 + 1]) & (k0 > degree)
-        if not mask.any():
-            break
-        k0[mask] -= 1
-    for _ in range(len(knots)):
-        mask = (knots[k0] == knots[k0 + 1]) & (k0 < dimension - 1)
-        if not mask.any():
-            break
-        k0[mask] += 1
-    if np.any(knots[k0] == knots[k0 + 1]):
+    full = knots[degree : dimension + 1]
+    nonempty = np.flatnonzero(full[:-1] < full[1:]) + degree
+    if nonempty.size == 0:
         raise ValueError(
             "no nonempty knot interval with full basis support contains "
             "the evaluation point; normalize with make_open first"
         )
-    return k0
+    k0 = np.searchsorted(knots, xs, side="right").astype(np.intp) - 1
+    return np.clip(k0, nonempty[0], nonempty[-1], out=k0)
 
 
 def _stage_factors(

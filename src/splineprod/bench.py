@@ -92,8 +92,7 @@ class ExperimentConfig:
                 f"unknown family {self.family!r}; choose one of "
                 f"{', '.join(sorted(FAMILY_PARAMETERS))}"
             )
-        if not isinstance(self.seed, int) or isinstance(self.seed, bool):
-            raise ValueError("seed must be an integer")
+        _check_integer(self.seed, "seed must be an integer")
         if not 0 <= self.seed <= _MASK64:
             raise ValueError("seed must fit in an unsigned 64-bit integer")
         _check_grid_points(self.grid_points)
@@ -149,21 +148,17 @@ def _random_spline(kv: KnotVector, rng: SplitMix64) -> Spline:
     return Spline(kv, rng.uniform_vector(kv.dimension))
 
 
-def _overlapping_indices(kv: KnotVector, i: int) -> list[int]:
+def _overlapping_indices(kv: KnotVector, i: int) -> np.ndarray:
     """Indices j whose basis support meets supp(B_i) with positive measure."""
-    p = kv.degree
-    lo_i, hi_i = kv.knots[i], kv.knots[i + p + 1]
-    out = []
-    for j in range(kv.dimension):
-        if max(kv.knots[j], lo_i) < min(kv.knots[j + p + 1], hi_i):
-            out.append(j)
-    return out
+    p, n, t = kv.degree, kv.dimension, kv.knots
+    return np.flatnonzero(np.maximum(t[:n], t[i]) < np.minimum(t[p + 1 :], t[i + p + 1]))
 
 
 def build_family_case(family: str, param: int, rng: SplitMix64) -> FamilyCase:
     """Factor splines of one row; draws f's coefficients before g's."""
     if family not in FAMILY_PARAMETERS:
         raise ValueError(f"unknown family {family!r}")
+    _check_integer(param, f"{family} parameter must be an integer, got {param!r}")
     if param not in FAMILY_PARAMETERS[family]:
         raise ValueError(f"parameter {param} outside the {family} range")
     cubic5 = uniform_open_knots(3, 5)
@@ -191,10 +186,15 @@ def build_family_case(family: str, param: int, rng: SplitMix64) -> FamilyCase:
     return FamilyCase(f, (_random_spline(fine, rng),))
 
 
+def _check_integer(value, message: str) -> None:
+    """Python and numpy integers pass; bools, floats and the rest raise."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValueError(message)
+
+
 def _check_grid_points(grid_points) -> None:
     """An error grid takes an integer number of points, at least 2."""
-    if isinstance(grid_points, bool) or not isinstance(grid_points, (int, np.integer)):
-        raise ValueError("grid size must be an integer")
+    _check_integer(grid_points, "grid size must be an integer")
     if grid_points < 2:
         raise ValueError("grid must contain at least 2 points")
 

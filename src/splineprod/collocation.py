@@ -60,13 +60,13 @@ class _BandedLU:
         return x.reshape(rhs.shape)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class BandedMatrix:
     """Square banded matrix in LAPACK factorization storage.
 
     bands has 2*kl + ku + 1 rows and `order` columns; entry A[i, j] lives
     at bands[kl + ku + i - j, j] and the top kl rows are fill-in space
-    for the pivoting factorization.
+    for the pivoting factorization.  Compares and hashes by identity.
     """
 
     order: int

@@ -43,14 +43,15 @@ class BreakpointRun:
             raise ValueError("breakpoint multiplicity must be at least 1")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class KnotVector:
     """Nondecreasing knot sequence read in the context of a degree.
 
     Invariants checked on construction: the degree is a nonnegative
     integer, the knots are finite and nondecreasing, no value occurs
     more than degree+1 times, and there are at least degree+2 knots so
-    the spline space is nonempty.
+    the spline space is nonempty.  Equal degrees and knot values compare
+    equal (-0.0 equals 0.0); the type is unhashable.
     """
 
     knots: np.ndarray
@@ -113,9 +114,13 @@ class KnotVector:
         )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Spline:
-    """B-spline coefficients over a knot vector."""
+    """B-spline coefficients over a knot vector.
+
+    Equal knot vectors and coefficient values compare equal (-0.0 equals
+    0.0); the type is unhashable.
+    """
 
     knots: KnotVector
     coefficients: np.ndarray
@@ -137,6 +142,13 @@ class Spline:
     @property
     def degree(self) -> int:
         return self.knots.degree
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, Spline):
+            return NotImplemented
+        return self.knots == other.knots and np.array_equal(
+            self.coefficients, other.coefficients
+        )
 
     def __call__(self, x):
         return evaluate(self, x)
@@ -242,12 +254,13 @@ def make_open(s: Spline) -> Spline:
 
 
 def find_span(kv: KnotVector, x: float) -> int:
-    """1-based index k of the nonempty interval [t_k, t_{k+1}) holding x.
+    """1-based index k of the interval [t_k, t_{k+1}) holding x.
 
-    Satisfies degree+1 <= k <= dimension so the coefficient window
-    c_{k-p..k} exists.  The right endpoint of the span is closed; at an
-    interior knot the interval starting there is chosen (first nonempty
-    interval at or to the right of x).
+    The interval is clipped into the first and the last nonempty interval
+    with full basis support, so degree+1 <= k <= dimension and the
+    coefficient window c_{k-p..k} exists.  At an interior knot the
+    interval starting there holds x; x at the right end of the span gets
+    the last nonempty interval.
     """
     xs = np.array([float(x)])
     return int(find_span0_many(kv.knots, kv.degree, xs)[0]) + 1
@@ -304,8 +317,8 @@ def _evaluation_layout(
     over x - lo, (2p, B), of its points; taking the numerators per call
     made hits 4-29% slower.  The key is bytes, so a -0.0 and a +0.0
     point, whose numerators can differ in sign, never share a layout.
-    The span lookup and its checks run on every miss; a key that fails
-    them is not kept.
+    Every miss places its points with find_span0_many, one clip into the
+    nonempty intervals; a key whose points it rejects is not kept.
     """
     knots = np.frombuffer(knot_bytes)
     xs = np.frombuffer(point_bytes)

@@ -32,13 +32,14 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LocalWindow:
     """The three arrays one refined coefficient depends on.
 
     coarse_knots has even length 2p, coarse_coeffs length p+1 and
     fine_knots length p; all three are nondecreasing and the fine knots
-    lie inside the coarse window's span.
+    lie inside the coarse window's span.  Compares and hashes by
+    identity.
     """
 
     coarse_knots: np.ndarray
@@ -69,9 +70,12 @@ class LocalWindow:
         return self.coarse_coeffs.size - 1
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class InsertionMatrix:
-    """Bidiagonal stage R_d: d rows, d+1 columns, two nonzero bands."""
+    """Bidiagonal stage R_d: d rows, d+1 columns, two nonzero bands.
+
+    Compares and hashes by identity.
+    """
 
     rows: int
     cols: int

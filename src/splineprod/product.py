@@ -117,9 +117,13 @@ class CombinationSet:
         return np.array(self.repetition_factors, dtype=float)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ProductResult:
-    """Product spline plus the term-count bookkeeping of its computation."""
+    """Product spline plus the term-count bookkeeping of its computation.
+
+    Equal fields compare equal, the counts by value; the type is
+    unhashable.
+    """
 
     product: Spline
     naive_term_count: int | float
@@ -130,6 +134,16 @@ class ProductResult:
         counts = np.asarray(self.distinct_term_counts, dtype=np.int64)
         counts.setflags(write=False)
         object.__setattr__(self, "distinct_term_counts", counts)
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, ProductResult):
+            return NotImplemented
+        return bool(
+            self.product == other.product
+            and self.naive_term_count == other.naive_term_count
+            and np.array_equal(self.distinct_term_counts, other.distinct_term_counts)
+            and self.mean_distinct == other.mean_distinct
+        )
 
     def to_dict(self) -> dict:
         """Spline document plus a stats object with the term counts."""

@@ -3,10 +3,12 @@
 Everything here is deliberately naive: textbook recursions and dense
 linear algebra, written without reference to the package internals, so
 the fast implementations have something honest to be checked against.
+`exact_product_coefficients` runs them on `fractions.Fraction` values.
 The exceptions are the former loop forms of the package's batched
-steps, which the batched code must match bit for bit: the row-major
-de Boor kernel (`kernel_rows_reference`), the per-row loop of the
-improved product (`improved_product_rows`), the per-anchor refine loop
+steps, which the batched code must match bit for bit: the clamped span
+scan (`span0_clamped_scan`), the row-major de Boor kernel
+(`kernel_rows_reference`), the per-row loop of the improved product
+(`improved_product_rows`), the per-anchor refine loop
 (`refine_rows_by_anchor`), the scalar-column Cox-de Boor triangle
 (`basis_triangle_rows`) and the per-breakpoint merge of the product knot
 vector (`merged_product_knots`).  `insertion_dense` and
@@ -15,6 +17,7 @@ vector (`merged_product_knots`).  `insertion_dense` and
 
 import itertools
 import math
+from fractions import Fraction
 
 import numpy as np
 
@@ -45,6 +48,73 @@ def basis_value(knots, degree, i, x):
     return value
 
 
+def exact_basis_row(knots, degree, x):
+    """All B_{i,p}(x), i = 0..n-1, by the Cox-de Boor recursion on Fractions.
+
+    knots and x are Fractions.  Degree 0 closes the last nonempty
+    interval on the right, as basis_value does; each degree step adds
+    the two weighted lower-degree values whose denominators are nonzero.
+    """
+    t = knots
+    last = max(i for i in range(len(t) - 1) if t[i] < t[i + 1])
+    row = [
+        Fraction(int(t[i] <= x < t[i + 1] or (i == last and x == t[-1])))
+        for i in range(len(t) - 1)
+    ]
+    for d in range(1, degree + 1):
+        row = [
+            (
+                (x - t[i]) / (t[i + d] - t[i]) * row[i] if t[i + d] > t[i] else 0
+            )
+            + (
+                (t[i + d + 1] - x) / (t[i + d + 1] - t[i + 1]) * row[i + 1]
+                if t[i + d + 1] > t[i + 1]
+                else 0
+            )
+            for i in range(len(row) - 1)
+        ]
+    return row
+
+
+def exact_solve(matrix, rhs):
+    """x with matrix @ x = rhs, by Gaussian elimination on Fractions."""
+    m = len(rhs)
+    rows = [list(row) + [b] for row, b in zip(matrix, rhs)]
+    for col in range(m):
+        pivot = next(r for r in range(col, m) if rows[r][col] != 0)
+        rows[col], rows[pivot] = rows[pivot], rows[col]
+        for r in range(col + 1, m):
+            factor = rows[r][col] / rows[col][col]
+            if factor:
+                rows[r] = [a - factor * b for a, b in zip(rows[r], rows[col])]
+    x = [Fraction(0)] * m
+    for r in reversed(range(m)):
+        tail = sum(rows[r][c] * x[c] for c in range(r + 1, m))
+        x[r] = (rows[r][m] - tail) / rows[r][r]
+    return x
+
+
+def exact_product_coefficients(f, g, knots):
+    """Coefficients of f*g over `knots`, exact, as Fractions.
+
+    f*g is interpolated at the Greville points of knots, of degree
+    f.degree + g.degree, in Fraction arithmetic: every double is an
+    exact rational, so a product space with a nonsingular Greville
+    system (interior multiplicities at most the degree) gives the
+    product's coefficients exactly.
+    """
+    p = f.degree + g.degree
+    t = [Fraction(v) for v in knots]
+    xs = [sum(t[i + 1 : i + p + 1]) / p for i in range(len(t) - p - 1)]
+
+    def value(s, x):
+        row = exact_basis_row([Fraction(v) for v in s.knots.knots], s.degree, x)
+        return sum(Fraction(c) * b for c, b in zip(s.coefficients, row))
+
+    matrix = [exact_basis_row(t, p, x) for x in xs]
+    return exact_solve(matrix, [value(f, x) * value(g, x) for x in xs])
+
+
 def eval_oracle(spline, x):
     """Sum of coefficients times individually recursed basis functions."""
     knots = np.asarray(spline.knots.knots, dtype=float)
@@ -69,6 +139,39 @@ def span_scan(knots, degree, x):
     if x == knots[-1] and last is not None:
         return last
     raise ValueError("x outside every nonempty interval")
+
+
+def span0_clamped_scan(knots, degree, x):
+    """0-based anchor of one point by the former scan of find_span0_many.
+
+    The last index k with knots[k] <= x, clamped to [p, n - 1]; then a
+    step left over empty intervals while k > p, and right while
+    k < n - 1.  Raises ValueError with the package's messages, checked
+    in its order, when x lies outside the knots, when no interval has
+    full basis support, or when the interval reached is still empty.
+    """
+    knots = [float(t) for t in knots]
+    p = degree
+    n = len(knots) - p - 1
+    if not knots[0] <= x <= knots[-1]:
+        raise ValueError("evaluation point lies outside the knot span")
+    if n < p + 1:
+        raise ValueError(
+            "knot vector has no interval with full basis support; "
+            "normalize with make_open first"
+        )
+    k = max(i for i, t in enumerate(knots) if t <= x)
+    k = min(max(k, p), n - 1)
+    while knots[k] == knots[k + 1] and k > p:
+        k -= 1
+    while knots[k] == knots[k + 1] and k < n - 1:
+        k += 1
+    if knots[k] == knots[k + 1]:
+        raise ValueError(
+            "no nonempty knot interval with full basis support contains "
+            "the evaluation point; normalize with make_open first"
+        )
+    return k
 
 
 def boehm_insert(degree, knots, coeffs, u):

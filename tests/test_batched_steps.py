@@ -6,7 +6,9 @@ window per column, `collocation_matrix` computes the Cox-de Boor
 triangle one whole row at a time, and `product_knot_vector` merges the
 factors' breakpoint runs as arrays.  Each must give the bits, zero
 signs included, of the per-anchor, scalar-column and per-breakpoint
-loops in `tests/helpers.py`.
+loops in `tests/helpers.py`.  `find_span0_many` places every point
+with one clip, which must give the spans and the ValueError messages of
+the clamped scan there.
 """
 
 import numpy as np
@@ -34,6 +36,7 @@ from helpers import (
     merged_product_knots,
     random_spline_on,
     refine_rows_by_anchor,
+    span0_clamped_scan,
 )
 
 hypothesis = pytest.importorskip("hypothesis")
@@ -78,6 +81,58 @@ def _points(s, fractions):
 def _same_bytes(actual, expected):
     """Equal values and equal zero signs."""
     return actual.shape == expected.shape and actual.tobytes() == expected.tobytes()
+
+
+@st.composite
+def degree_and_knots(draw):
+    """A degree and nondecreasing knots on eighths, each run 1..p + 1 long.
+
+    Ends below full multiplicity next to long runs leave empty intervals
+    at both clamp bounds, p and n - 1; short vectors have no interval
+    with full basis support.
+    """
+    p = draw(st.integers(0, 6))
+    steps = draw(st.lists(st.integers(0, 8), min_size=1, max_size=7, unique=True))
+    knots = []
+    for k in sorted(steps):
+        knots += [k / 8] * draw(st.integers(1, p + 1))
+    return p, np.array(knots)
+
+
+def _spans_or_message(spans):
+    """The spans of a call, or the message of the ValueError it raised."""
+    try:
+        return spans()
+    except ValueError as err:
+        return str(err)
+
+
+@settings(max_examples=600, deadline=None)
+@given(degree_and_knots(), st.lists(st.floats(-0.125, 1.125), max_size=8))
+# an empty interval at the lower clamp bound, at the upper one, and at
+# both, where no interval with full basis support is nonempty
+@example((2, np.array([0.0, 0.5, 0.5, 0.5, 1.0, 1.0, 1.0])), [])
+@example((2, np.array([0.0, 0.0, 0.0, 0.5, 0.5, 0.5, 1.0])), [])
+@example((2, np.array([0.0, 0.5, 0.5, 0.5, 1.0, 1.0])), [])
+def test_find_span0_many_equals_clamped_scan(case, extra):
+    """Spans and ValueError messages of the clip equal the scan's, point
+    by point and for all points at once."""
+    p, knots = case
+    mids = (knots[:-1] + knots[1:]) / 2
+    outside = [knots[0] - 0.0625, knots[-1] + 0.0625, np.nan]
+    xs = np.concatenate((knots, mids, outside, extra))
+    expected = [_spans_or_message(lambda: span0_clamped_scan(knots, p, x)) for x in xs]
+    for x, want in zip(xs, expected):
+        got = _spans_or_message(lambda: int(find_span0_many(knots, p, np.array([x]))[0]))
+        assert got == want
+    within = (xs >= knots[0]) & (xs <= knots[-1])
+    inside = [want for want, w in zip(expected, within) if w]
+    if not all(isinstance(want, int) for want in inside):
+        # the errors past the range check do not depend on the point
+        (inside,) = set(inside)
+    outside_message = "evaluation point lies outside the knot span"
+    for points, want in ((xs[within], inside), (xs, outside_message)):
+        assert _spans_or_message(lambda: find_span0_many(knots, p, points).tolist()) == want
 
 
 @settings(max_examples=300, deadline=None)

@@ -21,7 +21,7 @@ from splineprod import (
     uniform_open_knots,
     write_csv,
 )
-from splineprod.bench import CSV_HEADER, FAMILY_PARAMETERS, _compute_row
+from splineprod.bench import _MASK64, CSV_HEADER, FAMILY_PARAMETERS, _compute_row
 
 
 DATA = Path(__file__).parent / "data"
@@ -75,6 +75,13 @@ def test_experiment_config_validation():
         with pytest.raises(ValueError, match="grid"):
             ExperimentConfig(family="spline_poly", seed=7, grid_points=size)
     assert ExperimentConfig("spline_poly", 7, grid_points=np.int64(5)).grid_points == 5
+    for seed in (np.uint64(7), np.int64(7), np.uint64(_MASK64)):
+        assert ExperimentConfig("spline_poly", seed).seed == seed
+    for seed in (True, np.True_, 7.0, "7"):
+        with pytest.raises(ValueError, match="seed must be an integer"):
+            ExperimentConfig(family="spline_poly", seed=seed)
+    with pytest.raises(ValueError, match="seed must fit"):
+        ExperimentConfig(family="spline_poly", seed=np.int64(-1))
 
 
 def test_family_parameter_ranges():
@@ -130,6 +137,12 @@ def test_mesh_refine_case_structure():
         build_family_case("mesh_refine", 11, SplitMix64(0))
     with pytest.raises(ValueError, match="family"):
         build_family_case("unknown", 1, SplitMix64(0))
+    # 3.0 and True lie in range(1, 11), so the type is checked first
+    for param in (3.0, True, np.float64(3.0)):
+        with pytest.raises(ValueError, match="mesh_refine parameter must be an integer"):
+            build_family_case("mesh_refine", param, SplitMix64(9))
+    same = build_family_case("mesh_refine", np.int64(3), SplitMix64(9))
+    assert same.gs[0] == case.gs[0] and same.f == case.f
 
 
 def test_case_draws_are_seed_deterministic():

@@ -5,7 +5,12 @@ import numpy.testing as npt
 import pytest
 
 from splineprod import (
+    BandedMatrix,
+    BreakpointRun,
+    InsertionMatrix,
     KnotVector,
+    LocalWindow,
+    ProductResult,
     Spline,
     bernstein_knots,
     evaluate,
@@ -58,6 +63,62 @@ def test_spline_validation():
         Spline(kv, np.array([1.0, 0.0]))
     s = Spline(kv, np.array([1.0, 0.0, 0.0]))
     assert s.degree == 2
+
+
+def _knots(v, p):
+    return KnotVector(np.repeat(v, [p + 1, 1, p + 1]), p)
+
+
+def _spline(v, p):
+    kv = uniform_open_knots(p, 3)
+    return Spline(kv, np.resize(v, kv.dimension))
+
+
+# (builder from three nondecreasing values and a degree, equal by value)
+DATACLASSES = {
+    "BreakpointRun": (lambda v, p: BreakpointRun(v[0], p), True),
+    "KnotVector": (_knots, True),
+    "Spline": (_spline, True),
+    "ProductResult": (
+        lambda v, p: ProductResult(_spline(v, p), 4, v > 0, np.float64(0.5)),
+        True,
+    ),
+    "BandedMatrix": (
+        lambda v, p: BandedMatrix(3, p, p, np.resize(v, (3 * p + 1, 3))),
+        False,
+    ),
+    "LocalWindow": (
+        lambda v, p: LocalWindow(np.linspace(0, 1, 2 * p), np.resize(v, p + 1), [0.5] * p),
+        False,
+    ),
+    "InsertionMatrix": (
+        lambda v, p: InsertionMatrix(p, p + 1, np.resize(v, p), np.resize(v[::-1], p)),
+        False,
+    ),
+}
+
+
+@pytest.mark.parametrize("name", DATACLASSES)
+def test_public_dataclasses_compare_to_a_bool(name):
+    """== gives a bool, by value or by identity; hash agrees with == or
+    raises a TypeError that names the class."""
+    make, by_value = DATACLASSES[name]
+    zero, neg_zero, other = np.array([[0.0, 0.5, 1.0], [-0.0, 0.5, 1.0], [0.25, 0.5, 1.0]])
+    a = make(zero, 1)
+    assert (a == a) is True
+    assert (a == make(zero.copy(), 1)) is by_value
+    assert (a == make(neg_zero, 1)) is by_value
+    assert (a == make(other, 1)) is False
+    assert (a == make(zero, 2)) is False
+    assert (a != make(other, 1)) is True
+    assert (a == name) is False
+    try:
+        hash(a)
+    except TypeError as err:
+        assert name in str(err)
+    else:
+        for twin in (make(zero.copy(), 1), make(neg_zero, 1)):
+            assert hash(a) == hash(twin) if by_value else hash(a) != hash(twin)
 
 
 # ---------- make_open ----------

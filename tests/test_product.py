@@ -2,6 +2,7 @@
 
 import math
 from collections import Counter
+from fractions import Fraction
 
 import numpy as np
 import numpy.testing as npt
@@ -25,7 +26,9 @@ from splineprod.bench import SplitMix64, build_family_case
 from helpers import (
     brute_combinations,
     distinct_profile_count,
+    exact_product_coefficients,
     improved_product_rows,
+    merged_product_knots,
     random_open_kv,
     random_spline_on,
     stage_node_counts,
@@ -265,6 +268,38 @@ def test_improved_matches_naive_on_random_pairs():
             naive.distinct_term_counts, improved.distinct_term_counts
         )
         assert naive.naive_term_count == improved.naive_term_count
+
+
+def _dyadic_spline(rng):
+    """Degree 1-4 on [0, 1], interior knots on eighths repeated 1..p times,
+    integer coefficients in [-4, 4]."""
+    p = int(rng.integers(1, 5))
+    steps = np.sort(rng.choice(np.arange(1, 8), int(rng.integers(0, 4)), replace=False))
+    mults = [p + 1, *(int(rng.integers(1, p + 1)) for _ in steps), p + 1]
+    kv = KnotVector(np.repeat(np.concatenate(([0], steps, [8])) / 8, mults), p)
+    return Spline(kv, rng.integers(-4, 5, kv.dimension).astype(float))
+
+
+def test_direct_products_match_exact_rational_oracle():
+    """Both direct products lie within 4 eps * max|b_exact| of the exact
+    coefficients, which Fraction interpolation of f*g at the product's
+    Greville points gives.  Single coefficients where terms cancel may be
+    tens of ulps off, so the error is scaled by the largest coefficient."""
+    rng = np.random.default_rng(1)
+    eps = Fraction(np.finfo(float).eps)
+    pairs = 0
+    while pairs < 40:
+        f, g = _dyadic_spline(rng), _dyadic_spline(rng)
+        knots = merged_product_knots(f.knots, g.knots)
+        if knots.dimension > 30:
+            continue
+        pairs += 1
+        exact = exact_product_coefficients(f, g, knots.knots)
+        bound = 4 * eps * max(abs(b) for b in exact)
+        for result in (improved_morken_product(f, g), morken_product(f, g)):
+            assert result.product.knots == knots
+            coeffs = result.product.coefficients
+            assert max(abs(Fraction(b) - e) for b, e in zip(coeffs, exact)) <= bound
 
 
 def test_improved_is_symmetric_in_its_factors():
