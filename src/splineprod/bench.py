@@ -17,13 +17,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .collocation import _factored_condition, collocation_matrix
+from .collocation import _solve_products
 from .core import (
     KnotVector,
     Spline,
+    _check_integer,
     bernstein_knots,
     evaluate,
-    greville_abscissae,
     product_knot_vector,
     uniform_open_knots,
 )
@@ -186,12 +186,6 @@ def build_family_case(family: str, param: int, rng: SplitMix64) -> FamilyCase:
     return FamilyCase(f, (_random_spline(fine, rng),))
 
 
-def _check_integer(value, message: str) -> None:
-    """Python and numpy integers pass; bools, floats and the rest raise."""
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-        raise ValueError(message)
-
-
 def _check_grid_points(grid_points) -> None:
     """An error grid takes an integer number of points, at least 2."""
     _check_integer(grid_points, "grid size must be an integer")
@@ -247,11 +241,7 @@ def _compute_row(
     wall_direct = time.perf_counter() - start
 
     start = time.perf_counter()
-    xs = greville_abscissae(t)
-    matrix = collocation_matrix(t, xs)
-    lu = matrix.lu()
-    fx = evaluate(f, xs)
-    colloc = [Spline(t, lu.solve(fx * evaluate(g, xs))) for g in case.gs]
+    colloc, lu = _solve_products(f, case.gs, t)
     wall_colloc = time.perf_counter() - start
 
     # the error grid of relative_linf_error, with f evaluated once per row
@@ -268,7 +258,7 @@ def _compute_row(
         param=param,
         e_direct=float(np.mean(e_direct)),
         e_colloc=float(np.mean(e_colloc)),
-        cond_estimate=_factored_condition(matrix, lu),
+        cond_estimate=lu.condition(),
         nu_bar=nu_bar,
         naive_terms=direct[0].naive_term_count,
         t_direct=1.5 * nu_bar * m * (p1**2 + p2**2),

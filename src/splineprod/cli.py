@@ -15,7 +15,7 @@ import sys
 import numpy as np
 
 from .bench import ExperimentConfig, FAMILY_PARAMETERS, run_experiment, write_csv
-from .collocation import _factored_condition, _factored_product
+from .collocation import _solve_products
 from .core import Spline
 from .product import (
     NaiveInfeasibleError,
@@ -53,8 +53,8 @@ def _run_product(args) -> int:
     else:
         # no term-count stats on the collocation path; the condition
         # estimate reuses the solve's factorization
-        product, matrix, lu = _factored_product(f, g)
-        cond = _factored_condition(matrix, lu)
+        (product,), lu = _solve_products(f, [g])
+        cond = lu.condition()
         if cond >= 1.0 / np.finfo(float).eps:
             print(
                 f"warning: collocation condition estimate {cond:.3g} reaches 1/eps; "

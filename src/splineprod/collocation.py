@@ -2,14 +2,19 @@
 
 Interpolating the pointwise product f*g at the Greville abscissae of the
 product knot vector yields a banded linear system whose solution is the
-coefficient vector.  The band never exceeds p+1 nonzeros per row, the
-factorization is a banded LU with partial pivoting (LAPACK dgbtrf), and
-the 1-norm condition number is estimated with a Hager-style power
-iteration on the factored inverse.  The estimate bounds the true value
-from below, up to rounding of relative size about kappa_1 * eps, only
-while kappa_1 * eps < 1 and the LU solves keep some correct digits;
-beyond that it means "singular to working precision" and may exceed the
-true kappa_1.
+coefficient vector.  The band never exceeds p+1 nonzeros per row and the
+factorization is a banded LU with partial pivoting (LAPACK dgbtrf).
+Every collocation product, of collocation_product, of `splineprod
+product --method collocation` and of the experiment rows, goes through
+_solve_products: one factorization of the product space's matrix, then
+one solve per second factor.  The factors (_BandedLU) also give the
+1-norm condition estimate, a Hager-style power iteration on the
+factored inverse, and each solve's relative residual, computed only
+while this module's logger is enabled for DEBUG.  The estimate bounds
+the true value from below, up to rounding of relative size about
+kappa_1 * eps, only while kappa_1 * eps < 1 and the LU solves keep some
+correct digits; beyond that it means "singular to working precision"
+and may exceed the true kappa_1.
 """
 from __future__ import annotations
 
@@ -21,8 +26,7 @@ import numpy as np
 from scipy.linalg import lapack
 
 from ._kernels import find_span0_many, nonzero_basis_rows
-from .core import KnotVector, Spline, evaluate, greville_abscissae
-from .product import _prepared_factors
+from .core import KnotVector, Spline, _prepared_factors, evaluate, greville_abscissae
 
 __all__ = [
     "BandedMatrix",
@@ -35,29 +39,66 @@ __all__ = [
 logger = logging.getLogger(__name__)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class _BandedLU:
-    """Factored band storage plus pivots, ready for dgbtrs solves."""
+    """Factors of one banded matrix, ready for dgbtrs solves.
 
+    Holds the matrix it factors, whose column sums the condition
+    estimate reads.  Compares and hashes by identity.
+    """
+
+    matrix: BandedMatrix
     bands: np.ndarray
     pivots: np.ndarray
-    lower_bandwidth: int
-    upper_bandwidth: int
-    order: int
 
     def solve(self, rhs: np.ndarray, transpose: bool = False) -> np.ndarray:
         rhs = np.asarray(rhs, dtype=float)
+        a = self.matrix
         x, info = lapack.dgbtrs(
             self.bands,
-            self.lower_bandwidth,
-            self.upper_bandwidth,
-            rhs.reshape(self.order, -1),
+            a.lower_bandwidth,
+            a.upper_bandwidth,
+            rhs.reshape(a.order, -1),
             self.pivots,
             trans=1 if transpose else 0,
         )
         if info != 0:
             raise np.linalg.LinAlgError(f"banded solve failed (info={info})")
         return x.reshape(rhs.shape)
+
+    def condition(self) -> float:
+        """Estimated 1-norm condition number of the factored matrix.
+
+        ||A||_1 times at most 5 Hager iterations for ||A^-1||_1.  One
+        probe vector drives the iteration; an alternating graded vector
+        guards against the iteration stalling at a poor column.  See
+        condition_estimate_1norm for what the estimate bounds.
+        """
+        a = self.matrix
+        m = a.order
+        x = np.full(m, 1.0 / m)
+        est = 0.0
+        for _ in range(5):
+            y = self.solve(x)
+            new_est = float(np.abs(y).sum())
+            if new_est <= est:
+                break
+            est = new_est
+            xi = np.where(y >= 0.0, 1.0, -1.0)
+            z = self.solve(xi, transpose=True)
+            j = int(np.argmax(np.abs(z)))
+            if float(np.abs(z[j])) <= float(z @ x):
+                break
+            x = np.zeros(m)
+            x[j] = 1.0
+        if m == 1:
+            alt = np.ones(1)
+        else:
+            alt = (-1.0) ** np.arange(m) * (1.0 + np.arange(m) / (m - 1))
+        est_alt = 2.0 * float(np.abs(self.solve(alt)).sum()) / (3.0 * m)
+        # the band rows below the fill-in space hold every entry once
+        norm = np.abs(a.bands[a.lower_bandwidth :, :]).sum(axis=0).max()
+        return float(norm) * max(est, est_alt)
 
 
 @dataclass(frozen=True, eq=False)
@@ -86,14 +127,6 @@ class BandedMatrix:
         bands.setflags(write=False)
         object.__setattr__(self, "bands", bands)
 
-    def to_dense(self) -> np.ndarray:
-        kl, ku, m = self.lower_bandwidth, self.upper_bandwidth, self.order
-        dense = np.zeros((m, m))
-        for i in range(m):
-            for j in range(max(0, i - kl), min(m, i + ku + 1)):
-                dense[i, j] = self.bands[kl + ku + i - j, j]
-        return dense
-
     def matvec(self, x: np.ndarray) -> np.ndarray:
         kl, ku, m = self.lower_bandwidth, self.upper_bandwidth, self.order
         x = np.asarray(x, dtype=float)
@@ -106,13 +139,6 @@ class BandedMatrix:
                 y[-d:] += row[: m + d] * x[: m + d]
         return y
 
-    def row_sums(self) -> np.ndarray:
-        return self.matvec(np.ones(self.order))
-
-    def column_abs_sums(self) -> np.ndarray:
-        kl = self.lower_bandwidth
-        return np.abs(self.bands[kl:, :]).sum(axis=0)
-
     def lu(self) -> _BandedLU:
         """Banded LU with partial pivoting; exact zero pivot raises."""
         bands, pivots, info = lapack.dgbtrf(
@@ -124,13 +150,7 @@ class BandedMatrix:
             raise np.linalg.LinAlgError(
                 f"matrix is singular: zero pivot at column {info}"
             )
-        return _BandedLU(
-            bands=bands,
-            pivots=pivots,
-            lower_bandwidth=self.lower_bandwidth,
-            upper_bandwidth=self.upper_bandwidth,
-            order=self.order,
-        )
+        return _BandedLU(self, bands, pivots)
 
 
 def collocation_matrix(kv: KnotVector, abscissae) -> BandedMatrix:
@@ -171,54 +191,26 @@ def collocation_matrix(kv: KnotVector, abscissae) -> BandedMatrix:
 
 
 def solve_banded(matrix: BandedMatrix, rhs) -> np.ndarray:
-    """Solve the banded system, logging the relative residual."""
+    """Solve the banded system; the relative residual is logged at DEBUG."""
     rhs = np.asarray(rhs, dtype=float)
     if rhs.shape != (matrix.order,):
         raise ValueError("right-hand side length must equal the matrix order")
-    return _logged_solve(matrix, matrix.lu(), rhs)
+    return _logged_solve(matrix.lu(), rhs)
 
 
-def _logged_solve(matrix: BandedMatrix, lu: _BandedLU, rhs: np.ndarray) -> np.ndarray:
-    """Solve with the factors of matrix, logging the relative residual."""
+def _logged_solve(lu: _BandedLU, rhs: np.ndarray) -> np.ndarray:
+    """lu.solve(rhs); the relative residual, which only the log line reads,
+    is computed only while the logger is enabled for DEBUG."""
     x = lu.solve(rhs)
-    denom = float(np.abs(rhs).max()) or 1.0
-    residual = float(np.abs(matrix.matvec(x) - rhs).max()) / denom
-    logger.debug("banded solve residual (relative, max norm): %.3e", residual)
+    if logger.isEnabledFor(logging.DEBUG):
+        denom = float(np.abs(rhs).max()) or 1.0
+        residual = float(np.abs(lu.matrix.matvec(x) - rhs).max()) / denom
+        logger.debug("banded solve residual (relative, max norm): %.3e", residual)
     return x
 
 
-def _inverse_norm1_estimate(lu: _BandedLU, m: int) -> float:
-    """Estimate of ||A^-1||_1 via at most 5 Hager iterations.
-
-    A lower bound, up to rounding, while kappa_1 * eps < 1.  One
-    probe vector drives the iteration; an alternating graded vector
-    guards against the iteration stalling at a poor column.
-    """
-    x = np.full(m, 1.0 / m)
-    est = 0.0
-    for _ in range(5):
-        y = lu.solve(x)
-        new_est = float(np.abs(y).sum())
-        if new_est <= est:
-            break
-        est = new_est
-        xi = np.where(y >= 0.0, 1.0, -1.0)
-        z = lu.solve(xi, transpose=True)
-        j = int(np.argmax(np.abs(z)))
-        if float(np.abs(z[j])) <= float(z @ x):
-            break
-        x = np.zeros(m)
-        x[j] = 1.0
-    if m == 1:
-        alt = np.ones(1)
-    else:
-        alt = (-1.0) ** np.arange(m) * (1.0 + np.arange(m) / (m - 1))
-    est_alt = 2.0 * float(np.abs(lu.solve(alt)).sum()) / (3.0 * m)
-    return max(est, est_alt)
-
-
 def condition_estimate_1norm(matrix: BandedMatrix) -> float:
-    """Estimated 1-norm condition number.
+    """Estimated 1-norm condition number, matrix.lu().condition().
 
     A lower bound on the true value, up to rounding of relative size
     about kappa_1 * eps, while kappa_1 * eps < 1.  Beyond that the solves
@@ -233,14 +225,7 @@ def condition_estimate_1norm(matrix: BandedMatrix) -> float:
         lu = matrix.lu()
     except np.linalg.LinAlgError:
         return math.inf
-    return _factored_condition(matrix, lu)
-
-
-def _factored_condition(matrix: BandedMatrix, lu: _BandedLU) -> float:
-    """condition_estimate_1norm of matrix, from its factors lu."""
-    return float(matrix.column_abs_sums().max()) * _inverse_norm1_estimate(
-        lu, matrix.order
-    )
+    return lu.condition()
 
 
 def collocation_product(
@@ -252,14 +237,20 @@ def collocation_product(
     there, and solves the banded system.  Exact for the product space,
     but the solve inherits the conditioning of the collocation matrix.
     """
-    return _factored_product(f, g, target_knots)[0]
+    return _solve_products(f, [g], target_knots)[0][0]
 
 
-def _factored_product(
-    f: Spline, g: Spline, target_knots: KnotVector | None = None
-) -> tuple[Spline, BandedMatrix, _BandedLU]:
-    """collocation_product, plus its collocation matrix and that matrix's LU."""
-    f, g, t = _prepared_factors(f, g, target_knots)
+def _solve_products(
+    f: Spline, gs, target_knots: KnotVector | None = None
+) -> tuple[list[Spline], _BandedLU]:
+    """collocation_product of f and each g in gs, and the LU they share.
+
+    Every g must give f the same product knot vector.  The collocation
+    matrix is assembled and factored once and f evaluated once; each g
+    costs one evaluation and one solve.
+    """
+    f, g, t = _prepared_factors(f, gs[0], target_knots)
+    gs = [g] + [_prepared_factors(f, h, t)[1] for h in gs[1:]]
     xs = greville_abscissae(t)
     # consecutive windows t_{i+1} .. t_{i+p} and t_{i+2} .. t_{i+p+1} differ
     # in t_{i+1} and t_{i+p+1}; on a knot interval that short their means
@@ -272,7 +263,6 @@ def _factored_product(
             f"knot interval [{lo!r}, {hi!r}] is too short for collocation: "
             "the Greville points of the product space on it round to equal doubles"
         )
-    matrix = collocation_matrix(t, xs)
-    rhs = evaluate(f, xs) * evaluate(g, xs)
-    lu = matrix.lu()
-    return Spline(t, _logged_solve(matrix, lu, rhs)), matrix, lu
+    lu = collocation_matrix(t, xs).lu()
+    fx = evaluate(f, xs)
+    return [Spline(t, _logged_solve(lu, fx * evaluate(g, xs))) for g in gs], lu

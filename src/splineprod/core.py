@@ -39,8 +39,11 @@ class BreakpointRun:
     multiplicity: int
 
     def __post_init__(self):
-        if self.multiplicity < 1:
+        mult = _check_integer(self.multiplicity, "multiplicity must be an integer")
+        if mult < 1:
             raise ValueError("breakpoint multiplicity must be at least 1")
+        if not np.isfinite(self.value):
+            raise ValueError("breakpoint value must be a finite number")
 
 
 @dataclass(frozen=True, eq=False)
@@ -58,13 +61,10 @@ class KnotVector:
     degree: int
 
     def __post_init__(self):
-        if (
-            isinstance(self.degree, bool)
-            or not isinstance(self.degree, (int, np.integer))
-            or self.degree < 0
-        ):
+        degree = _check_integer(self.degree, "degree must be a nonnegative integer")
+        if degree < 0:
             raise ValueError("degree must be a nonnegative integer")
-        object.__setattr__(self, "degree", int(self.degree))
+        object.__setattr__(self, "degree", degree)
         knots = np.array(self.knots, dtype=float)
         if knots.ndim != 1:
             raise ValueError("knots must be a one-dimensional array of numbers")
@@ -167,9 +167,7 @@ class Spline:
         for key in ("degree", "knots", "coefficients"):
             if key not in data:
                 raise ValueError(f"missing required field '{key}'")
-        degree = data["degree"]
-        if isinstance(degree, bool) or not isinstance(degree, int):
-            raise ValueError("degree must be a nonnegative integer")
+        degree = _check_integer(data["degree"], "degree must be a nonnegative integer")
         arrays = {}
         for key in ("knots", "coefficients"):
             seq = data[key]
@@ -182,6 +180,14 @@ class Spline:
             except OverflowError:  # a JSON integer past the double range
                 raise ValueError(f"{key} must be finite numbers") from None
         return cls(KnotVector(arrays["knots"], degree), arrays["coefficients"])
+
+
+def _check_integer(value, message: str) -> int:
+    """value as an int: Python and numpy integers pass; bools, floats and
+    the rest raise ValueError(message)."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValueError(message)
+    return int(value)
 
 
 def make_spline(degree: int, knots, coefficients) -> Spline:
@@ -204,8 +210,10 @@ def uniform_open_knots(
     Breakpoints are start + (end-start)*j/(num_breakpoints-1), so equal
     parameters produce bitwise-equal knot values across calls.
     """
-    if num_breakpoints < 2:
+    if _check_integer(num_breakpoints, "breakpoint count must be an integer") < 2:
         raise ValueError("need at least 2 breakpoints")
+    if _check_integer(interior_multiplicity, "multiplicity must be an integer") < 1:
+        raise ValueError("interior multiplicity must be at least 1")
     bps = start + (end - start) * (
         np.arange(num_breakpoints) / (num_breakpoints - 1)
     )
@@ -400,3 +408,29 @@ def product_knot_vector(kv1: KnotVector, kv2: KnotVector) -> KnotVector:
     # mu1 <= p1 + 1 and mu2 <= p2 + 1, so no multiplicity exceeds p1 + p2 + 1
     mults = np.maximum(np.where(mu2 > 0, p1 + mu2, 0), np.where(mu1 > 0, p2 + mu1, 0))
     return KnotVector(np.repeat(values, mults), p1 + p2)
+
+
+def _prepared_factors(
+    f: Spline, g: Spline, target_knots: KnotVector | None
+) -> tuple[Spline, Spline, KnotVector]:
+    """Normalize factors to open vectors and fix the product knot vector."""
+    if f.degree < 1 or g.degree < 1:
+        raise ValueError("degree must be at least 1 for spline products")
+    f = make_open(f)
+    g = make_open(g)
+    if f.knots.span != g.knots.span:
+        raise ValueError(
+            "factors must share the same knot span "
+            f"(got {f.knots.span} and {g.knots.span})"
+        )
+    t = product_knot_vector(f.knots, g.knots)
+    _check_target(target_knots, t)
+    return f, g, t
+
+
+def _check_target(target_knots: KnotVector | None, t: KnotVector) -> None:
+    if target_knots is not None and target_knots != t:
+        raise ValueError(
+            "target_knots must equal the product knot vector of the factors; "
+            "coarser or otherwise different targets are not supported"
+        )

@@ -16,6 +16,7 @@ import numpy as np
 from ._kernels import _stage_factors, find_span0_many, stage_pass
 from .core import (
     KnotVector,
+    _check_integer,
     _multiplicities,
     _window_blocks,
     _window_slices,
@@ -37,9 +38,9 @@ class LocalWindow:
     """The three arrays one refined coefficient depends on.
 
     coarse_knots has even length 2p, coarse_coeffs length p+1 and
-    fine_knots length p; all three are nondecreasing and the fine knots
-    lie inside the coarse window's span.  Compares and hashes by
-    identity.
+    fine_knots length p; all three are finite, both knot arrays are
+    nondecreasing and the fine knots lie inside the coarse window's span.
+    Compares and hashes by identity.
     """
 
     coarse_knots: np.ndarray
@@ -56,6 +57,8 @@ class LocalWindow:
                 "inconsistent window sizes: need 2p coarse knots, p+1 "
                 "coefficients and p fine knots"
             )
+        if not all(np.isfinite(a).all() for a in (coarse, coeffs, fine)):
+            raise ValueError("window knots and coefficients must be finite numbers")
         if np.any(np.diff(coarse) < 0) or np.any(np.diff(fine) < 0):
             raise ValueError("window knots must be nondecreasing")
         if fine[0] < coarse[0] or fine[-1] > coarse[-1]:
@@ -101,6 +104,8 @@ def insertion_matrix(coarse: KnotVector, k: int, d: int, t: float) -> InsertionM
     superdiagonal (t - tau_{k+l-d}) / w with w = tau_{k+l} - tau_{k+l-d};
     when w = 0 the whole fraction vanishes and both entries are 0.
     """
+    k = _check_integer(k, "anchor k must be an integer")
+    d = _check_integer(d, "stage d must be an integer")
     p = coarse.degree
     n = coarse.dimension
     if not 1 <= d <= p:
@@ -122,7 +127,7 @@ def deboor_kernel(window: LocalWindow, p: int) -> float:
     knot number d, with the factors of insertion_matrix: where the anchor
     interval is empty, a stage row with a zero denominator gives 0.
     """
-    if window.degree != p:
+    if window.degree != _check_integer(p, "p must be an integer"):
         raise ValueError(
             f"inconsistent window sizes: window has degree {window.degree}, "
             f"kernel called with p = {p}"

@@ -26,9 +26,11 @@ from .core import (
     BreakpointRun,
     KnotVector,
     Spline,
+    _check_integer,
+    _check_target,
+    _prepared_factors,
     _window_indices,
     make_open,
-    product_knot_vector,
 )
 
 __all__ = [
@@ -64,12 +66,8 @@ def binomial(n: int, k: int) -> int | float:
     int on the exact path and a float on the log-Gamma path; raises
     ValueError when C(n, k) exceeds the double range.
     """
-    if not isinstance(n, (int, np.integer)) or isinstance(n, bool):
-        raise ValueError("binomial arguments must be integers")
-    if not isinstance(k, (int, np.integer)) or isinstance(k, bool):
-        raise ValueError("binomial arguments must be integers")
-    n = int(n)
-    k = int(k)
+    n = _check_integer(n, "binomial arguments must be integers")
+    k = _check_integer(k, "binomial arguments must be integers")
     if n < 0 or k < 0 or k > n:
         raise ValueError("binomial requires 0 <= k <= n")
     k = min(k, n - k)
@@ -198,9 +196,7 @@ def knot_combinations(window, p1: int) -> CombinationSet:
         raise ValueError("window must be a one-dimensional array of knots")
     if np.any(np.diff(window) < 0):
         raise ValueError("window knots must be nondecreasing")
-    if not isinstance(p1, (int, np.integer)) or isinstance(p1, bool):
-        raise ValueError("p1 must be an integer")
-    p1 = int(p1)
+    p1 = _check_integer(p1, "p1 must be an integer")
     if not 0 <= p1 <= window.size:
         raise ValueError("p1 must satisfy 0 <= p1 <= window length")
     values, counts = np.unique(window, return_counts=True)
@@ -312,32 +308,6 @@ def _product_plan(mults: tuple[int, ...], p1: int) -> _ProductPlan:
         f=_suffix_tree(starts[rows_f]),
         g=_suffix_tree(starts[rows_g]),
     )
-
-
-def _prepared_factors(
-    f: Spline, g: Spline, target_knots: KnotVector | None
-) -> tuple[Spline, Spline, KnotVector]:
-    """Normalize factors to open vectors and fix the product knot vector."""
-    if f.degree < 1 or g.degree < 1:
-        raise ValueError("degree must be at least 1 for spline products")
-    f = make_open(f)
-    g = make_open(g)
-    if f.knots.span != g.knots.span:
-        raise ValueError(
-            "factors must share the same knot span "
-            f"(got {f.knots.span} and {g.knots.span})"
-        )
-    t = product_knot_vector(f.knots, g.knots)
-    _check_target(target_knots, t)
-    return f, g, t
-
-
-def _check_target(target_knots: KnotVector | None, t: KnotVector) -> None:
-    if target_knots is not None and target_knots != t:
-        raise ValueError(
-            "target_knots must equal the product knot vector of the factors; "
-            "coarser or otherwise different targets are not supported"
-        )
 
 
 def _product_spline(t: KnotVector, b: np.ndarray) -> Spline:
@@ -659,7 +629,7 @@ def _merged(s: Spline, spans, blocks, numbered):
     rows.  As soon as a stage's table would pass _BLOCK entries, which
     happens on a side that reads many pairs, few of them more than once,
     it stops and returns the index of the block it was numbering and
-    that block's tables (None before the first block).
+    that block's tables.
     """
     pair_spans, pair_values, pairs = numbered
     q = s.degree
@@ -670,8 +640,6 @@ def _merged(s: Spline, spans, blocks, numbered):
     # id of stage j's node, or -1, and keys[j] lists the parent * n +
     # pair of stage j's nodes in id order
     nodes = [roots.size] + [0] * q
-    if nodes[0] * n > _BLOCK:
-        return 0, None
     lookup = [np.empty(0, dtype=np.int32)] * q
     keys: list[list[np.ndarray]] = [[] for _ in range(q)]
     leaves = []

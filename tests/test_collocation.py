@@ -1,13 +1,19 @@
 """Greville collocation: assembly, banded solves, condition estimates."""
 
+import logging
+
 import numpy as np
 import numpy.testing as npt
 import pytest
 
+import splineprod.collocation as collocation_module
 from splineprod import (
     BandedMatrix,
+    KnotVector,
     Spline,
+    SplitMix64,
     bernstein_knots,
+    build_family_case,
     collocation_matrix,
     collocation_product,
     condition_estimate_1norm,
@@ -16,7 +22,14 @@ from splineprod import (
     solve_banded,
     uniform_open_knots,
 )
-from helpers import basis_value, dense_cond1, random_open_kv, random_spline_on
+from splineprod.collocation import _solve_products
+from helpers import (
+    banded_to_dense,
+    basis_value,
+    dense_cond1,
+    random_open_kv,
+    random_spline_on,
+)
 
 
 def banded_from_dense(dense, kl, ku):
@@ -39,7 +52,7 @@ def diagonal_matrix(values):
 def test_linear_collocation_is_identity():
     kv = bernstein_knots(1)
     matrix = collocation_matrix(kv, greville_abscissae(kv))
-    npt.assert_array_equal(matrix.to_dense(), np.eye(2))
+    npt.assert_array_equal(banded_to_dense(matrix), np.eye(2))
 
 
 def test_collocation_rows_sum_to_one():
@@ -48,14 +61,14 @@ def test_collocation_rows_sum_to_one():
         p = int(rng.integers(1, 5))
         kv = random_open_kv(rng, p)
         matrix = collocation_matrix(kv, greville_abscissae(kv))
-        npt.assert_allclose(matrix.row_sums(), 1.0, atol=1e-14, rtol=0.0)
+        npt.assert_allclose(matrix.matvec(np.ones(matrix.order)), 1.0, atol=1e-14, rtol=0.0)
 
 
 def test_collocation_entries_and_diagonal():
     kv = uniform_open_knots(3, 5)
     xs = greville_abscissae(kv)
     matrix = collocation_matrix(kv, xs)
-    dense = matrix.to_dense()
+    dense = banded_to_dense(matrix)
     assert np.all(np.diag(dense) > 0.0)
     for i, x in enumerate(xs):
         for j in range(kv.dimension):
@@ -181,3 +194,71 @@ def test_banded_matrix_validation():
         BandedMatrix(3, 1, 1, np.zeros((3, 3)))
     with pytest.raises(ValueError, match="nonnegative"):
         BandedMatrix(3, -1, 0, np.zeros((0, 3)))
+
+
+# ---------- one collocation path ----------
+
+
+def test_solve_products_matches_one_product_per_g():
+    """galerkin_p 12: one factorization for all gs gives the bytes of one
+    collocation_product call per g; a g on other knots is refused."""
+    case = build_family_case("galerkin_p", 12, SplitMix64(12345))
+    products, _ = _solve_products(case.f, case.gs)
+    assert len(products) == len(case.gs) > 1
+    for h, g in zip(products, case.gs):
+        single = collocation_product(case.f, g)
+        assert h.knots == single.knots
+        assert h.coefficients.tobytes() == single.coefficients.tobytes()
+    # a g on other knots would need another matrix
+    other = build_family_case("spline_poly", 1, SplitMix64(12345)).f
+    with pytest.raises(ValueError, match="target_knots must equal"):
+        _solve_products(case.f, [case.gs[0], other])
+
+
+def test_lu_condition_equals_condition_estimate():
+    rng = np.random.default_rng(912)
+    for p in (1, 3, 8, 20):
+        kv = random_open_kv(rng, p)
+        matrix = collocation_matrix(kv, greville_abscissae(kv))
+        estimate = condition_estimate_1norm(matrix)
+        assert matrix.lu().condition().hex() == estimate.hex()
+
+
+def test_residual_is_computed_only_for_a_debug_log(caplog, monkeypatch):
+    """At DEBUG each solve logs one residual record; at WARNING nothing
+    reads the residual, so the matrix-vector product is never taken."""
+    case = build_family_case("galerkin_k", 5, SplitMix64(7))
+    with caplog.at_level(logging.DEBUG, logger="splineprod.collocation"):
+        _solve_products(case.f, case.gs)
+    residuals = [r for r in caplog.records if "residual" in r.getMessage()]
+    assert len(residuals) == len(case.gs)
+    calls = []
+    matvec = BandedMatrix.matvec
+
+    def counted(self, x):
+        calls.append(self.order)
+        return matvec(self, x)
+
+    monkeypatch.setattr(BandedMatrix, "matvec", counted)
+    with caplog.at_level(logging.WARNING, logger="splineprod.collocation"):
+        _solve_products(case.f, case.gs)
+        solve_banded(diagonal_matrix(np.ones(3)), np.ones(3))
+    assert calls == []
+
+
+def test_solve_products_checks_short_knot_intervals_for_every_g():
+    """The experiment's path rejects the 5e-324 interval as the CLI does."""
+    f = Spline(KnotVector([0, 0, 0, 5e-324, 1, 1, 1], 2), [0.5, -0.25, 1.0, 0.75])
+    kv = uniform_open_knots(1, 2)
+    gs = [Spline(kv, [1.0, -0.5]), Spline(kv, [0.25, 2.0])]
+    with pytest.raises(ValueError, match=r"\[0\.0, 5e-324\] is too short for collocation"):
+        _solve_products(f, gs)
+
+
+def test_collocation_imports_nothing_from_the_product_module():
+    globals_from_product = [
+        name
+        for name, value in vars(collocation_module).items()
+        if getattr(value, "__module__", None) == "splineprod.product"
+    ]
+    assert globals_from_product == []

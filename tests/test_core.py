@@ -13,6 +13,7 @@ from splineprod import (
     ProductResult,
     Spline,
     bernstein_knots,
+    deboor_kernel,
     evaluate,
     find_span,
     greville_abscissae,
@@ -20,6 +21,7 @@ from splineprod import (
     make_spline,
     multiplicity,
     product_knot_vector,
+    insertion_matrix,
     uniform_open_knots,
 )
 from helpers import basis_value, eval_oracle, random_open_kv, random_spline_on, span_scan
@@ -41,6 +43,45 @@ def test_knot_vector_validation():
         KnotVector(np.array([0.0, 0.0, 1.0, 1.0]), True)
     with pytest.raises(ValueError, match="finite"):
         KnotVector(np.array([0.0, 0.0, np.nan, 1.0, 1.0]), 1)
+
+
+def _cubic_window(fine=(0.4, 0.5, 0.6)):
+    return LocalWindow(np.linspace(0.0, 1.0, 6), [1.0, -0.5, 2.0, 0.25], fine)
+
+
+# a float, bool or non-finite argument, or a multiplicity below 1, each
+# of which the entry point once accepted or failed on with a TypeError
+INVALID_ARGUMENTS = {
+    "uniform_open_knots float breakpoints": (
+        lambda: uniform_open_knots(3, 5.0), "breakpoint count must be an integer"),
+    "uniform_open_knots multiplicity 0": (
+        lambda: uniform_open_knots(3, 5, interior_multiplicity=0),
+        "interior multiplicity must be at least 1"),
+    "BreakpointRun float multiplicity": (
+        lambda: BreakpointRun(0.0, 2.5), "multiplicity must be an integer"),
+    "BreakpointRun bool multiplicity": (
+        lambda: BreakpointRun(0.0, True), "multiplicity must be an integer"),
+    "BreakpointRun nan value": (
+        lambda: BreakpointRun(np.nan, 1), "finite"),
+    "insertion_matrix float anchor": (
+        lambda: insertion_matrix(uniform_open_knots(3, 5), 4.0, 2, 0.1),
+        "anchor k must be an integer"),
+    "insertion_matrix bool stage": (
+        lambda: insertion_matrix(uniform_open_knots(3, 5), 4, True, 0.1),
+        "stage d must be an integer"),
+    "deboor_kernel float degree": (
+        lambda: deboor_kernel(_cubic_window(), 3.0), "p must be an integer"),
+    "LocalWindow nan fine knot": (
+        lambda: _cubic_window((0.4, np.nan, 0.6)), "finite"),
+}
+
+
+@pytest.mark.parametrize("case", INVALID_ARGUMENTS)
+def test_integer_and_finite_arguments_are_checked(case):
+    """Each entry point raises one ValueError that names the argument."""
+    call, message = INVALID_ARGUMENTS[case]
+    with pytest.raises(ValueError, match=message):
+        call()
 
 
 def test_knot_vector_properties():
