@@ -2,10 +2,11 @@
 
 Everything here works on plain numpy arrays with 0-based indices and no
 validation; the public modules wrap these with typed containers, 1-based
-index contracts and error checking.  stage_pass is the one batched de
-Boor stage loop: kernel_many runs it on rows of fine knots for the naive
-product, and core.evaluate and oslo.oslo_coefficients on the column
-windows of core._window_blocks, with kept numerators or fine windows.
+index contracts and error checking.  stage_pass is the batched de Boor
+stage loop on fine windows: kernel_many runs it on rows of fine knots
+for the naive product, and oslo.oslo_coefficients on the column windows
+of core._window_blocks.  Evaluation, whose every fine knot is the point
+itself, takes its stage factors from core's kept layouts instead.
 """
 from __future__ import annotations
 
@@ -87,27 +88,20 @@ def stage_pass(tau: np.ndarray, v: np.ndarray, t: np.ndarray) -> np.ndarray:
     tau holds knot windows tau_{k+1-p} .. tau_{k+p}, (2p, B) or (2p, 1)
     for one shared window; v coefficient windows c_{k-p} .. c_k, (p + 1,
     B); t fine windows t_{i+1} .. t_{i+p}, (p, B), stage d reading row d.
-    When every stage reads one point x, t instead holds the numerators of
-    all stages, tau[p:] - x over x - tau[:p], (2p, B), and tau is (2p, B).
-    A stage takes one subtraction (two more for numerators from fine
-    knots), two divisions, two in-place multiplies and one add, the
-    arithmetic of _stage_factors, so values keep their bits.  Every
-    anchor interval [tau_k, tau_{k+1}) must be nonempty, so that every
-    denominator hi - lo is positive.  Returns row 0 of v.
+    A stage takes three subtractions, two divisions, two in-place
+    multiplies and one add, the arithmetic of _stage_factors, so values
+    keep their bits.  Every anchor interval [tau_k, tau_{k+1}) must be
+    nonempty, so that every denominator hi - lo is positive.  Returns
+    row 0 of v.
     """
     p = v.shape[0] - 1
-    one_point = t.shape[0] > p
     for d in range(p, 0, -1):
         hi, lo = tau[p : p + d], tau[p - d : p]
         w = hi - lo
-        if one_point:  # hi - x and x - lo are rows of the numerators
-            a = t[:d] / w
-            b = np.divide(t[2 * p - d :], w, out=w)
-        else:
-            a = hi - t[d - 1]
-            a /= w
-            b = t[d - 1] - lo
-            b /= w
+        a = hi - t[d - 1]
+        a /= w
+        b = t[d - 1] - lo
+        b /= w
         a *= v[:d]
         b *= v[1 : d + 1]
         np.add(a, b, out=v[:d])

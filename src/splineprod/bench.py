@@ -22,6 +22,7 @@ from .core import (
     KnotVector,
     Spline,
     _check_integer,
+    _evaluate_many,
     bernstein_knots,
     evaluate,
     product_knot_vector,
@@ -206,12 +207,13 @@ def relative_linf_error(
     if span != f.knots.span or span != g.knots.span:
         raise ValueError("splines must share the same span")
     xs = np.linspace(span[0], span[1], grid_points)
-    return _grid_error(computed, evaluate(f, xs) * evaluate(g, xs), xs)
+    ref = evaluate(f, xs) * evaluate(g, xs)
+    return _grid_error(evaluate(computed, xs), ref)
 
 
-def _grid_error(computed: Spline, ref: np.ndarray, xs: np.ndarray) -> float:
-    """relative_linf_error against reference values ref = (f*g)(xs)."""
-    err = float(np.abs(evaluate(computed, xs) - ref).max())
+def _grid_error(values: np.ndarray, ref: np.ndarray) -> float:
+    """relative_linf_error of values on the grid against ref = (f*g)(xs)."""
+    err = float(np.abs(values - ref).max())
     denom = float(np.abs(ref).max())
     if denom == 0.0:
         warnings.warn(
@@ -244,14 +246,13 @@ def _compute_row(
     colloc, lu = _solve_products(f, case.gs, t)
     wall_colloc = time.perf_counter() - start
 
-    # the error grid of relative_linf_error, with f evaluated once per row
+    # the error grid of relative_linf_error, one pass per knot vector
     grid = np.linspace(t.span[0], t.span[1], grid_points)
-    f_grid = evaluate(f, grid)
-    e_direct, e_colloc = [], []
-    for r, h, g in zip(direct, colloc, case.gs):
-        ref = f_grid * evaluate(g, grid)
-        e_direct.append(_grid_error(r.product, ref, grid))
-        e_colloc.append(_grid_error(h, ref, grid))
+    n = len(case.gs)
+    values = _evaluate_many([f, *case.gs, *(r.product for r in direct), *colloc], grid)
+    refs = values[0] * values[1 : n + 1]
+    e_direct = [_grid_error(v, ref) for v, ref in zip(values[n + 1 : 2 * n + 1], refs)]
+    e_colloc = [_grid_error(v, ref) for v, ref in zip(values[2 * n + 1 :], refs)]
     nu_bar = direct[0].mean_distinct
     return ExperimentRow(
         family=family,

@@ -26,7 +26,13 @@ import numpy as np
 from scipy.linalg import lapack
 
 from ._kernels import find_span0_many, nonzero_basis_rows
-from .core import KnotVector, Spline, _prepared_factors, evaluate, greville_abscissae
+from .core import (
+    KnotVector,
+    Spline,
+    _evaluate_many,
+    _prepared_factors,
+    greville_abscissae,
+)
 
 __all__ = [
     "BandedMatrix",
@@ -245,24 +251,31 @@ def _solve_products(
 ) -> tuple[list[Spline], _BandedLU]:
     """collocation_product of f and each g in gs, and the LU they share.
 
-    Every g must give f the same product knot vector.  The collocation
-    matrix is assembled and factored once and f evaluated once; each g
-    costs one evaluation and one solve.
+    Every g, on whatever knots, must give f the same product knot vector.
+    The collocation matrix is assembled and factored once, f and the gs
+    evaluated in one _evaluate_many call, and each g costs one solve.
     """
     f, g, t = _prepared_factors(f, gs[0], target_knots)
     gs = [g] + [_prepared_factors(f, h, t)[1] for h in gs[1:]]
     xs = greville_abscissae(t)
     # consecutive windows t_{i+1} .. t_{i+p} and t_{i+2} .. t_{i+p+1} differ
     # in t_{i+1} and t_{i+p+1}; on a knot interval that short their means
-    # round to one double
+    # round to one double, and where the two knots are equal, a knot of
+    # multiplicity p + 1, the windows and their means are equal
     equal = np.flatnonzero(np.diff(xs) <= 0)
     if equal.size:
         i = int(equal[0])
         lo, hi = float(t.knots[i + 1]), float(t.knots[i + t.degree + 1])
+        if lo == hi:
+            raise ValueError(
+                f"knot {lo!r} has multiplicity {t.degree + 1} (degree + 1) "
+                "in the product space, so two of its Greville points are equal "
+                "and collocation cannot interpolate the product there"
+            )
         raise ValueError(
             f"knot interval [{lo!r}, {hi!r}] is too short for collocation: "
             "the Greville points of the product space on it round to equal doubles"
         )
     lu = collocation_matrix(t, xs).lu()
-    fx = evaluate(f, xs)
-    return [Spline(t, _logged_solve(lu, fx * evaluate(g, xs))) for g in gs], lu
+    values = _evaluate_many([f, *gs], xs)
+    return [Spline(t, _logged_solve(lu, values[0] * gx)) for gx in values[1:]], lu

@@ -13,7 +13,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from ._kernels import _BLOCK, find_span0_many, stage_pass
+from ._kernels import _BLOCK, find_span0_many
 
 __all__ = [
     "KnotVector",
@@ -308,10 +308,10 @@ def _window_blocks(knots: np.ndarray, p: int, spans: np.ndarray):
         yield rows, cw + k0, knots[kw + k0]
 
 
-# layouts kept across evaluate calls.  spline_poly rows evaluate f's,
-# g's and the product's knots in turn on one grid, which three entries
-# hold: layout misses over three short_products passes were 633 with one
-# entry, 99 with two, 72 with three and 72 with four
+# layouts kept across evaluate calls.  The benchmark's error grid reads
+# a spline_poly row's f, g and product one spline at a time, three knot
+# vectors in turn: layout misses over three short_products passes were
+# 633 with one entry, 99 with two, 72 with three and 72 with four
 _LAYOUTS = 3
 
 
@@ -323,10 +323,11 @@ def _evaluation_layout(
 
     The blocks of _window_blocks, each with the stage numerators hi - x
     over x - lo, (2p, B), of its points; taking the numerators per call
-    made hits 4-29% slower.  The key is bytes, so a -0.0 and a +0.0
-    point, whose numerators can differ in sign, never share a layout.
-    Every miss places its points with find_span0_many, one clip into the
-    nonempty intervals; a key whose points it rejects is not kept.
+    made hits 4-29% slower.  Only _pass reads them.  The key is bytes,
+    so a -0.0 and a +0.0 point, whose numerators can differ in sign,
+    never share a layout.  Every miss places its points with
+    find_span0_many, one clip into the nonempty intervals; a key whose
+    points it rejects is not kept.
     """
     knots = np.frombuffer(knot_bytes)
     xs = np.frombuffer(point_bytes)
@@ -336,27 +337,79 @@ def _evaluation_layout(
     )
 
 
+# the splines one pass takes at a time: their coefficient windows take
+# at most 8 * _BLOCK * (p + 1) / (3p + 1) doubles.  On galerkin_p 50's
+# 198 product vectors one at a time took 691 ms, 8 at a time 375 ms and
+# all at once 356 ms, but all at once took the row's peak RSS from 67
+# to 98 MB, where 8 at a time take 69 MB
+_PASS = 8
+
+
+def _pass(knot_bytes: bytes, p: int, coefficients, xs: np.ndarray) -> np.ndarray:
+    """Values at xs of splines on one open knot vector, one row each.
+
+    coefficients holds each spline's coefficient vector.  In each block
+    of the kept layout (_evaluation_layout), each stage's factors
+    (hi - x) / (hi - lo) and (x - lo) / (hi - lo), the arithmetic of
+    _stage_factors, are computed once for every _PASS splines; each
+    spline's windows then take two multiplies and one add.  The last of
+    them multiplies in place in the factor arrays, so one spline
+    allocates what a stage_pass does.
+    """
+    out = np.empty((len(coefficients), xs.size))
+    layout = _evaluation_layout(knot_bytes, p, xs.tobytes())
+    for lo in range(0, len(coefficients), _PASS):
+        chunk = coefficients[lo : lo + _PASS]
+        for rows, cols, tau, num in layout:
+            vs = [c[cols] for c in chunk]
+            *rest, last = vs
+            for d in range(p, 0, -1):
+                w = tau[p : p + d] - tau[p - d : p]
+                a = num[:d] / w
+                b = np.divide(num[2 * p - d :], w, out=w)
+                for v in rest:
+                    np.add(a * v[:d], b * v[1 : d + 1], out=v[:d])
+                a *= last[:d]
+                b *= last[1 : d + 1]
+                np.add(a, b, out=last[:d])
+            for k, v in enumerate(vs, lo):
+                out[k, rows] = v[0]
+    return out
+
+
+def _evaluate_many(splines, xs: np.ndarray) -> np.ndarray:
+    """Values of every spline at the points xs, (len(splines), xs.size).
+
+    Splines on one open knot vector (bytes and degree) share one _pass,
+    whatever their order.  Every value has the bits of its own evaluate
+    call.
+    """
+    passes: dict[tuple, list] = {}
+    for i, s in enumerate(splines):
+        s = make_open(s)
+        key = (s.knots.knots.tobytes(), s.degree)
+        passes.setdefault(key, []).append((i, s.coefficients))
+    out = np.empty((len(splines), xs.size))
+    for (knot_bytes, p), members in passes.items():
+        rows, coefficients = zip(*members)
+        out[list(rows)] = _pass(knot_bytes, p, coefficients, xs)
+    return out
+
+
 def evaluate(s: Spline, x):
     """Value of the spline at x (scalar or array).
 
-    Two steps: a knot-only layout of the points (windows and stage
-    numerators, see _evaluation_layout) and one stage_pass per layout
-    block, each point the one fine knot of every stage.  The last
-    _LAYOUTS layouts are kept, so evaluating another spline on the same
-    knots and points (an error grid, a collocation right-hand side) runs
-    only the stage passes.  Non-open knot vectors are normalized first
-    so every point in the span has a full coefficient window.
+    The _pass of the one spline.  The last _LAYOUTS knot-only layouts of
+    points (see _evaluation_layout) are kept, so evaluating another
+    spline on the same knots and points runs only the stage arithmetic.
+    Non-open knot vectors are normalized first so every point in the
+    span has a full coefficient window.
     """
     scalar = np.ndim(x) == 0
     xs = np.atleast_1d(np.asarray(x, dtype=float))
-    if not s.knots.is_open:
-        s = make_open(s)
-    kv = s.knots
-    layout = _evaluation_layout(kv.knots.tobytes(), kv.degree, xs.tobytes())
-    out = np.empty(xs.size)
-    for rows, cols, tau, num in layout:
-        out[rows] = stage_pass(tau, s.coefficients[cols], num)
-    out = out.reshape(xs.shape)
+    s = make_open(s)
+    out = _pass(s.knots.knots.tobytes(), s.degree, [s.coefficients], xs.ravel())
+    out = out[0].reshape(xs.shape)
     return float(out[0]) if scalar else out
 
 

@@ -530,7 +530,7 @@ class _Side:
     root per anchor span and one node per vector; an unmerged side
     (_side) covers one block, with the block rows as roots and its
     row-nodes as nodes, and its stages are a generator that computes
-    one stage at a time unless a layout keeps them.
+    one stage at a time.
     """
 
     cols: np.ndarray
@@ -545,9 +545,9 @@ class _Layout:
     counts holds every row's distinct profile count, read-only, and
     pieces every block's (plan weights, rows) pieces.  sides holds the
     f and g sides, each as the _Side parts whose leaves list the blocks
-    in order: one merged side, or one unmerged side per block.  A kept
-    layout holds the parts in tuples; otherwise an unmerged factor's
-    parts are a generator that builds one block's side at a time.
+    in order: a tuple of one merged side, or a generator that builds one
+    unmerged side per block, one block at a time.  A layout is kept
+    exactly when both its sides merged, since only then are both tuples.
     """
 
     t: KnotVector
@@ -585,15 +585,14 @@ def _factors(s: Spline, pair_spans, pair_values):
         yield _stage_factors(tau, d, q, values)
 
 
-def _side(s: Spline, spans, trees, sizes, numbered, kept: bool, tables) -> _Side:
+def _side(s: Spline, spans, trees, sizes, numbered, tables) -> _Side:
     """One factor's unmerged side of a block whose rows have anchors spans in s.
 
     numbered is _pairs of the product's rows, read at the block's rows;
     the block computes the factors of the pairs it reads, renumbered in
     the same order.  tables are the block's _stage_tables on numbered's
     pairs, when _merged built them before it stopped, or None.  The
-    stages are a tuple when kept, and otherwise a generator that
-    computes one at a time.
+    stages are a generator that computes one at a time.
     """
     pair_spans, pair_values, pairs = numbered
     used = np.zeros(pair_spans.size, dtype=bool)
@@ -610,7 +609,7 @@ def _side(s: Spline, spans, trees, sizes, numbered, kept: bool, tables) -> _Side
         (parent[lo:hi], at[lo:hi], diag, sup)
         for lo, hi, (diag, sup) in zip(bounds[:-1], bounds[1:], factors)
     )
-    return _Side(cols, tuple(stages) if kept else stages, (leaf,))
+    return _Side(cols, stages, (leaf,))
 
 
 def _merged(s: Spline, spans, blocks, numbered):
@@ -692,9 +691,8 @@ def _parts(s: Spline, spans, blocks, rank, knots) -> Iterable[_Side]:
 
     The side's knot pairs are numbered once for all its rows, and the
     side is merged when every stage's table stays within _BLOCK entries
-    (_merged).  A side that does not merge streams: a tuple of its one
-    block's side, or a generator that builds each block's side as it
-    is read.
+    (_merged).  A side that does not merge streams: a generator that
+    builds each block's side as it is read.
     """
     numbered = _pairs(spans, rank, knots)
     merged = _merged(s, spans, blocks, numbered)
@@ -702,14 +700,13 @@ def _parts(s: Spline, spans, blocks, rank, knots) -> Iterable[_Side]:
         return (merged,)
     stop, tables = merged
     pair_spans, pair_values, pairs = numbered
-    sides = (
+    return (
         _side(
             s, spans[rows], trees, sizes, (pair_spans, pair_values, pairs[:, rows]),
-            len(blocks) == 1, tables if k == stop else None,
+            tables if k == stop else None,
         )
         for k, (trees, sizes, rows) in enumerate(blocks)
     )
-    return tuple(sides) if len(blocks) == 1 else sides
 
 
 def _layout(f: Spline, g: Spline, t: KnotVector) -> tuple[_Layout, bool]:
@@ -717,10 +714,11 @@ def _layout(f: Spline, g: Spline, t: KnotVector) -> tuple[_Layout, bool]:
 
     Rows pack into blocks (_row_blocks), and each factor's side is
     merged across all blocks when its tables stay within _BLOCK
-    entries (_parts).  A layout is kept when it packs into one block or
-    when both its sides merged: it is then built whole, and the first
-    call pays nothing to keep it.  Any other layout streams its
-    unmerged sides one block at a time and is not kept.
+    entries (_parts).  A layout is kept exactly when both its sides
+    merged: it is then built whole, and the first call pays nothing to
+    keep it.  A layout with an unmerged side streams that side one block
+    at a time and is not kept, even when it packs into one block, since
+    a kept unmerged side would rerun its row-nodes on every call.
     """
     p1 = f.degree
     p = t.degree
@@ -833,13 +831,13 @@ def improved_morken_product(
     would pass _BLOCK entries; such a side streams its blocks one at a
     time, with the unmerged row-nodes of each.  The layout (product
     knot vector, blocks, stage tables and stage factors) is kept, keyed
-    on both factors' knots and degrees as passed in, when the product
-    packs into one block or when both sides merged; a later call on the
-    same key runs only the coefficient pass on it, after make_open and
-    the target_knots check; a layout with a side that streams over
-    several blocks is never kept.  f's kernel values are kept beside the
-    layout and reused while f's coefficient bytes (-0.0 is not 0.0) stay
-    the same, so Galerkin assembly, one f times many g, refines only g.
+    on both factors' knots and degrees as passed in, exactly when both
+    sides merged; a later call on the same key runs only the coefficient
+    pass on it, after make_open and the target_knots check; a layout
+    with a side that streams is never kept.  f's kernel values are kept
+    beside the layout and reused while f's coefficient bytes (-0.0 is not
+    0.0) stay the same, so Galerkin assembly, one f times many g, refines
+    only g.
     Over every experiment row (row seed 12345) the largest kept layout
     takes 3.6 MiB, plus 0.5 MiB of f values (galerkin_k 50 and
     spline_spline 50).  A call on another key frees the slot first.

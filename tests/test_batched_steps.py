@@ -1,14 +1,14 @@
 """Batched refine, basis and knot steps against their loop forms, byte for byte.
 
-`evaluate` runs stage passes over a kept knot-only layout of its
-points, `oslo_coefficients` one stage pass per block of rows with one
-window per column, `collocation_matrix` computes the Cox-de Boor
-triangle one whole row at a time, and `product_knot_vector` merges the
-factors' breakpoint runs as arrays.  Each must give the bits, zero
-signs included, of the per-anchor, scalar-column and per-breakpoint
-loops in `tests/helpers.py`.  `find_span0_many` places every point
-with one clip, which must give the spans and the ValueError messages of
-the clamped scan there.
+`evaluate` and `core._evaluate_many` run the stage arithmetic over a
+kept knot-only layout of their points, `oslo_coefficients` one stage
+pass per block of rows with one window per column, `collocation_matrix`
+computes the Cox-de Boor triangle one whole row at a time, and
+`product_knot_vector` merges the factors' breakpoint runs as arrays.
+Each must give the bits, zero signs included, of the per-anchor,
+scalar-column and per-breakpoint loops in `tests/helpers.py`.
+`find_span0_many` places every point with one clip, which must give the
+spans and the ValueError messages of the clamped scan there.
 """
 
 import numpy as np
@@ -232,6 +232,59 @@ def test_kernel_many_and_evaluate_bytes_equal_row_reference(s, fractions, seed):
     )
     points = np.repeat(xs[:, None], p, axis=1)
     assert _same_bytes(evaluate(s, xs), kernel_rows_reference(tau, c, points))
+
+
+@st.composite
+def splines_on_shared_span(draw):
+    """1-5 splines on 1-3 knot vectors of degree 0-8 that share one span
+    holding a zero, in an interleaved order.
+
+    Each end repeats 1..p + 1 times, so some vectors are not open, and
+    interior knots on eighths repeat up to p + 1 times.  A zero end takes
+    either sign; coefficients include zeros of both signs.
+    """
+    a, b = draw(st.sampled_from(ZERO_SPANS))
+    a, b = (draw(st.sampled_from((v, -v))) if v == 0 else v for v in (a, b))
+    kvs = []
+    for _ in range(draw(st.integers(1, 3))):
+        p = draw(st.integers(0, 8))
+        steps = draw(st.lists(st.integers(1, 7), max_size=5, unique=True).map(sorted))
+        inner = []
+        for k in steps:
+            inner += [a + (b - a) * k / 8] * draw(st.integers(1, p + 1))
+        left, right = (draw(st.integers(1, p + 1)) for _ in range(2))
+        # at least p + 2 knots
+        left = max(left, p + 2 - len(inner) - right)
+        kvs.append(KnotVector([a] * left + inner + [b] * right, p))
+    coefficient = st.one_of(st.floats(-1.0, 1.0), st.just(-0.0), st.just(0.0))
+    splines = []
+    for _ in range(draw(st.integers(1, 5))):
+        kv = kvs[draw(st.integers(0, len(kvs) - 1))]
+        n = kv.dimension
+        coeffs = draw(st.lists(coefficient, min_size=n, max_size=n))
+        splines.append(make_spline(kv.degree, kv.knots, coeffs))
+    # every knot, both ends and zeros of both signs, or points between
+    candidates = [x for kv in kvs for x in kv.knots] + [a, b, 0.0, -0.0]
+    point = st.one_of(st.sampled_from(candidates), st.floats(a, b))
+    return splines, np.array(draw(st.lists(point, max_size=30)), dtype=float)
+
+
+@settings(max_examples=300, deadline=None)
+@given(splines_on_shared_span(), st.sampled_from((1, 2, core._PASS)))
+def test_evaluate_many_bytes_equal_evaluate_spline_by_spline(case, size):
+    """One pass per knot vector gives every spline the bytes of its own
+    evaluate call, whichever spline consumes the factors in place and
+    however many splines share them (a _PASS of 1 takes one at a time),
+    and evaluate those of the per-anchor loop."""
+    splines, xs = case
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(core, "_PASS", size)
+        values = core._evaluate_many(splines, xs)
+    assert values.shape == (len(splines), xs.size)
+    for s, row in zip(splines, values):
+        expected = evaluate(s, xs)
+        assert _same_bytes(row, expected)
+        assert _same_bytes(expected, _by_anchor(s, xs))
 
 
 def test_refine_rows_one_kernel_call_per_block(monkeypatch):

@@ -21,6 +21,7 @@ from splineprod import (
     uniform_open_knots,
     write_csv,
 )
+import splineprod.core as core
 from splineprod.bench import _MASK64, CSV_HEADER, FAMILY_PARAMETERS, _compute_row
 
 
@@ -214,6 +215,30 @@ def test_galerkin_p_row_at_degree_three():
     assert row.t_direct == pytest.approx(1.5 * row.nu_bar * 19 * (9 + 9))
 
 
+@pytest.mark.parametrize(
+    "family, param, on_grid, at_greville",
+    [("galerkin_p", 6, 2, 1), ("galerkin_k", 5, 2, 1), ("spline_poly", 4, 3, 2)],
+)
+def test_row_evaluates_once_per_knot_vector(
+    monkeypatch, family, param, on_grid, at_greville
+):
+    """A row reads each evaluation layout once: on the error grid f and the
+    gs (one knot vector in the Galerkin rows, two in spline_poly) and the
+    products, at the Greville points f and the gs."""
+    calls = []
+    layout = core._evaluation_layout
+
+    def counted(knot_bytes, p, point_bytes):
+        calls.append((knot_bytes, p, point_bytes))
+        return layout(knot_bytes, p, point_bytes)
+
+    monkeypatch.setattr(core, "_evaluation_layout", counted)
+    _compute_row(family, param, 12345, 201)
+    grid = np.linspace(0.0, 1.0, 201).tobytes()
+    assert len(set(calls)) == len(calls) == on_grid + at_greville
+    assert sum(points == grid for _, _, points in calls) == on_grid
+
+
 def test_run_experiment_mesh_refine():
     cfg = ExperimentConfig(family="mesh_refine", seed=424242)
     rows = run_experiment(cfg)
@@ -274,8 +299,9 @@ def test_experiment_csv_bytes_match_golden_file(family, seed, name):
 def test_galerkin_rows_bytes_match_golden_file(family, params, name):
     """CSV lines of the experiment's rows params of a Galerkin family, seed 7.
 
-    Every g shares f's knots in these rows, so after the first call each
-    evaluate of a row runs on a kept layout.  Rows 28-50 pack their
+    Every g shares f's knots in these rows, so f and the gs share one
+    evaluation pass on the error grid and one at the Greville points, and
+    the products one on the grid.  Rows 28-50 pack their
     products into several blocks (galerkin_k 28, 36, 44 and 50: 2, 3, 6
     and 9; galerkin_p 36, 44 and 50: 2, 2 and 3), whose stage nodes each
     side numbers across the blocks.  The files were written by

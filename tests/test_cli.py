@@ -192,6 +192,26 @@ def test_collocation_names_a_knot_interval_too_short(tmp_path, capsys):
     )
 
 
+def test_collocation_names_a_knot_of_full_multiplicity(tmp_path, capsys):
+    """0.5 has multiplicity 3 in f of degree 2, so 4 = degree + 1 in the
+    product space, where two Greville points are exactly equal: exit 2
+    with one error line that names the knot and its multiplicity, while
+    the direct product of the same pair succeeds."""
+    f = make_spline(2, [0, 0, 0, 0.5, 0.5, 0.5, 1, 1, 1], [1, -0.5, 2, 0.25, 0.7, -1])
+    g = make_spline(1, [0, 0, 0.5, 1, 1], [0.3, 1, -0.2])
+    f_path = write_spline(tmp_path / "f.json", f)
+    g_path = write_spline(tmp_path / "g.json", g)
+    assert main(["product", f_path, g_path, "--method", "collocation"]) == 2
+    err = capsys.readouterr().err
+    assert err == (
+        "error: knot 0.5 has multiplicity 4 (degree + 1) in the product space, "
+        "so two of its Greville points are equal and collocation cannot "
+        "interpolate the product there\n"
+    )
+    assert main(["product", f_path, g_path, "--method", "direct"]) == 0
+    assert capsys.readouterr().err == ""
+
+
 @pytest.mark.parametrize("method", ["direct", "naive"])
 def test_overflow_error_is_the_only_stderr_line(tmp_path, method):
     """Run as a program, the overflowing product writes exactly one line to

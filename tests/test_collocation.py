@@ -19,6 +19,7 @@ from splineprod import (
     condition_estimate_1norm,
     evaluate,
     greville_abscissae,
+    product_knot_vector,
     solve_banded,
     uniform_open_knots,
 )
@@ -253,6 +254,51 @@ def test_solve_products_checks_short_knot_intervals_for_every_g():
     gs = [Spline(kv, [1.0, -0.5]), Spline(kv, [0.25, 2.0])]
     with pytest.raises(ValueError, match=r"\[0\.0, 5e-324\] is too short for collocation"):
         _solve_products(f, gs)
+
+
+def test_solve_products_names_a_knot_of_full_multiplicity():
+    """A knot of multiplicity degree + 1 in the product space gives two
+    equal Greville points: the error names that knot, not a short
+    interval, and the 5e-324 interval keeps its own message."""
+    f = Spline(
+        KnotVector([0, 0, 0, 0.5, 0.5, 0.5, 1, 1, 1], 2), [1, -0.5, 2, 0.25, 0.7, -1]
+    )
+    g = Spline(KnotVector([0, 0, 0.5, 1, 1], 1), [0.3, 1, -0.2])
+    with pytest.raises(ValueError) as caught:
+        collocation_product(f, g)
+    assert str(caught.value) == (
+        "knot 0.5 has multiplicity 4 (degree + 1) in the product space, so two "
+        "of its Greville points are equal and collocation cannot interpolate "
+        "the product there"
+    )
+    short = Spline(KnotVector([0, 0, 0, 5e-324, 1, 1, 1], 2), [0.5, -0.25, 1.0, 0.75])
+    with pytest.raises(ValueError) as caught:
+        collocation_product(short, g)
+    assert str(caught.value) == (
+        "knot interval [0.0, 5e-324] is too short for collocation: the Greville "
+        "points of the product space on it round to equal doubles"
+    )
+
+
+def test_solve_products_with_the_gs_on_different_knots():
+    """f of degree 3 with 0.5 of multiplicity 3 gives 0.5 multiplicity 5 in
+    the product space whether g of degree 2 holds 0.5 zero, one or two
+    times, so the three gs share f's product knot vector but not their
+    knots: each must be read on its own knots, and the shared path gives
+    the bytes of one collocation_product call per g."""
+    rng = np.random.default_rng(31)
+    f = random_spline_on(rng, KnotVector([0] * 4 + [0.5] * 3 + [1] * 4, 3))
+    gs = [
+        random_spline_on(rng, KnotVector([0] * 3 + [0.5] * mult + [1] * 3, 2))
+        for mult in (0, 1, 2)
+    ]
+    knots = {product_knot_vector(f.knots, g.knots).knots.tobytes() for g in gs}
+    assert len(knots) == 1
+    products, _ = _solve_products(f, gs)
+    for h, g in zip(products, gs):
+        expected = collocation_product(f, g)
+        assert h.knots == expected.knots
+        assert h.coefficients.tobytes() == expected.coefficients.tobytes()
 
 
 def test_collocation_imports_nothing_from_the_product_module():

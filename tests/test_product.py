@@ -732,6 +732,21 @@ def test_one_block_product_is_kept(product_module):
         kept = _hit_layout(product_module, kept)
 
 
+def test_one_block_product_with_an_unmerged_side_is_not_kept(product_module):
+    """mesh_refine 10 packs into one block, but its g side reads so many
+    knot pairs that it does not merge.  Its layout is not kept, also when
+    the key repeats, and each call gives the per-row loop's bytes."""
+    case = build_family_case("mesh_refine", 10, SplitMix64(12345))
+    f, g = case.f, case.gs[0]
+    f2, g2, t = product_module._prepared_factors(f, g, None)
+    assert len(list(product_module._row_blocks(t, f.degree))) == 1
+    layout, keep = product_module._layout(f2, g2, t)
+    assert not keep and not isinstance(layout.sides[1], tuple)
+    for _ in range(2):
+        _assert_rows_bytes(improved_morken_product(f, g), f, g)
+        assert product_module._kept is None
+
+
 def test_kept_counts_are_read_only(product_module):
     case = build_family_case("galerkin_p", 6, SplitMix64(3))
     first = improved_morken_product(case.f, case.gs[0])
