@@ -14,15 +14,21 @@ while this module's logger is enabled for DEBUG.  The estimate bounds
 the true value from below, up to rounding of relative size about
 kappa_1 * eps, only while kappa_1 * eps < 1 and the LU solves keep some
 correct digits; beyond that it means "singular to working precision"
-and may exceed the true kappa_1.
+and may exceed the true kappa_1.  dgbtrf runs with scipy's bundled
+OpenBLAS on one thread (_one_blas_thread).
 """
 from __future__ import annotations
 
+import contextlib
+import ctypes
+import functools
 import logging
 import math
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
+import scipy
 from scipy.linalg import lapack
 
 from ._kernels import find_span0_many, nonzero_basis_rows
@@ -43,6 +49,56 @@ __all__ = [
 ]
 
 logger = logging.getLogger(__name__)
+
+
+def _thread_controls(lib):
+    """(get, set) of an OpenBLAS build's thread count, or None when lib
+    exports no such pair."""
+    try:
+        get = lib.scipy_openblas_get_num_threads
+        put = lib.scipy_openblas_set_num_threads
+    except AttributeError:
+        return None
+    get.argtypes, get.restype = [], ctypes.c_int
+    put.argtypes, put.restype = [ctypes.c_int], None
+    return get, put
+
+
+@functools.cache
+def _blas_threads():
+    """_thread_controls of the OpenBLAS that scipy's wheels bundle in
+    scipy.libs, or None where there is none.  Opening it again only
+    finds the copy that scipy.linalg has loaded."""
+    libs = Path(scipy.__file__).parent.parent / "scipy.libs"
+    paths = sorted(libs.glob("libscipy_openblas*.so"))
+    try:
+        return _thread_controls(ctypes.CDLL(str(paths[0]))) if paths else None
+    except OSError:
+        return None
+
+
+@contextlib.contextmanager
+def _one_blas_thread():
+    """Run the block with the bundled OpenBLAS on one thread, then restore
+    its thread count, also when the block raises; without it, do nothing.
+
+    On 2 threads a dgbtrf at bandwidths from 66 up (the degree-33 and
+    higher Galerkin rows) sometimes took 100-190 ms where one thread
+    took 0.6-1.3 ms, with the same factors and pivots.  The count is the
+    library's, so other threads calling BLAS meanwhile run on one thread
+    too; no environment variable is set.
+    """
+    controls = _blas_threads()
+    if controls is None:
+        yield
+        return
+    get, put = controls
+    threads = get()
+    put(1)
+    try:
+        yield
+    finally:
+        put(threads)
 
 
 @dataclass(frozen=True, eq=False)
@@ -147,9 +203,12 @@ class BandedMatrix:
 
     def lu(self) -> _BandedLU:
         """Banded LU with partial pivoting; exact zero pivot raises."""
-        bands, pivots, info = lapack.dgbtrf(
-            np.asfortranarray(self.bands), self.lower_bandwidth, self.upper_bandwidth
-        )
+        with _one_blas_thread():
+            bands, pivots, info = lapack.dgbtrf(
+                np.asfortranarray(self.bands),
+                self.lower_bandwidth,
+                self.upper_bandwidth,
+            )
         if info < 0:
             raise ValueError(f"illegal dgbtrf argument {-info}")
         if info > 0:

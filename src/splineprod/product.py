@@ -278,7 +278,9 @@ def _compact(index: np.ndarray) -> np.ndarray:
     Plans stay cached for the life of the process, so their size is
     memory that every later product keeps; a product's knot pair
     numbers (_pairs) are read into a block's row-nodes, whose tables
-    are the largest arrays while a layout is built.
+    are the largest arrays while a layout is built.  A stable argsort
+    of keys of 16 bits or less is a radix sort, which _merged's sorts
+    take.
     """
     return index.astype(np.min_scalar_type(int(index.max())))
 
@@ -527,7 +529,8 @@ class _Side:
     (pairs, d).  leaves holds one array per block it covers, which lists
     every row's profiles, row by row, as positions in the last stage.
     A merged side (_merged) covers every block of a product, with one
-    root per anchor span and one node per vector; an unmerged side
+    root per anchor span and one node per (span, sorted top knot
+    values), built from the runs of the product knots; an unmerged side
     (_side) covers one block, with the block rows as roots and its
     row-nodes as nodes, and its stages are a generator that computes
     one stage at a time.
@@ -548,6 +551,9 @@ class _Layout:
     in order: a tuple of one merged side, or a generator that builds one
     unmerged side per block, one block at a time.  A layout is kept
     exactly when both its sides merged, since only then are both tuples.
+    Over the experiment rows (row seed 12345), every side merges but the
+    g sides of mesh_refine_highdeg from level 6 and its f side at level
+    10, whose stages would pass _BLOCK doubles.
     """
 
     t: KnotVector
@@ -585,24 +591,19 @@ def _factors(s: Spline, pair_spans, pair_values):
         yield _stage_factors(tau, d, q, values)
 
 
-def _side(s: Spline, spans, trees, sizes, numbered, tables) -> _Side:
+def _side(s: Spline, spans, trees, sizes, numbered) -> _Side:
     """One factor's unmerged side of a block whose rows have anchors spans in s.
 
     numbered is _pairs of the product's rows, read at the block's rows;
     the block computes the factors of the pairs it reads, renumbered in
-    the same order.  tables are the block's _stage_tables on numbered's
-    pairs, when _merged built them before it stopped, or None.  The
-    stages are a generator that computes one at a time.
+    the same order.  The stages are a generator that computes one at a
+    time.
     """
     pair_spans, pair_values, pairs = numbered
     used = np.zeros(pair_spans.size, dtype=bool)
     used[pairs] = True
     local = np.cumsum(used) - 1
-    if tables is None:
-        bounds, parent, at, leaf = _stage_tables(trees, sizes, local[pairs])
-    else:
-        bounds, parent, at, leaf = tables
-        at = local[at]
+    bounds, parent, at, leaf = _stage_tables(trees, sizes, local[pairs])
     _, cols = _window_indices(s.degree, spans)
     factors = _factors(s, pair_spans[used], pair_values[used])
     stages = (
@@ -612,100 +613,133 @@ def _side(s: Spline, spans, trees, sizes, numbered, tables) -> _Side:
     return _Side(cols, stages, (leaf,))
 
 
-def _merged(s: Spline, spans, blocks, numbered):
+def _runs(knots: np.ndarray):
+    """Runs of equal values in nondecreasing knots or spans.
+
+    Returns (first, stop, run): run k starts at first[k] and ends before
+    stop[k], and run[i] is the run that holds knot i.  first and stop end
+    in one more entry, knots.size, so a run index one past the last reads
+    an empty run beyond the knots.
+    """
+    opens = np.ones(knots.size, dtype=bool)
+    opens[1:] = knots[1:] != knots[:-1]
+    first = np.append(np.flatnonzero(opens), knots.size)
+    stop = np.append(first[1:], knots.size)
+    return first, stop, np.cumsum(opens) - 1
+
+
+def _merged(s: Spline, spans, blocks, knots, descending: bool):
     """One factor's side over every block, with one node per vector.
 
-    A node's vector after a stage depends only on its parent's vector
-    and the knot pair it reads, and before the first stage only on the
-    row's span.  So rows with one anchor span share a root, and each
-    stage numbers its nodes by (parent node, pair), in order of first
-    appearance, across the blocks: block by block, _stage_tables lists
-    the unmerged row-nodes and a dense table of parents x pairs maps
-    them to node ids, then the block's tables are dropped.  A merged
-    node runs the same elementwise arithmetic on the same doubles as
-    every row-node it replaces, and so gives the same bits.  blocks
-    holds (trees, sizes, rows) per block and numbered is _pairs of all
-    rows.  As soon as a stage's table would pass _BLOCK entries, which
-    happens on a side that reads many pairs, few of them more than once,
-    it stops and returns the index of the block it was numbering and
-    that block's tables.
+    A node's vector after a stage depends only on the row's anchor span
+    and the knots read so far, the sorted top values Y of the profile's
+    knot row; so stage j = 0, .., q - 1, which applies d = q - j, holds
+    one node per feasible (span, Y) with j + 1 values.  Windows slide, so the rows where (span, Y) is feasible form
+    one interval [lo, hi], and the stages are built from the runs of the
+    product knots t (_runs): run k, of value u_k, is t[S_k] .. t[E_k - 1],
+    with S_k = first[k] and E_k = stop[k].  No row-node is listed.
+    A child of (span, Y) adds a value u_k <= min Y, after which Y holds c
+    copies of u_k; a row keeps it when its window holds c copies of u_k
+    and, besides Y, q - j - 1 knots <= u_k, which leaves the rows
+    max(lo, S_k + c - p - 1) .. min(hi, E_k - 1 - (q - j - 1 + c)), and
+    needs c <= E_k - S_k.  Every u_k < min Y from the value at
+    t[lo + q - j] up keeps a row (c = 1), so only u_k = min Y is checked.
+    A root, one per anchor span, takes the span's rows and a min Y one
+    run past the last value its rows read.
+
+    Each stage lists its nodes in rank order, the order of the sorted
+    knot rows compared from their lowest value: stage by stage the
+    children are stably sorted by the value they add.  A row's profiles
+    in plan order (_profiles) have ascending f rows in that order and
+    descending g rows, so every row's leaves are its last-stage nodes in
+    ascending rank, or descending when descending is set.  A merged node
+    runs the same elementwise arithmetic on the same doubles as every
+    row-node it replaces, and so gives the same bits.  blocks holds
+    (trees, sizes, rows) per block.  Returns None as soon as a stage's
+    nodes would pass _BLOCK doubles, d + 1 per node at stage d, which
+    happens on a side whose rows share few knot rows; since a stage
+    holds at most the row-nodes of its rows, a side of one block always
+    merges.
     """
-    pair_spans, pair_values, pairs = numbered
     q = s.degree
-    n = pair_spans.size
-    roots, ids_of_rows = np.unique(spans, return_inverse=True)
-    # nodes[j] counts the nodes that stage j reads: the roots, then the
-    # nodes of the stage before; lookup[j] maps parent * n + pair to the
-    # id of stage j's node, or -1, and keys[j] lists the parent * n +
-    # pair of stage j's nodes in id order
-    nodes = [roots.size] + [0] * q
-    lookup = [np.empty(0, dtype=np.int32)] * q
-    keys: list[list[np.ndarray]] = [[] for _ in range(q)]
+    p = knots.size - spans.size - 1
+    first, stop, run = _runs(knots)
+    # spans rise with the rows, so each root's rows are one run of them
+    starts, stops, _ = _runs(spans)
+    lo, hi = starts[:-1], stops[:-1] - 1
+    roots = spans[lo]
+    # root r's rows read runs low[r] .. top[r], each one knot pair
+    low, top = run[lo + 1], run[hi + p]
+    widths = top - low + 1
+    pair_base = np.cumsum(widths) - widths - low
+    pair_spans = np.repeat(roots, widths)
+    pair_values = knots[first[np.repeat(low, widths) + _ranges(widths)]]
+    # a node's rows hold c copies of its run k's value and, at stage j,
+    # q - j - 1 more knots at most as large from rows lo_run[k] + c to
+    # hi_run[k] + j - c
+    lo_run, hi_run, length = first - p - 1, stop - q, stop - first
+    k, c, base = top + 1, np.zeros_like(top), pair_base
+    stages = []
+    for j in range(q):
+        lowest = run[lo + q - j]
+        # the children of a parent add runs lowest .. k - 1, and k again
+        # when its rows hold one more copy
+        c += 1
+        again = np.maximum(lo, lo_run[k] + c) <= np.minimum(hi, hi_run[k] + j - c)
+        counts = k - lowest + (again & (c <= length[k]))
+        if int(counts.sum()) * (q - j + 1) > _BLOCK:
+            return None
+        parent = np.repeat(np.arange(counts.size), counts)
+        child = np.repeat(lowest - np.cumsum(counts) + counts, counts)
+        child += np.arange(child.size)
+        order = np.argsort(_compact(child), kind="stable")
+        parent, child = parent[order], child[order]
+        c = np.where(child == k[parent], c[parent], 1)
+        k, base = child, base[parent]
+        lo = np.maximum(lo[parent], lo_run[k] + c)
+        hi = np.minimum(hi[parent], hi_run[k] + j - c)
+        stages.append((parent, base + k))
+    # every row's leaves in rank order: its last-stage nodes, row by row
+    lengths = hi - lo + 1
+    rows = np.repeat(lo, lengths) + _ranges(lengths)
+    order = np.argsort(_compact(rows), kind="stable")
+    per_row = np.bincount(rows, minlength=spans.size)
+    start = np.cumsum(per_row) - per_row
+    if descending:
+        order = order[::-1]
+        start = order.size - start - per_row
+    nodes = np.repeat(np.arange(lengths.size), lengths)[order]
     leaves = []
-    for k, (trees, sizes, rows) in enumerate(blocks):
-        tables = _stage_tables(trees, sizes, pairs[:, rows])
-        bounds, parent, at, leaf = tables
-        bounds = bounds.tolist()
-        ids = ids_of_rows[rows]
-        for j in range(q):
-            size = nodes[j] * n
-            if size > _BLOCK:
-                return k, tables
-            if lookup[j].size < size:
-                grown = np.full(size, -1, dtype=np.int32)
-                grown[: lookup[j].size] = lookup[j]
-                lookup[j] = grown
-            table = lookup[j]
-            lo, hi = bounds[j], bounds[j + 1]
-            # below size <= _BLOCK, so the int32 ids and keys never wrap
-            row_keys = at[lo:hi] + ids[parent[lo:hi]] * n
-            ids = table[row_keys]
-            # every row-node is new while the stage has no nodes
-            new = ids < 0 if nodes[j + 1] else slice(None)
-            fresh = row_keys[new]
-            if fresh.size:
-                # each key's first row-node writes last, so it wins; any
-                # winner would number the same nodes
-                pos = np.arange(fresh.size, dtype=np.int32)
-                table[fresh[::-1]] = pos[::-1]
-                first = fresh[table[fresh] == pos]
-                table[first] = np.arange(nodes[j + 1], nodes[j + 1] + first.size)
-                nodes[j + 1] += first.size
-                keys[j].append(first)
-                ids[new] = table[fresh]
-        leaves.append(ids[leaf].astype(np.intp))
-        # free this block's tables before the next block's are built
-        del tables, parent, at, leaf
-    del lookup
+    for _, _, block_rows in blocks:
+        n = per_row[block_rows]
+        leaves.append(nodes[np.repeat(start[block_rows], n) + _ranges(n)])
     _, cols = _window_indices(q, roots)
-    # intp, which np.take reads without a conversion
+    factors = _factors(s, pair_spans, pair_values)
     stages = tuple(
-        (*np.divmod(np.concatenate(keys[j]).astype(np.intp), n), diag, sup)
-        for j, (diag, sup) in enumerate(_factors(s, pair_spans, pair_values))
+        (parent, at, diag, sup) for (parent, at), (diag, sup) in zip(stages, factors)
     )
     return _Side(cols, stages, tuple(leaves))
 
 
-def _parts(s: Spline, spans, blocks, rank, knots) -> Iterable[_Side]:
+def _parts(s: Spline, spans, blocks, knots, descending: bool) -> Iterable[_Side]:
     """One factor's side of a product, as the _Side parts of a _Layout.
 
-    The side's knot pairs are numbered once for all its rows, and the
-    side is merged when every stage's table stays within _BLOCK entries
-    (_merged).  A side that does not merge streams: a generator that
-    builds each block's side as it is read.
+    The side is merged across all blocks when every stage stays within
+    _BLOCK doubles (_merged).  A side that does not merge streams: its
+    knot pairs are numbered once for all its rows (_pairs), and a
+    generator builds each block's side as it is read (_side).
     """
-    numbered = _pairs(spans, rank, knots)
-    merged = _merged(s, spans, blocks, numbered)
+    merged = _merged(s, spans, blocks, knots, descending)
     if isinstance(merged, _Side):
         return (merged,)
-    stop, tables = merged
-    pair_spans, pair_values, pairs = numbered
+    # window knot t_{i+1+o} of every row i at offset o, as the first index
+    # of its value; offset by offset, so a node's rows read a contiguous run
+    first, _, run = _runs(knots)
+    rank = np.lib.stride_tricks.sliding_window_view(first[run][1:-1], spans.size)
+    pair_spans, pair_values, pairs = _pairs(spans, rank, knots)
     return (
-        _side(
-            s, spans[rows], trees, sizes, (pair_spans, pair_values, pairs[:, rows]),
-            tables if k == stop else None,
-        )
-        for k, (trees, sizes, rows) in enumerate(blocks)
+        _side(s, spans[rows], trees, sizes, (pair_spans, pair_values, pairs[:, rows]))
+        for trees, sizes, rows in blocks
     )
 
 
@@ -713,12 +747,12 @@ def _layout(f: Spline, g: Spline, t: KnotVector) -> tuple[_Layout, bool]:
     """Knot-only half of the product of open f and g, and whether to keep it.
 
     Rows pack into blocks (_row_blocks), and each factor's side is
-    merged across all blocks when its tables stay within _BLOCK
-    entries (_parts).  A layout is kept exactly when both its sides
-    merged: it is then built whole, and the first call pays nothing to
-    keep it.  A layout with an unmerged side streams that side one block
-    at a time and is not kept, even when it packs into one block, since
-    a kept unmerged side would rerun its row-nodes on every call.
+    merged across all blocks when its stages stay within _BLOCK doubles
+    (_parts).  A layout is kept exactly when both its sides merged: it
+    is then built whole, and the first call pays nothing to keep it.  A
+    layout with an unmerged side streams that side one block at a time
+    and is not kept, since a kept unmerged side would rerun its
+    row-nodes on every call.
     """
     p1 = f.degree
     p = t.degree
@@ -737,13 +771,9 @@ def _layout(f: Spline, g: Spline, t: KnotVector) -> tuple[_Layout, bool]:
         blocks_f.append(([plan.f for plan, _ in block], sizes, rows))
         blocks_g.append(([plan.g for plan, _ in block], sizes, rows))
     counts.setflags(write=False)
-    # window knot t_{i+1+o} of every row i at offset o, as the first index
-    # of its value; offset by offset, so a node's rows read a contiguous run
-    knots = t.knots
-    rank = np.searchsorted(knots, knots[np.arange(1, p + 1)[:, None] + np.arange(m)])
     sides = (
-        _parts(f, k1, blocks_f, rank, knots),
-        _parts(g, k2, blocks_g, rank, knots),
+        _parts(f, k1, blocks_f, t.knots, False),
+        _parts(g, k2, blocks_g, t.knots, True),
     )
     layout = _Layout(
         t=t,
@@ -825,22 +855,27 @@ def improved_morken_product(
     A stage factor depends only on the factor's knot window, which the
     row's span fixes, and on one fine knot value, so each factor's side
     computes its factors once per distinct (span, knot value) pair of
-    the product.  Each side numbers its stage nodes once across all
-    blocks, one node per (parent node, knot pair), and runs one stage
-    loop over them (_merged), unless a stage's dense numbering table
-    would pass _BLOCK entries; such a side streams its blocks one at a
-    time, with the unmerged row-nodes of each.  The layout (product
-    knot vector, blocks, stage tables and stage factors) is kept, keyed
-    on both factors' knots and degrees as passed in, exactly when both
-    sides merged; a later call on the same key runs only the coefficient
-    pass on it, after make_open and the target_knots check; a layout
-    with a side that streams is never kept.  f's kernel values are kept
-    beside the layout and reused while f's coefficient bytes (-0.0 is not
-    0.0) stay the same, so Galerkin assembly, one f times many g, refines
+    the product.  Each side builds its stage nodes once across all
+    blocks, one node per (anchor span, sorted top knot values), straight
+    from the runs of the product knots: the rows where a node is
+    feasible form one interval, which each child narrows.  It runs one
+    stage loop over them (_merged), unless a stage would pass _BLOCK
+    doubles; such a side streams its blocks one at a time, with the
+    unmerged row-nodes of each.  Over the experiment rows (row seed
+    12345) only mesh_refine_highdeg streams: its g sides from level 6
+    and its f side at level 10.  The layout (product knot vector,
+    blocks, stage tables and stage factors) is kept, keyed on both
+    factors' knots and degrees as passed in, exactly when both sides
+    merged; a later call on the same key runs only the coefficient pass
+    on it, after make_open and the target_knots check; a layout with a
+    side that streams is never kept.  f's kernel values are kept beside
+    the layout and reused while f's coefficient bytes (-0.0 is not 0.0)
+    stay the same, so Galerkin assembly, one f times many g, refines
     only g.
     Over every experiment row (row seed 12345) the largest kept layout
-    takes 3.6 MiB, plus 0.5 MiB of f values (galerkin_k 50 and
-    spline_spline 50).  A call on another key frees the slot first.
+    takes 3.8 MiB, plus 0.5 MiB of f values (galerkin_k 50 and
+    spline_spline 50; mesh_refine_highdeg 5 takes 3.6 MiB).  A call on
+    another key frees the slot first.
     There is no entry point taking many second factors at once:
     consecutive calls on one knot pair already share the layout, and
     each product is still its own call.

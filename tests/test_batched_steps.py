@@ -17,11 +17,14 @@ import pytest
 import splineprod.collocation as collocation_module
 import splineprod.core as core
 import splineprod.oslo as oslo_module
+import splineprod.product as product_module
 from splineprod import (
     KnotVector,
+    Spline,
     collocation_matrix,
     evaluate,
     greville_abscissae,
+    improved_morken_product,
     make_open,
     make_spline,
     oslo_coefficients,
@@ -32,11 +35,13 @@ from splineprod._kernels import find_span0_many, kernel_many, nonzero_basis_rows
 from splineprod.bench import FAMILY_PARAMETERS, SplitMix64, build_family_case
 from helpers import (
     basis_triangle_rows,
+    improved_product_rows,
     kernel_rows_reference,
     merged_product_knots,
     random_spline_on,
     refine_rows_by_anchor,
     span0_clamped_scan,
+    stage_node_counts,
 )
 
 hypothesis = pytest.importorskip("hypothesis")
@@ -241,7 +246,9 @@ def splines_on_shared_span(draw):
 
     Each end repeats 1..p + 1 times, so some vectors are not open, and
     interior knots on eighths repeat up to p + 1 times.  A zero end takes
-    either sign; coefficients include zeros of both signs.
+    either sign; coefficients include zeros of both signs, and sparse
+    vectors, as of the Galerkin factors, hold runs of 0.0 or -0.0 at
+    both ends and inside.
     """
     a, b = draw(st.sampled_from(ZERO_SPANS))
     a, b = (draw(st.sampled_from((v, -v))) if v == 0 else v for v in (a, b))
@@ -262,6 +269,15 @@ def splines_on_shared_span(draw):
         kv = kvs[draw(st.integers(0, len(kvs) - 1))]
         n = kv.dimension
         coeffs = draw(st.lists(coefficient, min_size=n, max_size=n))
+        if draw(st.booleans()):
+            inside = draw(st.integers(0, n))
+            runs = (
+                (0, draw(st.integers(0, n))),
+                (draw(st.integers(0, n)), n),
+                (inside, draw(st.integers(inside, n))),
+            )
+            for lo, hi in runs:
+                coeffs[lo:hi] = [draw(st.sampled_from((0.0, -0.0)))] * (hi - lo)
         splines.append(make_spline(kv.degree, kv.knots, coeffs))
     # every knot, both ends and zeros of both signs, or points between
     candidates = [x for kv in kvs for x in kv.knots] + [a, b, 0.0, -0.0]
@@ -409,6 +425,53 @@ def test_product_knot_vector_bytes_equal_merge_loop(pair):
         expected = merged_product_knots(kv1, kv2)
         assert t.degree == expected.degree
         assert _same_bytes(t.knots, expected.knots)
+
+
+def _assert_product_equals_recounts(f, g, block):
+    """Under _BLOCK = block, every merged side of the product of f and g
+    holds, stage by stage, the nodes of the plain-set recount, and a first
+    call and a hit give the per-row loop's coefficient bytes and counts.
+    Returns whether both sides merged."""
+    b, counts = improved_product_rows(f, g)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(product_module, "_BLOCK", block)
+        mp.setattr(product_module, "_kept", None)
+        f2, g2, t = product_module._prepared_factors(f, g, None)
+        layout, keep = product_module._layout(f2, g2, t)
+        for parts, nodes in zip(layout.sides, stage_node_counts(f, g)):
+            if isinstance(parts, tuple):
+                (side,) = parts
+                assert [stage[0].size for stage in side.stages] == nodes
+        for _ in range(2):
+            result = improved_morken_product(f, g)
+            assert _same_bytes(result.product.coefficients, b)
+            assert np.array_equal(result.distinct_term_counts, counts)
+    return keep
+
+
+@settings(max_examples=200, deadline=None)
+@given(open_knot_pairs(), st.integers(0, 2**32 - 1), st.sampled_from(BLOCKS))
+def test_merged_sides_equal_node_recount_and_per_row_loop(pair, seed, block):
+    """The stage nodes that _merged builds from the runs of the product
+    knots are the distinct (anchor span, sorted top knot values) of all
+    rows' profiles, and the product's bytes, zero signs included, are the
+    per-row loop's whether its sides merge or stream."""
+    rng = np.random.default_rng(seed)
+    factors = []
+    for kv in pair:
+        coeffs = rng.uniform(-1.0, 1.0, kv.dimension)
+        coeffs[rng.random(kv.dimension) < 0.3] = -0.0
+        factors.append(Spline(kv, coeffs))
+    _assert_product_equals_recounts(*factors, block)
+
+
+def test_merged_sides_of_mesh_refine_highdeg_4_check_run_lengths():
+    """mesh_refine_highdeg 4 (row seed 12345) has windows where one more
+    copy of a value would be feasible by the row bounds alone but passes
+    the length of the value's run in the product knots.  Both sides merge,
+    so such a node would show in the counts."""
+    case = build_family_case("mesh_refine_highdeg", 4, SplitMix64(12345))
+    assert _assert_product_equals_recounts(case.f, case.gs[0], 1 << 16)
 
 
 def test_product_knot_vector_bytes_equal_merge_loop_on_families():

@@ -308,3 +308,65 @@ def test_collocation_imports_nothing_from_the_product_module():
         if getattr(value, "__module__", None) == "splineprod.product"
     ]
     assert globals_from_product == []
+
+
+def _bundled_threads():
+    """The bundled OpenBLAS's (get, set) thread controls, or skip."""
+    controls = collocation_module._blas_threads()
+    if controls is None:
+        pytest.skip("scipy bundles no OpenBLAS with thread controls here")
+    return controls
+
+
+def test_one_blas_thread_keeps_galerkin_factors_bytes(monkeypatch):
+    """galerkin_p 30-50, whose bands reach the blocked dgbtrf path: the
+    factors and pivots on one thread are those of the library's own
+    thread count, byte for byte, and the count comes back after each."""
+    get, _ = _bundled_threads()
+    before = get()
+    for param in range(30, 51):
+        case = build_family_case("galerkin_p", param, SplitMix64(12345))
+        t = product_knot_vector(case.f.knots, case.gs[0].knots)
+        matrix = collocation_matrix(t, greville_abscissae(t))
+        guarded = matrix.lu()
+        with monkeypatch.context() as mp:
+            mp.setattr(collocation_module, "_blas_threads", lambda: None)
+            free = matrix.lu()
+        assert guarded.bands.tobytes() == free.bands.tobytes()
+        assert guarded.pivots.tobytes() == free.pivots.tobytes()
+        assert get() == before
+
+
+def test_one_blas_thread_restores_the_count_after_a_raise(monkeypatch):
+    """dgbtrf runs on one thread, and the count before the call comes
+    back when the factorization raises."""
+    get, put = _bundled_threads()
+    before = get()
+    seen = []
+
+    def failing(*args):
+        seen.append(get())
+        raise RuntimeError("factorization failed")
+
+    monkeypatch.setattr(collocation_module.lapack, "dgbtrf", failing)
+    kv = uniform_open_knots(3, 8)
+    matrix = collocation_matrix(kv, greville_abscissae(kv))
+    try:
+        put(2)
+        with pytest.raises(RuntimeError, match="factorization failed"):
+            matrix.lu()
+        assert seen == [1] and get() == 2
+    finally:
+        put(before)
+
+
+def test_one_blas_thread_does_nothing_without_the_symbols(monkeypatch):
+    """A library without the thread symbols gives no controls, and then
+    the guard calls nothing and the factorization runs as before."""
+    assert collocation_module._thread_controls(object()) is None
+    monkeypatch.setattr(collocation_module, "_blas_threads", lambda: None)
+    with collocation_module._one_blas_thread():
+        pass
+    kv = uniform_open_knots(3, 8)
+    lu = collocation_matrix(kv, greville_abscissae(kv)).lu()
+    assert np.all(np.isfinite(lu.bands))

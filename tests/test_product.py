@@ -603,21 +603,21 @@ def test_multi_block_product_is_kept_when_both_sides_merge(product_module):
 
 
 def test_side_past_the_table_bound_streams_unmerged(product_module):
-    """mesh_refine_highdeg 5 packs into 2 blocks.  Its g side reads 215
-    knot pairs, so a stage's numbering table would pass _BLOCK entries:
-    g streams block by block, unmerged, while f merges across both.  With
-    one side unmerged the layout is not kept, also when the key repeats,
-    and the bytes are those of the per-row loop."""
-    case = build_family_case("mesh_refine_highdeg", 5, SplitMix64(12345))
+    """mesh_refine_highdeg 6 packs into 4 blocks.  Its g side's merged
+    nodes share few knot rows, and one stage would take 138,952 doubles,
+    past _BLOCK: g streams block by block, unmerged, while f merges
+    across all four.  With one side unmerged the layout is not kept, also
+    when the key repeats, and the bytes are those of the per-row loop."""
+    case = build_family_case("mesh_refine_highdeg", 6, SplitMix64(12345))
     f, g = case.f, case.gs[0]
     f2, g2, t = product_module._prepared_factors(f, g, None)
     layout, keep = product_module._layout(f2, g2, t)
-    assert len(layout.pieces) == 2 and not keep
+    assert len(layout.pieces) == 4 and not keep
     (merged,) = layout.sides[0]
-    assert len(merged.leaves) == 2
+    assert len(merged.leaves) == 4
     assert not isinstance(layout.sides[1], tuple)
     streamed = list(layout.sides[1])
-    assert len(streamed) == 2 and all(len(side.leaves) == 1 for side in streamed)
+    assert len(streamed) == 4 and all(len(side.leaves) == 1 for side in streamed)
     for _ in range(2):
         _assert_rows_bytes(improved_morken_product(f, g), f, g)
         assert product_module._kept is None
@@ -732,10 +732,18 @@ def test_one_block_product_is_kept(product_module):
         kept = _hit_layout(product_module, kept)
 
 
-def test_one_block_product_with_an_unmerged_side_is_not_kept(product_module):
-    """mesh_refine 10 packs into one block, but its g side reads so many
-    knot pairs that it does not merge.  Its layout is not kept, also when
-    the key repeats, and each call gives the per-row loop's bytes."""
+def test_one_block_product_with_an_unmerged_side_is_not_kept(
+    product_module, monkeypatch
+):
+    """mesh_refine 10 packs into one block, and its g side is made not to
+    merge: a merged stage holds at most the block's row-nodes, so a side
+    of one block always merges on its own.  Its layout is not kept, also
+    when the key repeats, and each call gives the per-row loop's bytes."""
+    merge = product_module._merged
+    # the last argument is set on the g side only
+    monkeypatch.setattr(
+        product_module, "_merged", lambda *args: None if args[-1] else merge(*args)
+    )
     case = build_family_case("mesh_refine", 10, SplitMix64(12345))
     f, g = case.f, case.gs[0]
     f2, g2, t = product_module._prepared_factors(f, g, None)
