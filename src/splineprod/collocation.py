@@ -24,6 +24,7 @@ import ctypes
 import functools
 import logging
 import math
+import threading
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -77,6 +78,15 @@ def _blas_threads():
         return None
 
 
+# the thread count that the outermost of overlapping guards saved, and
+# how many guards are open; the library's count is one per process, so
+# only the first guard to enter saves it and only the last to leave
+# restores it
+_guard_lock = threading.Lock()
+_guard_saved = 0
+_guard_depth = 0
+
+
 @contextlib.contextmanager
 def _one_blas_thread():
     """Run the block with the bundled OpenBLAS on one thread, then restore
@@ -85,20 +95,29 @@ def _one_blas_thread():
     On 2 threads a dgbtrf at bandwidths from 66 up (the degree-33 and
     higher Galerkin rows) sometimes took 100-190 ms where one thread
     took 0.6-1.3 ms, with the same factors and pivots.  The count is the
-    library's, so other threads calling BLAS meanwhile run on one thread
-    too; no environment variable is set.
+    library's, so other threads calling BLAS while any guard is open run
+    on one thread too; guards open in several threads at once restore
+    the count when the last of them closes.  No environment variable is
+    set.
     """
+    global _guard_saved, _guard_depth
     controls = _blas_threads()
     if controls is None:
         yield
         return
     get, put = controls
-    threads = get()
-    put(1)
+    with _guard_lock:
+        if _guard_depth == 0:
+            _guard_saved = get()
+            put(1)
+        _guard_depth += 1
     try:
         yield
     finally:
-        put(threads)
+        with _guard_lock:
+            _guard_depth -= 1
+            if _guard_depth == 0:
+                put(_guard_saved)
 
 
 @dataclass(frozen=True, eq=False)

@@ -276,9 +276,9 @@ def _compact(index: np.ndarray) -> np.ndarray:
     """Nonnegative indices in the narrowest unsigned type that holds them.
 
     Plans stay cached for the life of the process, so their size is
-    memory that every later product keeps; a product's knot pair
-    numbers (_pairs) are read into a block's row-nodes, whose tables
-    are the largest arrays while a layout is built.  A stable argsort
+    memory that every later product keeps; a streamed block's knot
+    pair numbers (_side) are read into its row-nodes, whose tables are
+    the largest arrays while such a block is built.  A stable argsort
     of keys of 16 bits or less is a radix sort, which _merged's sorts
     take.
     """
@@ -464,15 +464,15 @@ def _stage_tables(trees: list[_SuffixTree], sizes: np.ndarray, pairs: np.ndarray
     """Flat stage tables of one factor side over the pieces of a block.
 
     trees[k] is piece k's suffix tree and sizes[k] its row count;
-    pairs[o, r] numbers the knot pair that block row r reads at window
-    offset o (_side).  The block's row-nodes are listed stage by stage;
-    within a stage, piece by piece; within a piece, node by node, each
-    node once per row.  Returns (bounds, parent, at, leaf): stage j's
-    row-nodes are bounds[j] .. bounds[j + 1]; row-node e refines entry
-    parent[e] of the stage before (a block row, its coefficient window,
-    before the first stage) with the factors of knot pair at[e]; leaf
-    lists every row's profiles, row by row, as positions in the last
-    stage.
+    pairs[o, r] numbers, among the block's own, the knot pair that block
+    row r reads at window offset o (_side).  The block's row-nodes are
+    listed stage by stage; within a stage, piece by piece; within a
+    piece, node by node, each node once per row.  Returns (bounds,
+    parent, at, leaf): stage j's row-nodes are bounds[j] .. bounds[j +
+    1]; row-node e refines entry parent[e] of the stage before (a block
+    row, its coefficient window, before the first stage) with the
+    factors of knot pair at[e]; leaf lists every row's profiles, row by
+    row, as positions in the last stage.
     """
     q = len(trees[0].offsets) - 1
     offsets = np.array([tree.offsets for tree in trees])
@@ -564,24 +564,6 @@ class _Layout:
     sides: tuple[Iterable[_Side], Iterable[_Side]]
 
 
-def _pairs(spans, rank, knots):
-    """Distinct knot pairs that a factor's rows read, numbered.
-
-    Row r has anchor span spans[r] in the factor, and reads at window
-    offset o the knot value whose first index in knots is rank[o, r].  A
-    stage factor depends on a row-node only through the row's span,
-    which fixes the factor's knot window, and the fine knot value it
-    reads (the discrete B-splines of the Oslo algorithm), so the stage
-    factors go per distinct (span, value) pair.  Returns every pair's
-    span and knot value, in ascending order, and the number of the pair
-    every (o, r) reads, shaped as rank, in the narrowest type that holds
-    it.
-    """
-    keys, ids = np.unique(spans * knots.size + rank, return_inverse=True)
-    pair_spans, pair_knots = np.divmod(keys, knots.size)
-    return pair_spans, knots[pair_knots], _compact(ids.reshape(rank.shape))
-
-
 def _factors(s: Spline, pair_spans, pair_values):
     """(diag, sup) of every knot pair in factor s, stage by stage."""
     q = s.degree
@@ -591,21 +573,25 @@ def _factors(s: Spline, pair_spans, pair_values):
         yield _stage_factors(tau, d, q, values)
 
 
-def _side(s: Spline, spans, trees, sizes, numbered) -> _Side:
-    """One factor's unmerged side of a block whose rows have anchors spans in s.
+def _side(s: Spline, spans, block, run, pairs: _Pairs) -> _Side:
+    """One factor's unmerged side of one block, (trees, sizes, rows).
 
-    numbered is _pairs of the product's rows, read at the block's rows;
-    the block computes the factors of the pairs it reads, renumbered in
-    the same order.  The stages are a generator that computes one at a
-    time.
+    spans holds every product row's anchor span in s and run the run of
+    every product knot (_runs); the block computes the factors of the
+    knot pairs (pairs) it reads, renumbered in the same order.  The
+    stages are a generator that computes one at a time.
     """
-    pair_spans, pair_values, pairs = numbered
-    used = np.zeros(pair_spans.size, dtype=bool)
-    used[pairs] = True
+    trees, sizes, rows = block
+    p = run.size - spans.size - 1
+    # block row r, product row i = rows[r], reads at window offset o the
+    # knot t[i + 1 + o], of pair base[root[i]] + run[i + 1 + o]
+    read = pairs.base[pairs.root[rows]] + run[rows + np.arange(1, p + 1)[:, None]]
+    used = np.zeros(pairs.pair_spans.size, dtype=bool)
+    used[read] = True
     local = np.cumsum(used) - 1
-    bounds, parent, at, leaf = _stage_tables(trees, sizes, local[pairs])
-    _, cols = _window_indices(s.degree, spans)
-    factors = _factors(s, pair_spans[used], pair_values[used])
+    bounds, parent, at, leaf = _stage_tables(trees, sizes, _compact(local[read]))
+    _, cols = _window_indices(s.degree, spans[rows])
+    factors = _factors(s, pairs.pair_spans[used], pairs.pair_values[used])
     stages = (
         (parent[lo:hi], at[lo:hi], diag, sup)
         for lo, hi, (diag, sup) in zip(bounds[:-1], bounds[1:], factors)
@@ -628,16 +614,61 @@ def _runs(knots: np.ndarray):
     return first, stop, np.cumsum(opens) - 1
 
 
-def _merged(s: Spline, spans, blocks, knots, descending: bool):
+class _Pairs(NamedTuple):
+    """Roots of a factor's rows and the knot pairs they read, numbered.
+
+    Rows with one anchor span form one root: root r holds rows lo[r] ..
+    hi[r], and row i is in root[i].  A stage factor depends on a
+    row-node only through the row's span, which fixes the factor's knot
+    window, and the fine knot value it reads (the discrete B-splines of
+    the Oslo algorithm), so the stage factors go per distinct (span,
+    value) pair.  Windows slide, so root r's rows read the runs of the
+    product knots from the one holding t[lo[r] + 1] to the one holding
+    t[hi[r] + p], one pair each, and the pair of root r and run k is
+    number base[r] + k: root by root, then run by run, which is
+    ascending (span, value) order.  pair_spans and pair_values hold
+    every pair's span and knot value.
+    """
+
+    lo: np.ndarray
+    hi: np.ndarray
+    root: np.ndarray
+    base: np.ndarray
+    pair_spans: np.ndarray
+    pair_values: np.ndarray
+
+
+def _pairs(spans, knots, runs) -> _Pairs:
+    """_Pairs of a factor's rows, with anchor spans spans in the factor,
+    on product knots knots whose runs are runs (_runs)."""
+    first, _, run = runs
+    p = knots.size - spans.size - 1
+    # spans rise with the rows, so each root's rows are one run of them
+    starts, stops, root = _runs(spans)
+    lo, hi = starts[:-1], stops[:-1] - 1
+    low, top = run[lo + 1], run[hi + p]
+    widths = top - low + 1
+    return _Pairs(
+        lo=lo,
+        hi=hi,
+        root=root,
+        base=np.cumsum(widths) - widths - low,
+        pair_spans=np.repeat(spans[lo], widths),
+        pair_values=knots[first[np.repeat(low, widths) + _ranges(widths)]],
+    )
+
+
+def _merged(s: Spline, spans, blocks, runs, pairs: _Pairs, descending: bool):
     """One factor's side over every block, with one node per vector.
 
     A node's vector after a stage depends only on the row's anchor span
     and the knots read so far, the sorted top values Y of the profile's
     knot row; so stage j = 0, .., q - 1, which applies d = q - j, holds
-    one node per feasible (span, Y) with j + 1 values.  Windows slide, so the rows where (span, Y) is feasible form
-    one interval [lo, hi], and the stages are built from the runs of the
-    product knots t (_runs): run k, of value u_k, is t[S_k] .. t[E_k - 1],
-    with S_k = first[k] and E_k = stop[k].  No row-node is listed.
+    one node per feasible (span, Y) with j + 1 values.  Windows slide,
+    so the rows where (span, Y) is feasible form one interval [lo, hi],
+    and the stages are built from runs, the runs of the product knots t
+    (_runs): run k, of value u_k, is t[S_k] .. t[E_k - 1], with S_k =
+    first[k] and E_k = stop[k].  No row-node is listed.
     A child of (span, Y) adds a value u_k <= min Y, after which Y holds c
     copies of u_k; a row keeps it when its window holds c copies of u_k
     and, besides Y, q - j - 1 knots <= u_k, which leaves the rows
@@ -645,7 +676,8 @@ def _merged(s: Spline, spans, blocks, knots, descending: bool):
     needs c <= E_k - S_k.  Every u_k < min Y from the value at
     t[lo + q - j] up keeps a row (c = 1), so only u_k = min Y is checked.
     A root, one per anchor span, takes the span's rows and a min Y one
-    run past the last value its rows read.
+    run past the last value its rows read; node (root r, Y) reads the
+    knot pair that pairs (_Pairs) numbers for r and the run of min Y.
 
     Each stage lists its nodes in rank order, the order of the sorted
     knot rows compared from their lowest value: stage by stage the
@@ -657,28 +689,26 @@ def _merged(s: Spline, spans, blocks, knots, descending: bool):
     row-node it replaces, and so gives the same bits.  blocks holds
     (trees, sizes, rows) per block.  Returns None as soon as a stage's
     nodes would pass _BLOCK doubles, d + 1 per node at stage d, which
-    happens on a side whose rows share few knot rows; since a stage
-    holds at most the row-nodes of its rows, a side of one block always
-    merges.
+    happens on a side whose rows share few knot rows.  Since a stage
+    holds at most the row-nodes of its rows, a side of one block merges
+    unless that block is one row wider than _BLOCK (_row_blocks).
+    Without the bound, the sides that stream would merge into stages
+    that take longer to build and run than their row-nodes and would be
+    kept: on mesh_refine_highdeg 10 (row seed 12345), a first call's
+    peak RSS rose from 67 to 371 MiB.
     """
     q = s.degree
-    p = knots.size - spans.size - 1
-    first, stop, run = _runs(knots)
-    # spans rise with the rows, so each root's rows are one run of them
-    starts, stops, _ = _runs(spans)
-    lo, hi = starts[:-1], stops[:-1] - 1
-    roots = spans[lo]
-    # root r's rows read runs low[r] .. top[r], each one knot pair
-    low, top = run[lo + 1], run[hi + p]
-    widths = top - low + 1
-    pair_base = np.cumsum(widths) - widths - low
-    pair_spans = np.repeat(roots, widths)
-    pair_values = knots[first[np.repeat(low, widths) + _ranges(widths)]]
+    first, stop, run = runs
+    # run holds one entry per product knot, m + p + 1 of them
+    p = run.size - spans.size - 1
+    lo, hi = pairs.lo, pairs.hi
+    # each root's rows read runs up to top, each one knot pair
+    top = run[hi + p]
     # a node's rows hold c copies of its run k's value and, at stage j,
     # q - j - 1 more knots at most as large from rows lo_run[k] + c to
     # hi_run[k] + j - c
     lo_run, hi_run, length = first - p - 1, stop - q, stop - first
-    k, c, base = top + 1, np.zeros_like(top), pair_base
+    k, c, base = top + 1, np.zeros_like(top), pairs.base
     stages = []
     for j in range(q):
         lowest = run[lo + q - j]
@@ -713,34 +743,27 @@ def _merged(s: Spline, spans, blocks, knots, descending: bool):
     for _, _, block_rows in blocks:
         n = per_row[block_rows]
         leaves.append(nodes[np.repeat(start[block_rows], n) + _ranges(n)])
-    _, cols = _window_indices(q, roots)
-    factors = _factors(s, pair_spans, pair_values)
+    _, cols = _window_indices(q, spans[pairs.lo])
+    factors = _factors(s, pairs.pair_spans, pairs.pair_values)
     stages = tuple(
         (parent, at, diag, sup) for (parent, at), (diag, sup) in zip(stages, factors)
     )
     return _Side(cols, stages, tuple(leaves))
 
 
-def _parts(s: Spline, spans, blocks, knots, descending: bool) -> Iterable[_Side]:
+def _parts(s: Spline, spans, blocks, knots, runs, descending: bool) -> Iterable[_Side]:
     """One factor's side of a product, as the _Side parts of a _Layout.
 
+    The side's knot pairs are numbered once for all its rows (_pairs).
     The side is merged across all blocks when every stage stays within
-    _BLOCK doubles (_merged).  A side that does not merge streams: its
-    knot pairs are numbered once for all its rows (_pairs), and a
-    generator builds each block's side as it is read (_side).
+    _BLOCK doubles (_merged); a side that does not merge streams, a
+    generator building each block's side as it is read (_side).
     """
-    merged = _merged(s, spans, blocks, knots, descending)
+    pairs = _pairs(spans, knots, runs)
+    merged = _merged(s, spans, blocks, runs, pairs, descending)
     if isinstance(merged, _Side):
         return (merged,)
-    # window knot t_{i+1+o} of every row i at offset o, as the first index
-    # of its value; offset by offset, so a node's rows read a contiguous run
-    first, _, run = _runs(knots)
-    rank = np.lib.stride_tricks.sliding_window_view(first[run][1:-1], spans.size)
-    pair_spans, pair_values, pairs = _pairs(spans, rank, knots)
-    return (
-        _side(s, spans[rows], trees, sizes, (pair_spans, pair_values, pairs[:, rows]))
-        for trees, sizes, rows in blocks
-    )
+    return (_side(s, spans, block, runs[2], pairs) for block in blocks)
 
 
 def _layout(f: Spline, g: Spline, t: KnotVector) -> tuple[_Layout, bool]:
@@ -771,9 +794,10 @@ def _layout(f: Spline, g: Spline, t: KnotVector) -> tuple[_Layout, bool]:
         blocks_f.append(([plan.f for plan, _ in block], sizes, rows))
         blocks_g.append(([plan.g for plan, _ in block], sizes, rows))
     counts.setflags(write=False)
+    runs = _runs(t.knots)
     sides = (
-        _parts(f, k1, blocks_f, t.knots, False),
-        _parts(g, k2, blocks_g, t.knots, True),
+        _parts(f, k1, blocks_f, t.knots, runs, False),
+        _parts(g, k2, blocks_g, t.knots, runs, True),
     )
     layout = _Layout(
         t=t,

@@ -1,6 +1,8 @@
 """Greville collocation: assembly, banded solves, condition estimates."""
 
 import logging
+import threading
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import numpy.testing as npt
@@ -359,6 +361,48 @@ def test_one_blas_thread_restores_the_count_after_a_raise(monkeypatch):
     finally:
         put(before)
 
+
+def test_one_blas_thread_restores_the_count_after_overlapping_calls(monkeypatch):
+    """Two threads factor at once, in the order that a save and restore per
+    guard gets wrong: A enters, B enters, A leaves, B leaves.  Both run
+    on one thread, and the count before either comes back after both,
+    with the factors of an unguarded call."""
+    get, put = _bundled_threads()
+    before = get()
+    dgbtrf = collocation_module.lapack.dgbtrf
+    arrived, seen = [], []
+    both_in = threading.Barrier(2, timeout=30)
+    first_left = threading.Event()
+
+    def overlapping(*args):
+        seen.append(get())
+        arrived.append(threading.get_ident())
+        both_in.wait()
+        if arrived[0] != threading.get_ident():
+            assert first_left.wait(timeout=30)
+        return dgbtrf(*args)
+
+    def factor(matrix):
+        lu = matrix.lu()
+        if arrived[0] == threading.get_ident():
+            first_left.set()
+        return lu
+
+    kv = uniform_open_knots(3, 8)
+    matrix = collocation_matrix(kv, greville_abscissae(kv))
+    free = matrix.lu()
+    monkeypatch.setattr(collocation_module.lapack, "dgbtrf", overlapping)
+    try:
+        put(2)
+        with ThreadPoolExecutor(2) as pool:
+            jobs = [pool.submit(factor, matrix) for _ in range(2)]
+            lus = [job.result() for job in jobs]
+        assert seen == [1, 1] and get() == 2
+        for lu in lus:
+            assert lu.bands.tobytes() == free.bands.tobytes()
+            assert lu.pivots.tobytes() == free.pivots.tobytes()
+    finally:
+        put(before)
 
 def test_one_blas_thread_does_nothing_without_the_symbols(monkeypatch):
     """A library without the thread symbols gives no controls, and then

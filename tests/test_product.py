@@ -737,8 +737,9 @@ def test_one_block_product_with_an_unmerged_side_is_not_kept(
 ):
     """mesh_refine 10 packs into one block, and its g side is made not to
     merge: a merged stage holds at most the block's row-nodes, so a side
-    of one block always merges on its own.  Its layout is not kept, also
-    when the key repeats, and each call gives the per-row loop's bytes."""
+    of one block merges on its own unless the block is one row wider than
+    _BLOCK.  Its layout is not kept, also when the key repeats, and each
+    call gives the per-row loop's bytes."""
     merge = product_module._merged
     # the last argument is set on the g side only
     monkeypatch.setattr(
