@@ -530,10 +530,11 @@ class _Side:
     every row's profiles, row by row, as positions in the last stage.
     A merged side (_merged) covers every block of a product, with one
     root per anchor span and one node per (span, sorted top knot
-    values), built from the runs of the product knots; an unmerged side
-    (_side) covers one block, with the block rows as roots and its
-    row-nodes as nodes, and its stages are a generator that computes
-    one stage at a time.
+    values), built from the runs of the product knots; the f and g sides
+    of a square product are two merged sides that hold the same cols and
+    stages and differ in their leaves.  An unmerged side (_side) covers
+    one block, with the block rows as roots and its row-nodes as nodes,
+    and its stages are a generator that computes one stage at a time.
     """
 
     cols: np.ndarray
@@ -549,9 +550,12 @@ class _Layout:
     pieces every block's (plan weights, rows) pieces.  sides holds the
     f and g sides, each as the _Side parts whose leaves list the blocks
     in order: a tuple of one merged side, or a generator that builds one
-    unmerged side per block, one block at a time.  A layout is kept
-    exactly when both its sides merged, since only then are both tuples.
-    Over the experiment rows (row seed 12345), every side merges but the
+    unmerged side per block, one block at a time.  When the product is
+    square, f and g on one knot vector and degree, both merged sides
+    read the same cols and stage arrays, so the layout holds its stages
+    and stage factors once.  A layout is kept exactly when both its
+    sides merged, since only then are both tuples.  Over the experiment
+    rows (row seed 12345), every side merges but the
     g sides of mesh_refine_highdeg from level 6 and its f side at level
     10, whose stages would pass _BLOCK doubles.
     """
@@ -658,8 +662,8 @@ def _pairs(spans, knots, runs) -> _Pairs:
     )
 
 
-def _merged(s: Spline, spans, blocks, runs, pairs: _Pairs, descending: bool):
-    """One factor's side over every block, with one node per vector.
+def _merged(s: Spline, spans, blocks, runs, pairs: _Pairs, orders: tuple[bool, ...]):
+    """Sides of factor s over every block, with one node per vector.
 
     A node's vector after a stage depends only on the row's anchor span
     and the knots read so far, the sorted top values Y of the profile's
@@ -684,14 +688,18 @@ def _merged(s: Spline, spans, blocks, runs, pairs: _Pairs, descending: bool):
     children are stably sorted by the value they add.  A row's profiles
     in plan order (_profiles) have ascending f rows in that order and
     descending g rows, so every row's leaves are its last-stage nodes in
-    ascending rank, or descending when descending is set.  A merged node
-    runs the same elementwise arithmetic on the same doubles as every
-    row-node it replaces, and so gives the same bits.  blocks holds
-    (trees, sizes, rows) per block.  Returns None as soon as a stage's
-    nodes would pass _BLOCK doubles, d + 1 per node at stage d, which
-    happens on a side whose rows share few knot rows.  Since a stage
-    holds at most the row-nodes of its rows, a side of one block merges
-    unless that block is one row wider than _BLOCK (_row_blocks).
+    ascending rank for f, descending for g.  A merged node runs the same
+    elementwise arithmetic on the same doubles as every row-node it
+    replaces, and so gives the same bits.  blocks holds every block's
+    rows.  The stages and their factors are built once, and one _Side is
+    returned per entry of orders, with the leaves descending where the
+    entry is set and ascending elsewhere; all of them hold the same cols
+    and stage arrays, so the f and g sides of a square product share
+    them (_layout).  Returns None as soon as a stage's nodes would pass
+    _BLOCK doubles, d + 1 per node at stage d, which happens on a side
+    whose rows share few knot rows.  Since a stage holds at most the
+    row-nodes of its rows, a side of one block merges unless that block
+    is one row wider than _BLOCK (_row_blocks).
     Without the bound, the sides that stream would merge into stages
     that take longer to build and run than their row-nodes and would be
     kept: on mesh_refine_highdeg 10 (row seed 12345), a first call's
@@ -732,38 +740,49 @@ def _merged(s: Spline, spans, blocks, runs, pairs: _Pairs, descending: bool):
     # every row's leaves in rank order: its last-stage nodes, row by row
     lengths = hi - lo + 1
     rows = np.repeat(lo, lengths) + _ranges(lengths)
-    order = np.argsort(_compact(rows), kind="stable")
+    ascending = np.argsort(_compact(rows), kind="stable")
     per_row = np.bincount(rows, minlength=spans.size)
-    start = np.cumsum(per_row) - per_row
-    if descending:
-        order = order[::-1]
-        start = order.size - start - per_row
-    nodes = np.repeat(np.arange(lengths.size), lengths)[order]
-    leaves = []
-    for _, _, block_rows in blocks:
-        n = per_row[block_rows]
-        leaves.append(nodes[np.repeat(start[block_rows], n) + _ranges(n)])
+    first_leaf = np.cumsum(per_row) - per_row
+    node = np.repeat(np.arange(lengths.size), lengths)
     _, cols = _window_indices(q, spans[pairs.lo])
     factors = _factors(s, pairs.pair_spans, pairs.pair_values)
     stages = tuple(
         (parent, at, diag, sup) for (parent, at), (diag, sup) in zip(stages, factors)
     )
-    return _Side(cols, stages, tuple(leaves))
+    sides = []
+    for descending in orders:
+        order, start = ascending, first_leaf
+        if descending:
+            order, start = order[::-1], order.size - start - per_row
+        nodes = node[order]
+        leaves = []
+        for block_rows in blocks:
+            n = per_row[block_rows]
+            leaves.append(nodes[np.repeat(start[block_rows], n) + _ranges(n)])
+        sides.append(_Side(cols, stages, tuple(leaves)))
+    return tuple(sides)
 
 
-def _parts(s: Spline, spans, blocks, knots, runs, descending: bool) -> Iterable[_Side]:
-    """One factor's side of a product, as the _Side parts of a _Layout.
+def _parts(s: Spline, spans, knots, runs, sides) -> tuple[Iterable[_Side], ...]:
+    """The sides that read factor s, each as the _Side parts of a _Layout.
 
-    The side's knot pairs are numbered once for all its rows (_pairs).
-    The side is merged across all blocks when every stage stays within
-    _BLOCK doubles (_merged); a side that does not merge streams, a
-    generator building each block's side as it is read (_side).
+    sides holds (blocks, descending) per side, blocks holding (trees,
+    sizes, rows) per block: f's side, g's, or both when the product is
+    square.  The knot pairs are numbered once for all rows (_pairs).
+    When every stage stays within _BLOCK doubles the sides merge across
+    all blocks into one set of stages that each side reads with its own
+    leaves (_merged); otherwise each side streams, a generator building
+    each block's side from its own plan trees as it is read (_side).
     """
     pairs = _pairs(spans, knots, runs)
-    merged = _merged(s, spans, blocks, runs, pairs, descending)
-    if isinstance(merged, _Side):
-        return (merged,)
-    return (_side(s, spans, block, runs[2], pairs) for block in blocks)
+    rows = [block[2] for block in sides[0][0]]
+    merged = _merged(s, spans, rows, runs, pairs, tuple(d for _, d in sides))
+    if merged is not None:
+        return tuple((side,) for side in merged)
+    return tuple(
+        (_side(s, spans, block, runs[2], pairs) for block in blocks)
+        for blocks, _ in sides
+    )
 
 
 def _layout(f: Spline, g: Spline, t: KnotVector) -> tuple[_Layout, bool]:
@@ -771,11 +790,16 @@ def _layout(f: Spline, g: Spline, t: KnotVector) -> tuple[_Layout, bool]:
 
     Rows pack into blocks (_row_blocks), and each factor's side is
     merged across all blocks when its stages stay within _BLOCK doubles
-    (_parts).  A layout is kept exactly when both its sides merged: it
-    is then built whole, and the first call pays nothing to keep it.  A
-    layout with an unmerged side streams that side one block at a time
-    and is not kept, since a kept unmerged side would rerun its
-    row-nodes on every call.
+    (_parts).  When f and g have the same knot bytes and degree (a
+    square product: spline_spline and Galerkin rows), both sides have
+    the same spans, pairs, stages and factors and differ only in the
+    order of their leaves, so one merged side is built for both.  Bytes
+    are compared, not values, since -0.0 and +0.0 knots give stage
+    factors of other bits.  A layout is kept exactly when both its sides
+    merged: it is then built whole, and the first call pays nothing to
+    keep it.  A layout with an unmerged side streams that side one block
+    at a time and is not kept, since a kept unmerged side would rerun
+    its row-nodes on every call.
     """
     p1 = f.degree
     p = t.degree
@@ -795,10 +819,12 @@ def _layout(f: Spline, g: Spline, t: KnotVector) -> tuple[_Layout, bool]:
         blocks_g.append(([plan.g for plan, _ in block], sizes, rows))
     counts.setflags(write=False)
     runs = _runs(t.knots)
-    sides = (
-        _parts(f, k1, blocks_f, t.knots, runs, False),
-        _parts(g, k2, blocks_g, t.knots, runs, True),
-    )
+    side_f, side_g = (blocks_f, False), (blocks_g, True)
+    if f.degree == g.degree and f.knots.knots.tobytes() == g.knots.knots.tobytes():
+        sides = _parts(f, k1, t.knots, runs, (side_f, side_g))
+    else:
+        sides = _parts(f, k1, t.knots, runs, (side_f,))
+        sides += _parts(g, k2, t.knots, runs, (side_g,))
     layout = _Layout(
         t=t,
         naive_terms=naive_terms,
@@ -887,19 +913,22 @@ def improved_morken_product(
     doubles; such a side streams its blocks one at a time, with the
     unmerged row-nodes of each.  Over the experiment rows (row seed
     12345) only mesh_refine_highdeg streams: its g sides from level 6
-    and its f side at level 10.  The layout (product knot vector,
-    blocks, stage tables and stage factors) is kept, keyed on both
-    factors' knots and degrees as passed in, exactly when both sides
-    merged; a later call on the same key runs only the coefficient pass
-    on it, after make_open and the target_knots check; a layout with a
-    side that streams is never kept.  f's kernel values are kept beside
+    and its f side at level 10.  When f and g have the same knot bytes
+    and degree, as in the spline_spline and Galerkin rows, both sides
+    read one merged side, built once, each with its own leaf order.
+    The layout (product knot vector, blocks, stage tables and stage
+    factors) is kept, keyed on both factors' knots and degrees as
+    passed in, exactly when both sides merged; a later call on the same
+    key runs only the coefficient pass on it, after make_open and the
+    target_knots check; a layout with a side that streams is never
+    kept.  f's kernel values are kept beside
     the layout and reused while f's coefficient bytes (-0.0 is not 0.0)
     stay the same, so Galerkin assembly, one f times many g, refines
     only g.
     Over every experiment row (row seed 12345) the largest kept layout
-    takes 3.8 MiB, plus 0.5 MiB of f values (galerkin_k 50 and
-    spline_spline 50; mesh_refine_highdeg 5 takes 3.6 MiB).  A call on
-    another key frees the slot first.
+    takes 3.6 MiB, plus 0.1 MiB of f values (mesh_refine_highdeg 5);
+    galerkin_k 50 and spline_spline 50 take 2.5 MiB, plus 0.5 MiB of f
+    values.  A call on another key frees the slot first.
     There is no entry point taking many second factors at once:
     consecutive calls on one knot pair already share the layout, and
     each product is still its own call.

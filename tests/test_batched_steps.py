@@ -474,6 +474,93 @@ def test_merged_sides_of_mesh_refine_highdeg_4_check_run_lengths():
     assert _assert_product_equals_recounts(case.f, case.gs[0], 1 << 16)
 
 
+def _assert_rows_bytes(f, g):
+    """One call's coefficients and counts are the per-row loop's."""
+    result = improved_morken_product(f, g)
+    b, counts = improved_product_rows(f, g)
+    assert _same_bytes(result.product.coefficients, b)
+    assert np.array_equal(result.distinct_term_counts, counts)
+
+
+@settings(max_examples=200, deadline=None)
+@given(open_knot_pairs(), st.data())
+def test_square_products_read_one_merged_side(pair, data):
+    """f and g on one knot vector and degree, a square product, read one
+    merged side: both sides of the kept layout hold the same stage
+    arrays, and a first call and hits, with f's kernel values reused or
+    refined anew, give the per-row loop's bytes, zero signs included."""
+    kv = pair[0]
+    n = kv.dimension
+    values = st.one_of(st.sampled_from((0.0, -0.0)), st.floats(-1.0, 1.0))
+    f, g, h = (
+        Spline(kv, np.array(data.draw(st.lists(values, min_size=n, max_size=n))))
+        for _ in range(3)
+    )
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(product_module, "_kept", None)
+        _assert_rows_bytes(f, g)
+        layout = product_module._kept.layout
+        (side_f,), (side_g,) = layout.sides
+        assert side_f.cols is side_g.cols and side_f.stages is side_g.stages
+        for first, second in ((f, h), (g, f)):
+            _assert_rows_bytes(first, second)
+            assert product_module._kept.layout is layout
+
+
+def test_square_pair_split_by_a_zero_sign_reads_two_sides():
+    """Knots that differ only in the sign of a zero knot are equal values
+    but give stage factors of other bits, so such f and g do not share a
+    side; a first call and a hit give the per-row loop's bytes.  With
+    g's -0.0 coefficient, g's stages on f's factors would give a product
+    coefficient of the other zero sign."""
+    knots = np.array([-1.0, -1.0, -1.0, 0.0, 0.0, 0.5, 1.0, 1.0, 1.0])
+    kv_f = KnotVector(knots, 2)
+    kv_g = KnotVector(np.where(knots == 0.0, -0.0, knots), 2)
+    assert kv_f == kv_g
+    f = Spline(kv_f, np.array([1.0, -1.0, 0.5, -1.0, -1.0, 1.0]))
+    g = Spline(kv_g, np.array([1.0, 0.5, -0.0, 0.5, -1.0, 0.0]))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(product_module, "_kept", None)
+        for _ in range(2):
+            _assert_rows_bytes(f, g)
+        (side_f,), (side_g,) = product_module._kept.layout.sides
+    assert side_f.stages is not side_g.stages
+    assert any(
+        a[2].tobytes() != b[2].tobytes() for a, b in zip(side_f.stages, side_g.stages)
+    )
+
+
+def test_square_sides_past_the_table_bound_stream_apart():
+    """Under _BLOCK = 128, neither side of spline_spline 7 merges: each
+    streams its 8 blocks with its own plan trees.  On equal coefficients
+    every row's g values are its f values reversed, since g's profiles
+    are f's in reverse plan order; calls are not kept and give the
+    per-row loop's bytes."""
+    case = build_family_case("spline_spline", 7, SplitMix64(12345))
+    f, g = case.f, case.gs[0]
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(product_module, "_BLOCK", 128)
+        mp.setattr(product_module, "_kept", None)
+        f2, g2, t = product_module._prepared_factors(f, g, None)
+        layout, keep = product_module._layout(f2, g2, t)
+        assert not keep and len(layout.pieces) == 8
+        assert not any(isinstance(parts, tuple) for parts in layout.sides)
+        values = [
+            list(product_module._block_values(f2.coefficients, parts))
+            for parts in layout.sides
+        ]
+        for pieces, bf, bg in zip(layout.pieces, *values):
+            lo = 0
+            for weights, piece in pieces:
+                hi = lo + piece.size * weights.size
+                rows_f = bf[lo:hi].reshape(piece.size, -1)
+                assert _same_bytes(bg[lo:hi].reshape(piece.size, -1), rows_f[:, ::-1])
+                lo = hi
+        for _ in range(2):
+            _assert_rows_bytes(f, g)
+            assert product_module._kept is None
+
+
 def test_product_knot_vector_bytes_equal_merge_loop_on_families():
     """Every family at its largest parameter, every second factor."""
     for family, params in FAMILY_PARAMETERS.items():

@@ -687,7 +687,7 @@ def test_shared_stages_hold_one_node_per_parent_and_pair(product_module, monkeyp
     assert len(shared.pieces) == 2
     # the unmerged reference: every block's sides as a side that does not
     # merge streams them
-    monkeypatch.setattr(product_module, "_merged", lambda *args: (0, None))
+    monkeypatch.setattr(product_module, "_merged", lambda *args: None)
     f, g, t = product_module._prepared_factors(f, g, None)
     unshared, keep = product_module._layout(f, g, t)
     assert not keep
@@ -741,9 +741,11 @@ def test_one_block_product_with_an_unmerged_side_is_not_kept(
     _BLOCK.  Its layout is not kept, also when the key repeats, and each
     call gives the per-row loop's bytes."""
     merge = product_module._merged
-    # the last argument is set on the g side only
+    # the last argument, the sides' leaf orders, is descending on the g side only
     monkeypatch.setattr(
-        product_module, "_merged", lambda *args: None if args[-1] else merge(*args)
+        product_module,
+        "_merged",
+        lambda *args: None if True in args[-1] else merge(*args),
     )
     case = build_family_case("mesh_refine", 10, SplitMix64(12345))
     f, g = case.f, case.gs[0]
