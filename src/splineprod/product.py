@@ -104,11 +104,16 @@ class CombinationSet:
 
     def knot_rows(self) -> tuple[np.ndarray, np.ndarray]:
         """Per-profile knot rows for f (sum mu_j wide) and g (the rest)."""
-        values = np.array([r.value for r in self.window_breakpoints])
-        rows_f, rows_g = _profile_runs(
-            tuple(r.multiplicity for r in self.window_breakpoints), self.combinations
-        )
-        return values[rows_f], values[rows_g]
+        runs = self.window_breakpoints
+        values = np.array([r.value for r in runs])
+        mults = np.array([r.multiplicity for r in runs], dtype=np.intp)
+        T = len(self.combinations)
+        mu = np.array(self.combinations, dtype=np.intp).reshape(T, values.size)
+        # every profile's run values, each repeated by its count on a side
+        tiled = np.tile(values, T)
+        rows_f = np.repeat(tiled, mu.ravel()).reshape(T, -1)
+        rows_g = np.repeat(tiled, (mults - mu).ravel()).reshape(T, -1)
+        return rows_f, rows_g
 
     @property
     def weights(self) -> np.ndarray:
@@ -210,106 +215,25 @@ def knot_combinations(window, p1: int) -> CombinationSet:
     )
 
 
-def _profile_runs(
-    mults: tuple[int, ...], profiles
-) -> tuple[np.ndarray, np.ndarray]:
-    """Run indices of every profile's f knots (T, p1) and g knots (T, p - p1)."""
-    T = len(profiles)
-    mu = np.array(profiles, dtype=np.intp).reshape(T, len(mults))
-    runs = np.tile(np.arange(len(mults)), T)
-    rows_f = np.repeat(runs, mu.ravel()).reshape(T, -1)
-    rows_g = np.repeat(runs, (np.asarray(mults) - mu).ravel()).reshape(T, -1)
-    return rows_f, rows_g
-
-
-@dataclass(frozen=True)
-class _SuffixTree:
-    """Kernel stages of one factor side, shared across profile suffixes.
-
-    Stage d (d = q, .., 1) reads fine knot d of a sorted profile row, so
-    profiles whose knots d .. q agree share the vector after stage d; each
-    such suffix is one node.  Stage d's nodes are offsets[q-d] ..
-    offsets[q-d+1] of the flat arrays; node n refines node parent[n] of
-    the stage before (node 0, the coefficient window, before stage q) at
-    the window knot whose offset is knot[n], the first of its run.  leaf[k] is profile k's node after stage 1; parent
-    and leaf count nodes from the first of their stage.  widest is the
-    most doubles one row's nodes take into any stage, which is what a row
-    costs an evaluation block (_row_blocks); _stage_tables lays the trees
-    of a block's rows out side by side, stage by stage.
-    """
-
-    offsets: np.ndarray
-    parent: np.ndarray
-    knot: np.ndarray
-    leaf: np.ndarray
-    widest: int
-
-
-def _suffix_tree(rows: np.ndarray) -> _SuffixTree:
-    """Stage tables for profile rows of window offsets, shape (T, q)."""
-    T, q = rows.shape
-    # sorted by the last column first, every suffix is a contiguous block
-    order = np.lexsort(rows.T)
-    # knots[j, i]: the offset sorted profile i reads at stage d = q - j
-    knots = rows[order].T[::-1]
-    # a profile opens a node at a stage when its knots from that stage
-    # up differ from the previous sorted profile's
-    opens = np.ones((q, T), dtype=bool)
-    opens[:, 1:] = np.logical_or.accumulate(knots[:, 1:] != knots[:, :-1], axis=0)
-    node = np.cumsum(opens, axis=1) - 1
-    parent = np.zeros_like(node)
-    parent[1:] = node[:-1]
-    stage, first = np.nonzero(opens)
-    sizes = opens.sum(axis=1)
-    leaf = np.empty(T, dtype=np.intp)
-    leaf[order] = node[-1]
-    return _SuffixTree(
-        offsets=np.concatenate(([0], np.cumsum(sizes))),
-        parent=_compact(parent[stage, first]),
-        knot=_compact(knots[stage, first]),
-        leaf=_compact(leaf),
-        widest=int(np.max(sizes * np.arange(q + 1, 1, -1))),
-    )
-
-
 def _compact(index: np.ndarray) -> np.ndarray:
     """Nonnegative indices in the narrowest unsigned type that holds them.
 
-    Plans stay cached for the life of the process, so their size is
-    memory that every later product keeps; a streamed block's knot
-    pair numbers (_side) are read into its row-nodes, whose tables are
-    the largest arrays while such a block is built.  A stable argsort
-    of keys of 16 bits or less is a radix sort, which _merged's sorts
-    take.
+    A stable argsort of keys of 16 bits or less is a radix sort, which
+    the sorts of stage nodes and leaves take (_merged, _range_sides).
     """
     return index.astype(np.min_scalar_type(int(index.max())))
-
-
-@dataclass(frozen=True)
-class _ProductPlan:
-    """Knot-only work of every row with one window pattern and p1."""
-
-    weights: np.ndarray
-    f: _SuffixTree
-    g: _SuffixTree
 
 
 # plans are keyed on knot multiplicities, not values, so products on
 # shifted or rescaled knots reuse them (spline_spline at degree 50 needs
 # 148); the bound caps what a process keeps
 @lru_cache(maxsize=1024)
-def _product_plan(mults: tuple[int, ...], p1: int) -> _ProductPlan:
-    """Plan for windows with run multiplicities mults, split p1 + rest."""
-    profiles = _profiles(mults, p1)
-    rows_f, rows_g = _profile_runs(mults, [prof for prof, _ in profiles])
-    # the window offset where each run starts: offsets and runs are one
-    # to one, so the trees are those of the run indices
-    starts = np.cumsum((0,) + mults[:-1])
-    return _ProductPlan(
-        weights=np.array([w for _, w in profiles], dtype=float),
-        f=_suffix_tree(starts[rows_f]),
-        g=_suffix_tree(starts[rows_g]),
-    )
+def _plan_weights(mults: tuple[int, ...], p1: int) -> np.ndarray:
+    """Read-only subset counts of the distinct profiles of windows with run
+    multiplicities mults, split p1 + rest, in plan order (_profiles)."""
+    weights = np.array([w for _, w in _profiles(mults, p1)], dtype=float)
+    weights.setflags(write=False)
+    return weights
 
 
 def _product_spline(t: KnotVector, b: np.ndarray) -> Spline:
@@ -334,11 +258,12 @@ def _row_geometry(f: Spline, g: Spline, t: KnotVector):
     return m, k1, k2, windows
 
 
-def _window_groups(t: KnotVector):
+def _window_groups(t: KnotVector, p1: int):
     """Product rows grouped by the run multiplicities of their knot windows.
 
-    Yields (mults, rows): the multiplicity tuple and the rows whose
-    window t_{i+1} .. t_{i+p} has it, in ascending order.
+    Returns (weights, group): row i's window t_{i+1} .. t_{i+p} is in
+    group[i], and weights[k] holds the plan weights (_plan_weights) of
+    group k's multiplicities.
     """
     p = t.degree
     m = t.dimension
@@ -350,12 +275,13 @@ def _window_groups(t: KnotVector):
     # big-endian packed bits sort in the order of the boolean rows
     packed = np.packbits(breaks, axis=1)
     keys = packed.view(np.dtype((np.void, packed.shape[1]))).ravel()
-    _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
-    order = np.argsort(inverse, kind="stable")
-    sizes = np.bincount(inverse, minlength=first.size)
-    for pattern, rows in zip(breaks[first], np.split(order, np.cumsum(sizes)[:-1])):
+    _, first, group = np.unique(keys, return_index=True, return_inverse=True)
+    weights = []
+    for pattern in breaks[first]:
         starts = np.concatenate(([0], np.flatnonzero(pattern) + 1))
-        yield tuple(int(c) for c in np.diff(starts, append=p)), rows
+        mults = tuple(int(c) for c in np.diff(starts, append=p))
+        weights.append(_plan_weights(mults, p1))
+    return weights, group
 
 
 def _subset_chunks(p: int, p1: int):
@@ -413,9 +339,8 @@ def morken_product(
             bg = kernel_many(tau2[i], c2[i], win[idx_g])
             acc[i] += float(np.dot(bf, bg))
     b = acc / float(math.comb(p, p1))
-    counts = np.empty(m, dtype=np.int64)
-    for mults, rows in _window_groups(t):
-        counts[rows] = len(_profiles(mults, p1))
+    weights, group = _window_groups(t, p1)
+    counts = np.array([w.size for w in weights], dtype=np.int64)[group]
     return ProductResult(
         product=_product_spline(t, b),
         naive_term_count=count,
@@ -424,20 +349,26 @@ def morken_product(
     )
 
 
-def _row_blocks(t: KnotVector, p1: int):
-    """Window groups cut into pieces and packed into evaluation blocks.
+def _row_blocks(weights: list[np.ndarray], group: np.ndarray, a: int, b: int):
+    """Rows a .. b - 1 of a product packed into evaluation blocks.
 
-    Yields one list of (plan, rows) pieces per block.  A piece is
-    a run of consecutive rows of one window group; each row costs its
-    plan's widest stage, and a block takes pieces greedily, splitting a
-    group where the block fills, until its rows cost _BLOCK doubles.  A
-    row wider than _BLOCK gets a block of its own.
+    weights and group are the product's window groups (_window_groups).
+    Yields one list of (weights, rows) pieces per block.  A piece is a
+    run of ascending rows of one window group; each row costs two doubles
+    per profile, its leaf values on the f and g sides, and a block takes
+    pieces greedily, splitting a group where the block fills, until its
+    rows cost _BLOCK doubles.  A row wider than _BLOCK gets a block of
+    its own.
     """
+    ids = group[a:b]
+    order = np.argsort(ids, kind="stable") + a
+    sizes = np.bincount(ids, minlength=len(weights))
+    present = np.flatnonzero(sizes)
     block: list = []
     used = 0
-    for mults, rows in _window_groups(t):
-        plan = _product_plan(mults, p1)
-        width = max(plan.f.widest, plan.g.widest)
+    for k, rows in zip(present, np.split(order, np.cumsum(sizes[present])[:-1])):
+        plan = weights[k]
+        width = 2 * plan.size
         lo = 0
         while lo < rows.size:
             room = (_BLOCK - used) // width
@@ -460,85 +391,25 @@ def _ranges(lengths: np.ndarray) -> np.ndarray:
     return offsets
 
 
-def _stage_tables(trees: list[_SuffixTree], sizes: np.ndarray, pairs: np.ndarray):
-    """Flat stage tables of one factor side over the pieces of a block.
-
-    trees[k] is piece k's suffix tree and sizes[k] its row count;
-    pairs[o, r] numbers, among the block's own, the knot pair that block
-    row r reads at window offset o (_side).  The block's row-nodes are
-    listed stage by stage; within a stage, piece by piece; within a
-    piece, node by node, each node once per row.  Returns (bounds,
-    parent, at, leaf): stage j's row-nodes are bounds[j] .. bounds[j +
-    1]; row-node e refines entry parent[e] of the stage before (a block
-    row, its coefficient window, before the first stage) with the
-    factors of knot pair at[e]; leaf lists every row's profiles, row by
-    row, as positions in the last stage.
-    """
-    q = len(trees[0].offsets) - 1
-    offsets = np.array([tree.offsets for tree in trees])
-    widths = np.diff(offsets, axis=1)
-    counts = sizes[:, None] * widths
-    # where each piece starts in each stage's list, and in the list that
-    # stage reads (the block rows, before the first stage)
-    base = np.cumsum(counts, axis=0) - counts
-    first = np.cumsum(sizes) - sizes
-    above = np.column_stack((first, base[:, :-1]))
-    bounds = np.concatenate(([0], np.cumsum(counts.sum(axis=0))))
-    # the pieces' nodes stage by stage, then piece by piece; every index
-    # array here is intp, so the narrow tree tables widen, never wrap
-    lens = widths.T.ravel()
-    nodes = offsets[:, -1]
-    source = (offsets[:, :-1] + (np.cumsum(nodes) - nodes)[:, None]).T.ravel()
-    order = np.repeat(source, lens) + _ranges(lens)
-    n = np.repeat(np.tile(sizes, q), lens)
-    up = np.repeat(above.T.ravel(), lens)
-    up += np.concatenate([tree.parent for tree in trees])[order] * n
-    # where each node's first row reads its knot in the flat pairs
-    start = np.concatenate([tree.knot for tree in trees])[order].astype(np.intp)
-    start *= pairs.shape[1]
-    start += np.repeat(np.tile(first, q), lens)
-    # node i of a piece with n rows holds its rows r = 0 .. n - 1 at i * n + r
-    # in place, so that few arrays of the block's row-nodes live at once
-    r = _ranges(n)
-    parent = np.repeat(up, n)
-    parent += r
-    at = np.repeat(start, n)
-    at += r
-    del r
-    at = np.take(pairs, at)
-    # profile i of block row first[k] + r sits at base[k, -1] + leaf_i * n + r
-    profiles = np.array([tree.leaf.size for tree in trees])
-    per_row = np.repeat(profiles, sizes)
-    row = np.repeat(np.arange(per_row.size), per_row)
-    piece = np.repeat(np.arange(len(trees)), sizes)[row]
-    pick = (np.cumsum(profiles) - profiles)[piece] + _ranges(per_row)
-    leaf = np.concatenate([tree.leaf for tree in trees])[pick] * sizes[piece]
-    leaf += (base[:, -1] - first)[piece] + row
-    return bounds, parent, at, leaf
-
-
 @dataclass(frozen=True)
 class _Side:
-    """Knot-only stage loop of one factor over the rows of some blocks.
+    """Knot-only stage loop of one factor over the rows of a row range.
 
     cols[r] indexes root r's coefficient window in the factor's
     coefficients.  stages gives (parent, at, diag, sup) for stage d = q,
     .., 1: the stage's nodes, each with its parent entry in the stage
     before (a root before the first stage) and its knot pair at, and the
     stage's diagonal and superdiagonal factors per knot pair, shape
-    (pairs, d).  leaves holds one array per block it covers, which lists
-    every row's profiles, row by row, as positions in the last stage.
-    A merged side (_merged) covers every block of a product, with one
-    root per anchor span and one node per (span, sorted top knot
-    values), built from the runs of the product knots; the f and g sides
-    of a square product are two merged sides that hold the same cols and
-    stages and differ in their leaves.  An unmerged side (_side) covers
-    one block, with the block rows as roots and its row-nodes as nodes,
-    and its stages are a generator that computes one stage at a time.
+    (pairs, d).  There is one root per anchor span and one node per
+    (span, sorted top knot values) of the range's rows (_merged).
+    leaves holds one array per block of the range, which lists every
+    row's profiles, row by row, as positions in the last stage.  The f
+    and g sides of a square product hold the same cols and stages and
+    differ in their leaves.
     """
 
     cols: np.ndarray
-    stages: Iterable[tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]]
+    stages: tuple[tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray], ...]
     leaves: tuple[np.ndarray, ...]
 
 
@@ -546,26 +417,25 @@ class _Side:
 class _Layout:
     """Knot-only half of an improved product, for any coefficients.
 
-    counts holds every row's distinct profile count, read-only, and
-    pieces every block's (plan weights, rows) pieces.  sides holds the
-    f and g sides, each as the _Side parts whose leaves list the blocks
-    in order: a tuple of one merged side, or a generator that builds one
-    unmerged side per block, one block at a time.  When the product is
-    square, f and g on one knot vector and degree, both merged sides
-    read the same cols and stage arrays, so the layout holds its stages
-    and stage factors once.  A layout is kept exactly when both its
-    sides merged, since only then are both tuples.  Over the experiment
-    rows (row seed 12345), every side merges but the
-    g sides of mesh_refine_highdeg from level 6 and its f side at level
-    10, whose stages would pass _BLOCK doubles.
+    counts holds every row's distinct profile count, read-only.  ranges
+    holds (pieces, f side, g side) per row range (_fit), in row order:
+    pieces lists the range's blocks, each as its (plan weights, rows)
+    pieces, and each side has one leaf array per block.  ranges is a
+    tuple when the product is one range, and then the layout is kept;
+    otherwise it is a generator that builds one range at a time.  When
+    the product is square, f and g on one knot vector and degree, both
+    sides of a range read the same cols and stage arrays, so the layout
+    holds its stages and stage factors once.  Over the experiment rows
+    (row seed 12345), every product is one range but those of
+    mesh_refine_highdeg from level 6, whose stages would pass _BLOCK
+    doubles.
     """
 
     t: KnotVector
     naive_terms: int | float
     divisor: float
     counts: np.ndarray
-    pieces: tuple[list[tuple[np.ndarray, np.ndarray]], ...]
-    sides: tuple[Iterable[_Side], Iterable[_Side]]
+    ranges: Iterable[tuple[list, _Side, _Side]]
 
 
 def _factors(s: Spline, pair_spans, pair_values):
@@ -575,32 +445,6 @@ def _factors(s: Spline, pair_spans, pair_values):
     tau, values = s.knots.knots[kw], pair_values[:, None]
     for d in range(q, 0, -1):
         yield _stage_factors(tau, d, q, values)
-
-
-def _side(s: Spline, spans, block, run, pairs: _Pairs) -> _Side:
-    """One factor's unmerged side of one block, (trees, sizes, rows).
-
-    spans holds every product row's anchor span in s and run the run of
-    every product knot (_runs); the block computes the factors of the
-    knot pairs (pairs) it reads, renumbered in the same order.  The
-    stages are a generator that computes one at a time.
-    """
-    trees, sizes, rows = block
-    p = run.size - spans.size - 1
-    # block row r, product row i = rows[r], reads at window offset o the
-    # knot t[i + 1 + o], of pair base[root[i]] + run[i + 1 + o]
-    read = pairs.base[pairs.root[rows]] + run[rows + np.arange(1, p + 1)[:, None]]
-    used = np.zeros(pairs.pair_spans.size, dtype=bool)
-    used[read] = True
-    local = np.cumsum(used) - 1
-    bounds, parent, at, leaf = _stage_tables(trees, sizes, _compact(local[read]))
-    _, cols = _window_indices(s.degree, spans[rows])
-    factors = _factors(s, pairs.pair_spans[used], pairs.pair_values[used])
-    stages = (
-        (parent[lo:hi], at[lo:hi], diag, sup)
-        for lo, hi, (diag, sup) in zip(bounds[:-1], bounds[1:], factors)
-    )
-    return _Side(cols, stages, (leaf,))
 
 
 def _runs(knots: np.ndarray):
@@ -622,21 +466,19 @@ class _Pairs(NamedTuple):
     """Roots of a factor's rows and the knot pairs they read, numbered.
 
     Rows with one anchor span form one root: root r holds rows lo[r] ..
-    hi[r], and row i is in root[i].  A stage factor depends on a
-    row-node only through the row's span, which fixes the factor's knot
-    window, and the fine knot value it reads (the discrete B-splines of
-    the Oslo algorithm), so the stage factors go per distinct (span,
-    value) pair.  Windows slide, so root r's rows read the runs of the
-    product knots from the one holding t[lo[r] + 1] to the one holding
-    t[hi[r] + p], one pair each, and the pair of root r and run k is
-    number base[r] + k: root by root, then run by run, which is
-    ascending (span, value) order.  pair_spans and pair_values hold
-    every pair's span and knot value.
+    hi[r].  A stage factor depends on a node only through the row's
+    span, which fixes the factor's knot window, and the fine knot value
+    it reads (the discrete B-splines of the Oslo algorithm), so the
+    stage factors go per distinct (span, value) pair.  Windows slide, so
+    root r's rows read the runs of the product knots from the one
+    holding t[lo[r] + 1] to the one holding t[hi[r] + p], one pair each,
+    and the pair of root r and run k is number base[r] + k: root by
+    root, then run by run, which is ascending (span, value) order.
+    pair_spans and pair_values hold every pair's span and knot value.
     """
 
     lo: np.ndarray
     hi: np.ndarray
-    root: np.ndarray
     base: np.ndarray
     pair_spans: np.ndarray
     pair_values: np.ndarray
@@ -648,22 +490,21 @@ def _pairs(spans, knots, runs) -> _Pairs:
     first, _, run = runs
     p = knots.size - spans.size - 1
     # spans rise with the rows, so each root's rows are one run of them
-    starts, stops, root = _runs(spans)
+    starts, stops, _ = _runs(spans)
     lo, hi = starts[:-1], stops[:-1] - 1
     low, top = run[lo + 1], run[hi + p]
     widths = top - low + 1
     return _Pairs(
         lo=lo,
         hi=hi,
-        root=root,
         base=np.cumsum(widths) - widths - low,
         pair_spans=np.repeat(spans[lo], widths),
         pair_values=knots[first[np.repeat(low, widths) + _ranges(widths)]],
     )
 
 
-def _merged(s: Spline, spans, blocks, runs, pairs: _Pairs, orders: tuple[bool, ...]):
-    """Sides of factor s over every block, with one node per vector.
+def _merged(q: int, runs, pairs: _Pairs, end: int):
+    """Stage nodes of a factor side of degree q, with one node per vector.
 
     A node's vector after a stage depends only on the row's anchor span
     and the knots read so far, the sorted top values Y of the profile's
@@ -682,34 +523,25 @@ def _merged(s: Spline, spans, blocks, runs, pairs: _Pairs, orders: tuple[bool, .
     A root, one per anchor span, takes the span's rows and a min Y one
     run past the last value its rows read; node (root r, Y) reads the
     knot pair that pairs (_Pairs) numbers for r and the run of min Y.
-
     Each stage lists its nodes in rank order, the order of the sorted
     knot rows compared from their lowest value: stage by stage the
-    children are stably sorted by the value they add.  A row's profiles
-    in plan order (_profiles) have ascending f rows in that order and
-    descending g rows, so every row's leaves are its last-stage nodes in
-    ascending rank for f, descending for g.  A merged node runs the same
-    elementwise arithmetic on the same doubles as every row-node it
-    replaces, and so gives the same bits.  blocks holds every block's
-    rows.  The stages and their factors are built once, and one _Side is
-    returned per entry of orders, with the leaves descending where the
-    entry is set and ascending elsewhere; all of them hold the same cols
-    and stage arrays, so the f and g sides of a square product share
-    them (_layout).  Returns None as soon as a stage's nodes would pass
-    _BLOCK doubles, d + 1 per node at stage d, which happens on a side
-    whose rows share few knot rows.  Since a stage holds at most the
-    row-nodes of its rows, a side of one block merges unless that block
-    is one row wider than _BLOCK (_row_blocks).
-    Without the bound, the sides that stream would merge into stages
-    that take longer to build and run than their row-nodes and would be
-    kept: on mesh_refine_highdeg 10 (row seed 12345), a first call's
-    peak RSS rose from 67 to 371 MiB.
+    children are stably sorted by the value they add.
+
+    Only the nodes of rows 0 .. end - 1 are built, and a node is one of
+    those rows exactly when its lo is below end.  A stage whose nodes
+    would pass _BLOCK doubles, d + 1 per node at stage d, lowers end to
+    the rows whose nodes of that stage fit, one row at least, so a
+    one-row range merges without the bound.  Returns (end, (stages, lo,
+    hi)): stages holds (parent, at, lo) per stage, each node's parent in
+    the stage before (a root before the first), its knot pair and its
+    first row, and lo and hi the rows of every last-stage node.  The
+    stages before a cut still hold nodes of the rows past it (_prune).
     """
-    q = s.degree
     first, stop, run = runs
-    # run holds one entry per product knot, m + p + 1 of them
-    p = run.size - spans.size - 1
     lo, hi = pairs.lo, pairs.hi
+    # run holds one entry per product knot, m + p + 1 of them
+    m = hi[-1] + 1
+    p = run.size - m - 1
     # each root's rows read runs up to top, each one knot pair
     top = run[hi + p]
     # a node's rows hold c copies of its run k's value and, at stage j,
@@ -725,18 +557,62 @@ def _merged(s: Spline, spans, blocks, runs, pairs: _Pairs, orders: tuple[bool, .
         c += 1
         again = np.maximum(lo, lo_run[k] + c) <= np.minimum(hi, hi_run[k] + j - c)
         counts = k - lowest + (again & (c <= length[k]))
-        if int(counts.sum()) * (q - j + 1) > _BLOCK:
-            return None
         parent = np.repeat(np.arange(counts.size), counts)
         child = np.repeat(lowest - np.cumsum(counts) + counts, counts)
         child += np.arange(child.size)
-        order = np.argsort(_compact(child), kind="stable")
-        parent, child = parent[order], child[order]
         c = np.where(child == k[parent], c[parent], 1)
-        k, base = child, base[parent]
-        lo = np.maximum(lo[parent], lo_run[k] + c)
+        lo = np.maximum(lo[parent], lo_run[child] + c)
+        room = _BLOCK // (q - j + 1)
+        if lo.size > room:
+            end = min(end, max(int(np.partition(lo, room)[room]), 1))
+        if end < m:
+            live = np.flatnonzero(lo < end)
+            order = live[np.argsort(_compact(child[live]), kind="stable")]
+        else:
+            order = np.argsort(_compact(child), kind="stable")
+        parent, k, c, lo = parent[order], child[order], c[order], lo[order]
+        base = base[parent]
         hi = np.minimum(hi[parent], hi_run[k] + j - c)
-        stages.append((parent, base + k))
+        stages.append((parent, base + k, lo))
+    return end, (stages, lo, np.minimum(hi, end - 1))
+
+
+def _prune(nodes, end: int):
+    """_merged's nodes cut to those of rows 0 .. end - 1.  A kept node's
+    parent is kept, and the kept roots are the first ones."""
+    stages, lo, hi = nodes
+    cut = []
+    index = None
+    for parent, at, low in stages:
+        if index is not None:
+            parent = index[parent]
+        keep = low < end
+        if keep.all():
+            index = None
+        else:
+            index = np.cumsum(keep) - 1
+            parent, at, low = parent[keep], at[keep], low[keep]
+        cut.append((parent, at, low))
+    keep = lo < end
+    return cut, lo[keep], np.minimum(hi[keep], end - 1)
+
+
+def _range_sides(s: Spline, spans, pairs: _Pairs, nodes, blocks, orders):
+    """Sides of factor s over one row range, from its stage nodes.
+
+    spans holds the range's anchor spans in s, nodes is _merged's
+    (stages, lo, hi) and blocks holds every block's rows, counted from
+    the range's first.  A row's profiles in plan order (_profiles) have
+    ascending f rows in rank order and descending g rows, so every row's
+    leaves are its last-stage nodes in ascending rank for f, descending
+    for g.  A merged node runs the same elementwise arithmetic on the
+    same doubles as every row-node it replaces, and so gives the same
+    bits.  The stage factors are built once, and one _Side is returned
+    per entry of orders, with the leaves descending where the entry is
+    set and ascending elsewhere; all of them hold the same cols and
+    stage arrays, so the f and g sides of a square product share them.
+    """
+    stages, lo, hi = nodes
     # every row's leaves in rank order: its last-stage nodes, row by row
     lengths = hi - lo + 1
     rows = np.repeat(lo, lengths) + _ranges(lengths)
@@ -744,10 +620,11 @@ def _merged(s: Spline, spans, blocks, runs, pairs: _Pairs, orders: tuple[bool, .
     per_row = np.bincount(rows, minlength=spans.size)
     first_leaf = np.cumsum(per_row) - per_row
     node = np.repeat(np.arange(lengths.size), lengths)
-    _, cols = _window_indices(q, spans[pairs.lo])
+    _, cols = _window_indices(s.degree, spans[pairs.lo])
     factors = _factors(s, pairs.pair_spans, pairs.pair_values)
     stages = tuple(
-        (parent, at, diag, sup) for (parent, at), (diag, sup) in zip(stages, factors)
+        (parent, at, diag, sup)
+        for (parent, at, _), (diag, sup) in zip(stages, factors)
     )
     sides = []
     for descending in orders:
@@ -760,80 +637,98 @@ def _merged(s: Spline, spans, blocks, runs, pairs: _Pairs, orders: tuple[bool, .
             n = per_row[block_rows]
             leaves.append(nodes[np.repeat(start[block_rows], n) + _ranges(n)])
         sides.append(_Side(cols, stages, tuple(leaves)))
-    return tuple(sides)
+    return sides
 
 
-def _parts(s: Spline, spans, knots, runs, sides) -> tuple[Iterable[_Side], ...]:
-    """The sides that read factor s, each as the _Side parts of a _Layout.
+def _fit(t: KnotVector, sides, a: int):
+    """The longest row range from row a whose sides' stages stay within
+    _BLOCK doubles, with their stage nodes.
 
-    sides holds (blocks, descending) per side, blocks holding (trees,
-    sizes, rows) per block: f's side, g's, or both when the product is
-    square.  The knot pairs are numbered once for all rows (_pairs).
-    When every stage stays within _BLOCK doubles the sides merge across
-    all blocks into one set of stages that each side reads with its own
-    leaves (_merged); otherwise each side streams, a generator building
-    each block's side from its own plan trees as it is read (_side).
+    sides holds (factor, its spans of every product row, leaf orders)
+    per side.  A range of rows a .. b - 1 is a product of its own on
+    the knot slice t[a : b + p + 1]: a row's window reads only knots
+    inside it, so every node and knot pair keeps its bits.  Each side
+    is merged over the rows left from a, and cuts them where a stage
+    would pass the bound (_merged); the sides are then pruned to the
+    shortest cut, and their knot pairs numbered on its slice, which
+    keeps the numbers their nodes read.  Returns (b, [(pairs, nodes)]
+    per side).
     """
-    pairs = _pairs(spans, knots, runs)
-    rows = [block[2] for block in sides[0][0]]
-    merged = _merged(s, spans, rows, runs, pairs, tuple(d for _, d in sides))
-    if merged is not None:
-        return tuple((side,) for side in merged)
-    return tuple(
-        (_side(s, spans, block, runs[2], pairs) for block in blocks)
-        for blocks, _ in sides
-    )
+    p = t.degree
+    rest = t.dimension - a
+    knots = t.knots[a:]
+    runs = _runs(knots)
+    end = rest
+    pairs, built = [None] * len(sides), [None] * len(sides)
+    # the side of higher degree first: its stages hold more nodes, so it
+    # cuts the rows first, and the other side is built on them alone
+    for i in sorted(range(len(sides)), key=lambda i: -sides[i][0].degree):
+        s, spans, _ = sides[i]
+        pairs[i] = _pairs(spans[a:], knots, runs)
+        end, built[i] = _merged(s.degree, runs, pairs[i], end)
+    if end < rest:
+        built = [_prune(nodes, end) for nodes in built]
+        knots = t.knots[a : a + end + p + 1]
+        runs = _runs(knots)
+        pairs = [_pairs(spans[a : a + end], knots, runs) for _, spans, _ in sides]
+    return a + end, list(zip(pairs, built))
+
+
+def _row_ranges(t: KnotVector, sides, groups, fitted):
+    """(pieces, f side, g side) of every row range in turn, each built as
+    it is read.  groups holds the product's window groups (_window_groups)
+    and fitted _fit's result for the first range."""
+    a = 0
+    while a < t.dimension:
+        b, built = fitted or _fit(t, sides, a)
+        fitted = None
+        pieces = list(_row_blocks(*groups, a, b))
+        blocks = [np.concatenate([rows for _, rows in block]) - a for block in pieces]
+        parts = []
+        for (s, spans, orders), (pairs, nodes) in zip(sides, built):
+            parts += _range_sides(s, spans[a:b], pairs, nodes, blocks, orders)
+        yield pieces, *parts
+        a = b
 
 
 def _layout(f: Spline, g: Spline, t: KnotVector) -> tuple[_Layout, bool]:
     """Knot-only half of the product of open f and g, and whether to keep it.
 
-    Rows pack into blocks (_row_blocks), and each factor's side is
-    merged across all blocks when its stages stay within _BLOCK doubles
-    (_parts).  When f and g have the same knot bytes and degree (a
-    square product: spline_spline and Galerkin rows), both sides have
-    the same spans, pairs, stages and factors and differ only in the
-    order of their leaves, so one merged side is built for both.  Bytes
-    are compared, not values, since -0.0 and +0.0 knots give stage
-    factors of other bits.  A layout is kept exactly when both its sides
-    merged: it is then built whole, and the first call pays nothing to
-    keep it.  A layout with an unmerged side streams that side one block
-    at a time and is not kept, since a kept unmerged side would rerun
-    its row-nodes on every call.
+    The rows are cut into row ranges (_fit), each packed into blocks
+    (_row_blocks) and merged on its own.  When f and g have the same
+    knot bytes and degree (a square product: spline_spline and Galerkin
+    rows), both sides have the same spans, pairs, stages and factors and
+    differ only in the order of their leaves, so one side is built for
+    both.  Bytes are compared, not values, since -0.0 and +0.0 knots
+    give stage factors of other bits.  A layout is kept exactly when the
+    product is one range: it is then built whole, and the first call
+    pays nothing to keep it.  A product of more ranges streams them one
+    at a time and is not kept, since holding all its ranges would take
+    the memory the bound saves.
     """
     p1 = f.degree
     p = t.degree
     # raises ValueError when C(p, p1) exceeds the double range
     naive_terms = binomial(p, p1)
     m, k1, k2, _ = _row_geometry(f, g, t)
-    counts = np.empty(m, dtype=np.int64)
-    pieces = []
-    blocks_f, blocks_g = [], []
-    for block in _row_blocks(t, p1):
-        sizes = np.array([piece.size for _, piece in block])
-        rows = np.concatenate([piece for _, piece in block])
-        for plan, piece in block:
-            counts[piece] = plan.weights.size
-        pieces.append([(plan.weights, piece) for plan, piece in block])
-        blocks_f.append(([plan.f for plan, _ in block], sizes, rows))
-        blocks_g.append(([plan.g for plan, _ in block], sizes, rows))
+    weights, group = _window_groups(t, p1)
+    counts = np.array([w.size for w in weights], dtype=np.int64)[group]
     counts.setflags(write=False)
-    runs = _runs(t.knots)
-    side_f, side_g = (blocks_f, False), (blocks_g, True)
     if f.degree == g.degree and f.knots.knots.tobytes() == g.knots.knots.tobytes():
-        sides = _parts(f, k1, t.knots, runs, (side_f, side_g))
+        sides = ((f, k1, (False, True)),)
     else:
-        sides = _parts(f, k1, t.knots, runs, (side_f,))
-        sides += _parts(g, k2, t.knots, runs, (side_g,))
+        sides = ((f, k1, (False,)), (g, k2, (True,)))
+    fitted = _fit(t, sides, 0)
+    keep = fitted[0] == m
+    ranges = _row_ranges(t, sides, (weights, group), fitted)
     layout = _Layout(
         t=t,
         naive_terms=naive_terms,
         divisor=float(math.comb(p, p1)),
         counts=counts,
-        pieces=tuple(pieces),
-        sides=sides,
+        ranges=tuple(ranges) if keep else ranges,
     )
-    return layout, all(isinstance(parts, tuple) for parts in sides)
+    return layout, keep
 
 
 def _side_values(coeffs: np.ndarray, side: _Side) -> np.ndarray:
@@ -858,13 +753,12 @@ def _side_values(coeffs: np.ndarray, side: _Side) -> np.ndarray:
     return v[:, 0]
 
 
-def _block_values(coeffs: np.ndarray, parts: Iterable[_Side]):
-    """Kernel value of every (row, profile) of each block in turn, flat and
-    row-major."""
-    for side in parts:
-        last = _side_values(coeffs, side)
-        for leaf in side.leaves:
-            yield last[leaf]
+def _block_values(coeffs: np.ndarray, side: _Side):
+    """Kernel value of every (row, profile) of each of a side's blocks in
+    turn, flat and row-major."""
+    last = _side_values(coeffs, side)
+    for leaf in side.leaves:
+        yield last[leaf]
 
 
 class _Slot(NamedTuple):
@@ -892,37 +786,35 @@ def improved_morken_product(
     """Product spline via distinct knot profiles with exact repetition counts.
 
     Rows whose knot windows share their run multiplicities share one
-    knot-only plan (profiles, weights, suffix-shared kernel stages).
-    Blocks of at most _BLOCK doubles pack rows of many such groups, and
-    every group piece is reduced on its own.  Every coefficient sums the
-    same kernel products in the same order as one kernel_many call per
-    row and factor over its distinct profiles; agrees with
-    morken_product to floating-point roundoff.
+    knot-only plan, the weights of their distinct profiles.  Blocks of
+    at most _BLOCK doubles pack rows of many such groups, and every
+    group piece is reduced on its own.  Every coefficient sums the same
+    kernel products in the same order as one kernel_many call per row
+    and factor over its distinct profiles; agrees with morken_product
+    to floating-point roundoff.
 
     Everything but the coefficient pass depends on the knots alone: a
     refined coefficient is a knot-only linear map applied to the
     coefficient window (the discrete B-splines of the Oslo algorithm).
     A stage factor depends only on the factor's knot window, which the
     row's span fixes, and on one fine knot value, so each factor's side
-    computes its factors once per distinct (span, knot value) pair of
-    the product.  Each side builds its stage nodes once across all
-    blocks, one node per (anchor span, sorted top knot values), straight
-    from the runs of the product knots: the rows where a node is
-    feasible form one interval, which each child narrows.  It runs one
-    stage loop over them (_merged), unless a stage would pass _BLOCK
-    doubles; such a side streams its blocks one at a time, with the
-    unmerged row-nodes of each.  Over the experiment rows (row seed
-    12345) only mesh_refine_highdeg streams: its g sides from level 6
-    and its f side at level 10.  When f and g have the same knot bytes
-    and degree, as in the spline_spline and Galerkin rows, both sides
-    read one merged side, built once, each with its own leaf order.
-    The layout (product knot vector, blocks, stage tables and stage
+    computes its factors once per distinct (span, knot value) pair.
+    Each side builds its stage nodes once across all blocks, one node
+    per (anchor span, sorted top knot values), straight from the runs of
+    the product knots: the rows where a node is feasible form one
+    interval, which each child narrows (_merged).  When a stage would
+    pass _BLOCK doubles, the rows are cut into consecutive row ranges,
+    each merged on its own knot slice and streamed one at a time (_fit);
+    over the experiment rows (row seed 12345) only mesh_refine_highdeg
+    from level 6 is cut.  When f and g have the same knot bytes and
+    degree, as in the spline_spline and Galerkin rows, both sides read
+    one merged side, built once, each with its own leaf order.
+    The layout (product knot vector, blocks, stage nodes and stage
     factors) is kept, keyed on both factors' knots and degrees as
-    passed in, exactly when both sides merged; a later call on the same
-    key runs only the coefficient pass on it, after make_open and the
-    target_knots check; a layout with a side that streams is never
-    kept.  f's kernel values are kept beside
-    the layout and reused while f's coefficient bytes (-0.0 is not 0.0)
+    passed in, exactly when the product is one range; a later call on
+    the same key runs only the coefficient pass on it, after make_open
+    and the target_knots check.  f's kernel values are kept beside the
+    layout and reused while f's coefficient bytes (-0.0 is not 0.0)
     stay the same, so Galerkin assembly, one f times many g, refines
     only g.
     Over every experiment row (row seed 12345) the largest kept layout
@@ -947,32 +839,32 @@ def improved_morken_product(
         f, g, t = _prepared_factors(f, g, target_knots)
         layout, keep = _layout(f, g, t)
     f_bytes = f.coefficients.tobytes()
-    parts_f, parts_g = layout.sides
-    if kept is not None and kept.f_bytes == f_bytes:
-        f_values = kept.f_values
-    else:
-        f_values = _block_values(f.coefficients, parts_f)
-        if keep:
-            f_values = tuple(f_values)
+    reuse = kept is not None and kept.f_bytes == f_bytes
     b = np.empty(layout.counts.size)
-    for pieces, bf, bg in zip(
-        layout.pieces, f_values, _block_values(g.coefficients, parts_g)
-    ):
-        lo = 0
-        for weights, piece in pieces:
-            hi = lo + piece.size * weights.size
-            wbf = weights * bf[lo:hi].reshape(piece.size, -1)
-            cols = bg[lo:hi].reshape(piece.size, -1)
-            if cols.shape[1] == 1:
-                # np.dot of one-element rows is their product, zero sign too
-                dots = wbf[:, 0] * cols[:, 0]
-            else:
-                # matmul reduces each 1 x 1 product with one BLAS dot over
-                # the row's contiguous values: the summation order, and so
-                # the bits, of one np.dot per row
-                dots = (wbf[:, None, :] @ cols[:, :, None]).ravel()
-            b[piece] = dots / layout.divisor
-            lo = hi
+    for pieces, side_f, side_g in layout.ranges:
+        if reuse:
+            f_values = kept.f_values
+        else:
+            f_values = _block_values(f.coefficients, side_f)
+            if keep:
+                f_values = tuple(f_values)
+        g_values = _block_values(g.coefficients, side_g)
+        for block, bf, bg in zip(pieces, f_values, g_values):
+            lo = 0
+            for weights, piece in block:
+                hi = lo + piece.size * weights.size
+                wbf = weights * bf[lo:hi].reshape(piece.size, -1)
+                cols = bg[lo:hi].reshape(piece.size, -1)
+                if cols.shape[1] == 1:
+                    # np.dot of one-element rows is their product, zero sign too
+                    dots = wbf[:, 0] * cols[:, 0]
+                else:
+                    # matmul reduces each 1 x 1 product with one BLAS dot over
+                    # the row's contiguous values: the summation order, and so
+                    # the bits, of one np.dot per row
+                    dots = (wbf[:, None, :] @ cols[:, :, None]).ravel()
+                b[piece] = dots / layout.divisor
+                lo = hi
     product = _product_spline(layout.t, b)
     _kept = _Slot(key, layout, f_bytes, f_values) if keep else None
     return ProductResult(

@@ -8,7 +8,7 @@ The exceptions are the former loop forms of the package's batched
 steps, which the batched code must match bit for bit: the clamped span
 scan (`span0_clamped_scan`), the row-major de Boor kernel
 (`kernel_rows_reference`), the per-row loop of the improved product
-(`improved_product_rows`), the per-anchor refine loop
+(`improved_kernel_rows`, `improved_product_rows`), the per-anchor refine loop
 (`refine_rows_by_anchor`), the scalar-column Cox-de Boor triangle
 (`basis_triangle_rows`) and the per-breakpoint merge of the product knot
 vector (`merged_product_knots`).  `insertion_dense`,
@@ -402,13 +402,13 @@ def kernel_rows_reference(tau_window, coeff_window, fine_rows):
     return v[:, 0]
 
 
-def improved_product_rows(f, g):
-    """Improved-product coefficients and distinct counts, one row at a time.
+def improved_kernel_rows(f, g):
+    """The per-row loop of the improved product, up to its reduction.
 
     Each row enumerates its window's distinct profiles, builds their knot
-    rows, runs one kernel_rows_reference call per factor over them and
-    reduces with one dot of weights * bf against bg, divided by C(p, p1).
-    Returns (coefficients, distinct counts).
+    rows and runs one kernel_rows_reference call per factor over them.
+    Returns one (weights, bf, bg) per row, in row order: the profiles'
+    subset counts and the two factors' kernel values.
     """
     from splineprod import knot_combinations, make_open, product_knot_vector
     from splineprod._kernels import find_span0_many
@@ -419,9 +419,7 @@ def improved_product_rows(f, g):
     anchors = t.knots[:m]
     k1 = find_span0_many(f.knots.knots, p1, anchors)
     k2 = find_span0_many(g.knots.knots, p2, anchors)
-    divisor = float(math.comb(p, p1))
-    b = np.empty(m)
-    counts = np.empty(m, dtype=np.int64)
+    out = []
     for i in range(m):
         combo = knot_combinations(t.knots[i + 1 : i + 1 + p], p1)
         rows_f, rows_g = combo.knot_rows()
@@ -435,20 +433,35 @@ def improved_product_rows(f, g):
             g.coefficients[k2[i] - p2 : k2[i] + 1],
             rows_g,
         )
-        b[i] = float(np.dot(combo.weights * bf, bg)) / divisor
-        counts[i] = len(combo.combinations)
+        out.append((combo.weights, bf, bg))
+    return out
+
+
+def improved_product_rows(f, g):
+    """Improved-product coefficients and distinct counts, one row at a time.
+
+    Each row reduces its improved_kernel_rows values with one dot of
+    weights * bf against bg, divided by C(p, p1).  Returns (coefficients,
+    distinct counts).
+    """
+    p1, p = f.degree, f.degree + g.degree
+    divisor = float(math.comb(p, p1))
+    rows = improved_kernel_rows(f, g)
+    b = np.array([float(np.dot(w * bf, bg)) / divisor for w, bf, bg in rows])
+    counts = np.array([w.size for w, _, _ in rows], dtype=np.int64)
     return b, counts
 
 
-def stage_node_counts(f, g):
+def stage_node_counts(f, g, rows=None):
     """Distinct stage nodes of each factor side of the improved product, per stage.
 
     A kernel stage's vector depends only on the row's anchor span in the
     factor and on the fine knots read so far: stage d = q, .., 1 reads
     knot d of the profile's sorted knot row, so a node of stage d is one
     (anchor span, sorted top q - d + 1 knot values).  Counted in plain
-    Python sets over every row's profiles.  Returns one list per factor,
-    f then g, of the counts for stages q, .., 1.
+    Python sets over every profile of the product rows in rows (all of
+    them by default).  Returns one list per factor, f then g, of the
+    counts for stages q, .., 1.
     """
     from splineprod import knot_combinations, make_open, product_knot_vector
     from splineprod._kernels import find_span0_many
@@ -457,17 +470,17 @@ def stage_node_counts(f, g):
     t = product_knot_vector(f.knots, g.knots)
     p1, p, m = f.degree, t.degree, t.dimension
     anchors = t.knots[:m]
-    rows = [
-        knot_combinations(t.knots[i + 1 : i + 1 + p], p1).knot_rows()
-        for i in range(m)
-    ]
+    rows = range(m) if rows is None else rows
+    knot_rows = {
+        i: knot_combinations(t.knots[i + 1 : i + 1 + p], p1).knot_rows() for i in rows
+    }
     counts = []
     for side, s in enumerate((f, g)):
         q = s.degree
         spans = find_span0_many(s.knots.knots, q, anchors)
         nodes = [set() for _ in range(q)]
-        for i in range(m):
-            for row in rows[i][side]:
+        for i in rows:
+            for row in knot_rows[i][side]:
                 knots = sorted(float(x) for x in row)
                 for j, d in enumerate(range(q, 0, -1)):
                     nodes[j].add((int(spans[i]), tuple(knots[d - 1 :])))

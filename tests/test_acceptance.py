@@ -169,8 +169,8 @@ def test_criterion_02_direct_error_galerkin_degree_50(family):
     """The 5e-14 bound holds for every product of a degree-50 Galerkin row.
 
     One f times 99 (galerkin_p) or 54 (galerkin_k) g on one knot pair:
-    the first product streams its blocks, the second keeps a shared
-    layout, and the rest reuse it and f's kernel values.
+    the first product builds and keeps the layout, one row range, and
+    the rest reuse it and f's kernel values.
     """
     case = build_family_case(family, 50, SplitMix64(12345))
     for j, g in enumerate(case.gs):

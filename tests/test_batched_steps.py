@@ -49,8 +49,9 @@ from hypothesis import example, given, settings, strategies as st
 
 # spans with a -0.0 end and spans whose equal knots average off their value
 SPANS = ((0.0, 1.0), (-0.7, -0.0), (-3.0, -1.7), (-1.0, 1.0))
-# _BLOCK values that give one row per block, a few rows, and one block
-BLOCKS = (1, 64, 1 << 16)
+# _BLOCK values that give one-row ranges, ranges of a few rows, ranges
+# of more rows, and one range
+BLOCKS = (1, 64, 128, 1 << 16)
 # spans with a zero at an end or (at eighth 4) inside
 ZERO_SPANS = ((-1.0, 1.0), (-0.7, 0.0), (0.0, 0.7), (0.0, 1.0))
 
@@ -427,51 +428,123 @@ def test_product_knot_vector_bytes_equal_merge_loop(pair):
         assert _same_bytes(t.knots, expected.knots)
 
 
+def _row_ranges(layout):
+    """Each row range of a layout as (a, b, pieces, sides): its rows a ..
+    b - 1, its blocks' (weights, rows) pieces and its f and g sides.  The
+    ranges cover the product's rows in order, and each side holds one
+    leaf array per block."""
+    out = []
+    a = 0
+    for pieces, *sides in layout.ranges:
+        rows = np.sort(np.concatenate([rows for block in pieces for _, rows in block]))
+        b = a + rows.size
+        assert np.array_equal(rows, np.arange(a, b))
+        assert all(len(side.leaves) == len(pieces) for side in sides)
+        out.append((a, b, pieces, sides))
+        a = b
+    assert a == layout.counts.size
+    return out
+
+
 def _assert_product_equals_recounts(f, g, block):
-    """Under _BLOCK = block, every merged side of the product of f and g
-    holds, stage by stage, the nodes of the plain-set recount, and a first
-    call and a hit give the per-row loop's coefficient bytes and counts.
-    Returns whether both sides merged."""
+    """Under _BLOCK = block, every row range of the product of f and g
+    holds, side by side and stage by stage, the nodes of the plain-set
+    recount over its rows, within _BLOCK doubles unless the range is one
+    row, and a first call and a hit give the per-row loop's coefficient
+    bytes and counts.  The layout is kept exactly when the product is
+    one range.  Returns the ranges' first rows after the first."""
     b, counts = improved_product_rows(f, g)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(product_module, "_BLOCK", block)
         mp.setattr(product_module, "_kept", None)
         f2, g2, t = product_module._prepared_factors(f, g, None)
         layout, keep = product_module._layout(f2, g2, t)
-        for parts, nodes in zip(layout.sides, stage_node_counts(f, g)):
-            if isinstance(parts, tuple):
-                (side,) = parts
-                assert [stage[0].size for stage in side.stages] == nodes
+        ranges = _row_ranges(layout)
+        assert keep == (len(ranges) == 1)
+        for lo, hi, _, sides in ranges:
+            for side, nodes in zip(sides, stage_node_counts(f, g, range(lo, hi))):
+                sizes = [stage[0].size for stage in side.stages]
+                assert sizes == nodes
+                q = len(sizes)
+                if hi - lo > 1:
+                    assert all(n * (q - j + 1) <= block for j, n in enumerate(sizes))
         for _ in range(2):
             result = improved_morken_product(f, g)
             assert _same_bytes(result.product.coefficients, b)
             assert np.array_equal(result.distinct_term_counts, counts)
-    return keep
+            assert (product_module._kept is not None) == keep
+    return [lo for lo, _, _, _ in ranges[1:]]
+
+
+def _cuts_a_run(t, p, cuts):
+    """Whether a range boundary cuts a run of equal product knots: the
+    knot slice of the range from row a starts inside a run, or that of
+    the range before it ends inside one."""
+    knots = t.knots
+    return any(knots[a - 1] == knots[a] or knots[a + p] == knots[a + p + 1] for a in cuts)
 
 
 @settings(max_examples=200, deadline=None)
-@given(open_knot_pairs(), st.integers(0, 2**32 - 1), st.sampled_from(BLOCKS))
-def test_merged_sides_equal_node_recount_and_per_row_loop(pair, seed, block):
+@given(
+    open_knot_pairs(),
+    st.integers(0, 2**32 - 1),
+    st.sampled_from(BLOCKS),
+    st.just(False),
+)
+@example(
+    (KnotVector(np.array([0.0] * 9 + [0.5] * 3 + [1.0] * 9), 8),
+     KnotVector(np.array([0.0] * 4 + [0.125] * 2 + [0.875] * 3 + [1.0] * 4), 3)),
+    7,
+    64,
+    True,
+)
+def test_merged_sides_equal_node_recount_and_per_row_loop(pair, seed, block, cuts_run):
     """The stage nodes that _merged builds from the runs of the product
-    knots are the distinct (anchor span, sorted top knot values) of all
-    rows' profiles, and the product's bytes, zero signs included, are the
-    per-row loop's whether its sides merge or stream."""
+    knots are the distinct (anchor span, sorted top knot values) of the
+    profiles of each row range's rows, and the product's bytes, zero
+    signs included, are the per-row loop's however its rows are cut into
+    ranges.  The explicit example (cuts_run) is cut into several ranges
+    of more than one row, at a boundary inside a run of equal knots."""
     rng = np.random.default_rng(seed)
     factors = []
     for kv in pair:
         coeffs = rng.uniform(-1.0, 1.0, kv.dimension)
         coeffs[rng.random(kv.dimension) < 0.3] = -0.0
         factors.append(Spline(kv, coeffs))
-    _assert_product_equals_recounts(*factors, block)
+    cuts = _assert_product_equals_recounts(*factors, block)
+    if cuts_run:
+        t = product_knot_vector(*pair)
+        assert len(cuts) >= 2 and _cuts_a_run(t, t.degree, cuts)
+        assert all(b - a > 1 for a, b in zip([0] + cuts, cuts + [t.dimension]))
 
 
 def test_merged_sides_of_mesh_refine_highdeg_4_check_run_lengths():
     """mesh_refine_highdeg 4 (row seed 12345) has windows where one more
     copy of a value would be feasible by the row bounds alone but passes
-    the length of the value's run in the product knots.  Both sides merge,
-    so such a node would show in the counts."""
+    the length of the value's run in the product knots.  The product is
+    one range, so such a node would show in the counts."""
     case = build_family_case("mesh_refine_highdeg", 4, SplitMix64(12345))
-    assert _assert_product_equals_recounts(case.f, case.gs[0], 1 << 16)
+    assert _assert_product_equals_recounts(case.f, case.gs[0], 1 << 16) == []
+
+
+@pytest.mark.parametrize("level", [6, 10])
+def test_every_range_of_mesh_refine_highdeg_stays_within_the_stage_bound(level):
+    """mesh_refine_highdeg from level 6 (row seed 12345) would pass _BLOCK
+    doubles in one stage if merged whole: its rows are cut into ranges,
+    every range but a one-row one holds at most _BLOCK doubles per stage
+    on each side, and the layout is not kept."""
+    case = build_family_case("mesh_refine_highdeg", level, SplitMix64(12345))
+    f, g, t = product_module._prepared_factors(case.f, case.gs[0], None)
+    layout, keep = product_module._layout(f, g, t)
+    assert not keep and not isinstance(layout.ranges, tuple)
+    ranges = _row_ranges(layout)
+    assert len(ranges) >= 2
+    for a, b, _, sides in ranges:
+        if b - a > 1:
+            for side in sides:
+                q = len(side.stages)
+                doubles = [stage[0].size * (q - j + 1) for j, stage in enumerate(side.stages)]
+                assert max(doubles) <= product_module._BLOCK
 
 
 def _assert_rows_bytes(f, g):
@@ -500,7 +573,7 @@ def test_square_products_read_one_merged_side(pair, data):
         mp.setattr(product_module, "_kept", None)
         _assert_rows_bytes(f, g)
         layout = product_module._kept.layout
-        (side_f,), (side_g,) = layout.sides
+        ((_, side_f, side_g),) = layout.ranges
         assert side_f.cols is side_g.cols and side_f.stages is side_g.stages
         for first, second in ((f, h), (g, f)):
             _assert_rows_bytes(first, second)
@@ -523,19 +596,19 @@ def test_square_pair_split_by_a_zero_sign_reads_two_sides():
         mp.setattr(product_module, "_kept", None)
         for _ in range(2):
             _assert_rows_bytes(f, g)
-        (side_f,), (side_g,) = product_module._kept.layout.sides
+        ((_, side_f, side_g),) = product_module._kept.layout.ranges
     assert side_f.stages is not side_g.stages
     assert any(
         a[2].tobytes() != b[2].tobytes() for a, b in zip(side_f.stages, side_g.stages)
     )
 
 
-def test_square_sides_past_the_table_bound_stream_apart():
-    """Under _BLOCK = 128, neither side of spline_spline 7 merges: each
-    streams its 8 blocks with its own plan trees.  On equal coefficients
-    every row's g values are its f values reversed, since g's profiles
-    are f's in reverse plan order; calls are not kept and give the
-    per-row loop's bytes."""
+def test_square_product_past_the_stage_bound_streams_one_side_per_range():
+    """Under _BLOCK = 128, spline_spline 7 is cut into 2 row ranges, each
+    merged on its own, and each range's f and g sides read the same
+    stages.  On equal coefficients every row's g values are its f values
+    reversed, since g's profiles are f's in reverse plan order; calls are
+    not kept and give the per-row loop's bytes."""
     case = build_family_case("spline_spline", 7, SplitMix64(12345))
     f, g = case.f, case.gs[0]
     with pytest.MonkeyPatch.context() as mp:
@@ -543,19 +616,21 @@ def test_square_sides_past_the_table_bound_stream_apart():
         mp.setattr(product_module, "_kept", None)
         f2, g2, t = product_module._prepared_factors(f, g, None)
         layout, keep = product_module._layout(f2, g2, t)
-        assert not keep and len(layout.pieces) == 8
-        assert not any(isinstance(parts, tuple) for parts in layout.sides)
-        values = [
-            list(product_module._block_values(f2.coefficients, parts))
-            for parts in layout.sides
-        ]
-        for pieces, bf, bg in zip(layout.pieces, *values):
-            lo = 0
-            for weights, piece in pieces:
-                hi = lo + piece.size * weights.size
-                rows_f = bf[lo:hi].reshape(piece.size, -1)
-                assert _same_bytes(bg[lo:hi].reshape(piece.size, -1), rows_f[:, ::-1])
-                lo = hi
+        ranges = _row_ranges(layout)
+        assert not keep and len(ranges) == 2
+        for _, _, pieces, (side_f, side_g) in ranges:
+            assert side_f.stages is side_g.stages
+            values = [
+                product_module._block_values(f2.coefficients, side)
+                for side in (side_f, side_g)
+            ]
+            for block, bf, bg in zip(pieces, *values):
+                lo = 0
+                for weights, piece in block:
+                    hi = lo + piece.size * weights.size
+                    rows_f = bf[lo:hi].reshape(piece.size, -1)
+                    assert _same_bytes(bg[lo:hi].reshape(piece.size, -1), rows_f[:, ::-1])
+                    lo = hi
         for _ in range(2):
             _assert_rows_bytes(f, g)
             assert product_module._kept is None

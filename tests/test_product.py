@@ -22,11 +22,14 @@ from splineprod import (
     product_knot_vector,
     uniform_open_knots,
 )
+from splineprod._kernels import _stage_factors, find_span0_many
 from splineprod.bench import SplitMix64, build_family_case
+from splineprod.core import _window_indices
 from helpers import (
     brute_combinations,
     distinct_profile_count,
     exact_product_coefficients,
+    improved_kernel_rows,
     improved_product_rows,
     merged_product_knots,
     random_open_kv,
@@ -395,9 +398,10 @@ def test_improved_bit_identical_across_row_blocks(monkeypatch):
     coeffs, counts = improved_product_rows(f, g)
     for block in (64, 1 << 20):
         monkeypatch.setattr(product_module, "_BLOCK", block)
-        packing = list(product_module._row_blocks(t, 3))
+        groups = product_module._window_groups(t, 3)
+        packing = list(product_module._row_blocks(*groups, 0, t.dimension))
         # the window groups (one plan each) that have rows in each block
-        groups = [{id(plan) for plan, _ in pieces} for pieces in packing]
+        groups = [{id(weights) for weights, _ in pieces} for pieces in packing]
         rows = np.concatenate([piece for pieces in packing for _, piece in pieces])
         assert np.array_equal(np.sort(rows), np.arange(t.dimension))
         if block == 64:
@@ -576,21 +580,28 @@ def test_kept_layout_still_checks_target_knots(product_module):
     assert improved_morken_product(f, g, target_knots=exact).product.knots == exact
 
 
+def _blocks(module, f, g):
+    """The evaluation blocks that all rows of the product of f and g pack into."""
+    t = product_knot_vector(f.knots, g.knots)
+    return list(module._row_blocks(*module._window_groups(t, f.degree), 0, t.dimension))
+
+
 def test_multi_block_product_is_kept_when_both_sides_merge(product_module):
-    """galerkin_k 40 packs into 4 blocks and both its sides merge across
-    them, so its first call keeps the layout; the next calls, with new g
-    or f coefficients too, reuse that very layout object."""
+    """galerkin_k 40 packs into 2 blocks and is one row range, so both its
+    sides merge across them and its first call keeps the layout; the
+    next calls, with new g or f coefficients too, reuse that very layout
+    object."""
     case = build_family_case("galerkin_k", 40, SplitMix64(12345))
     f, gs = case.f, case.gs
-    t = product_knot_vector(f.knots, gs[0].knots)
-    assert len(list(product_module._row_blocks(t, f.degree))) == 4
+    assert len(_blocks(product_module, f, gs[0])) == 2
     _assert_rows_bytes(improved_morken_product(f, gs[0]), f, gs[0])
     kept = product_module._kept
     layout = kept.layout
-    assert len(layout.pieces) == 4
+    ((pieces, side_f, side_g),) = layout.ranges
+    assert len(pieces) == 2
     # one merged side per factor, with one leaf array per block
-    assert all(len(parts) == 1 and len(parts[0].leaves) == 4 for parts in layout.sides)
-    assert len(kept.f_values) == 4
+    assert len(side_f.leaves) == len(side_g.leaves) == 2
+    assert len(kept.f_values) == 2
     f2 = random_spline_on(np.random.default_rng(40), f.knots)
     for f3, g in ((f, gs[1]), (f2, gs[1])):
         _assert_rows_bytes(improved_morken_product(f3, g), f3, g)
@@ -602,40 +613,40 @@ def test_multi_block_product_is_kept_when_both_sides_merge(product_module):
     assert product_module._kept.layout is not layout
 
 
-def test_side_past_the_table_bound_streams_unmerged(product_module):
-    """mesh_refine_highdeg 6 packs into 4 blocks.  Its g side's merged
-    nodes share few knot rows, and one stage would take 138,952 doubles,
-    past _BLOCK: g streams block by block, unmerged, while f merges
-    across all four.  With one side unmerged the layout is not kept, also
-    when the key repeats, and the bytes are those of the per-row loop."""
+def test_product_past_the_stage_bound_streams_row_ranges(product_module):
+    """mesh_refine_highdeg 6 merged whole would take 138,952 doubles in one
+    stage of its g side, past _BLOCK: its rows are cut into 3 ranges,
+    each merged on its own and packed into one block, with one leaf
+    array per block on each side.  The layout is not kept, also when the
+    key repeats, and the bytes are those of the per-row loop."""
     case = build_family_case("mesh_refine_highdeg", 6, SplitMix64(12345))
     f, g = case.f, case.gs[0]
     f2, g2, t = product_module._prepared_factors(f, g, None)
     layout, keep = product_module._layout(f2, g2, t)
-    assert len(layout.pieces) == 4 and not keep
-    (merged,) = layout.sides[0]
-    assert len(merged.leaves) == 4
-    assert not isinstance(layout.sides[1], tuple)
-    streamed = list(layout.sides[1])
-    assert len(streamed) == 4 and all(len(side.leaves) == 1 for side in streamed)
+    assert not keep and not isinstance(layout.ranges, tuple)
+    ranges = list(layout.ranges)
+    assert len(ranges) == 3
+    for pieces, side_f, side_g in ranges:
+        assert len(pieces) == 1 and len(side_f.leaves) == len(side_g.leaves) == 1
+    rows = np.concatenate([rows for pieces, _, _ in ranges for _, rows in pieces[0]])
+    assert np.array_equal(np.sort(rows), np.arange(t.dimension))
     for _ in range(2):
         _assert_rows_bytes(improved_morken_product(f, g), f, g)
         assert product_module._kept is None
 
 
-@pytest.mark.parametrize("block, blocks", [(1, 91), (1024, 4), (1 << 16, 1)])
+@pytest.mark.parametrize("block, blocks", [(1, 91), (1024, 2), (1 << 16, 1)])
 def test_numbering_across_block_sizes_matches_per_row_loop(
     product_module, monkeypatch, block, blocks
 ):
-    """galerkin_p 12 with one row per block (unmerged, streamed), 4 blocks
-    (merged across them) and one block: first calls, hits on new g
-    coefficients with f's values reused, and hits on new f coefficients
-    give the per-row loop's bytes."""
+    """galerkin_p 12 with one row per block (one-row ranges, streamed), 2
+    blocks (one range, merged across them) and one block: first calls,
+    hits on new g coefficients with f's values reused, and hits on new f
+    coefficients give the per-row loop's bytes."""
     monkeypatch.setattr(product_module, "_BLOCK", block)
     case = build_family_case("galerkin_p", 12, SplitMix64(12345))
     f, gs = case.f, case.gs
-    t = product_knot_vector(f.knots, gs[0].knots)
-    packing = list(product_module._row_blocks(t, f.degree))
+    packing = _blocks(product_module, f, gs[0])
     assert len(packing) == blocks
     if block == 1:
         assert all(sum(piece.size for _, piece in pieces) == 1 for pieces in packing)
@@ -646,74 +657,74 @@ def test_numbering_across_block_sizes_matches_per_row_loop(
         if block == 1:
             assert slot is None
         else:
-            assert len(slot.layout.pieces) == blocks
+            ((pieces, _, _),) = slot.layout.ranges
+            assert len(pieces) == blocks
             assert slot.f_bytes == f3.coefficients.tobytes()
 
 
 @pytest.mark.parametrize(
     "family, param, block",
     [("spline_spline", 7, 1 << 16), ("spline_spline", 10, 1 << 16),
-     ("galerkin_k", 12, 1 << 16), ("galerkin_k", 12, 4096)],
+     ("galerkin_k", 12, 1 << 16), ("galerkin_k", 12, 2048)],
 )
 def test_merged_node_counts_match_an_independent_recount(
     product_module, monkeypatch, family, param, block
 ):
     """Every stage of a merged side holds one node per distinct (anchor
     span, sorted top knot values) over all rows' profiles, counted in
-    plain Python sets (tests/helpers.py); galerkin_k 12 at _BLOCK 4096
+    plain Python sets (tests/helpers.py); galerkin_k 12 at _BLOCK 2048
     spreads them over 2 blocks."""
     monkeypatch.setattr(product_module, "_BLOCK", block)
     case = build_family_case(family, param, SplitMix64(12345))
     f, g = case.f, case.gs[0]
     improved_morken_product(f, g)
-    layout = product_module._kept.layout
-    assert len(layout.pieces) == (2 if block == 4096 else 1)
-    for (side,), counts in zip(layout.sides, stage_node_counts(f, g)):
-        assert len(side.leaves) == len(layout.pieces)
+    ((pieces, *sides),) = product_module._kept.layout.ranges
+    assert len(pieces) == (2 if block == 2048 else 1)
+    for side, counts in zip(sides, stage_node_counts(f, g)):
+        assert len(side.leaves) == len(pieces)
         assert [stage[0].size for stage in side.stages] == counts
 
 
 def test_shared_stages_hold_one_node_per_parent_and_pair(product_module, monkeypatch):
     """The first call's kept galerkin_k 12 layout, packed into 2 blocks, is
     numbered across them: no stage holds two nodes with the same (parent,
-    knot pair), every block's stage factors are among the side's, the side
-    holds fewer nodes than the blocks' row-nodes, and its values are those
-    of the unmerged blocks, bit for bit."""
-    monkeypatch.setattr(product_module, "_BLOCK", 4096)
+    knot pair), every pair's stage factors are those of its span's knot
+    window at its value, the side holds fewer nodes than its rows'
+    row-nodes, and each block's values are those of the per-row loop,
+    bit for bit."""
+    monkeypatch.setattr(product_module, "_BLOCK", 2048)
     case = build_family_case("galerkin_k", 12, SplitMix64(12345))
     f, g = case.f, case.gs[0]
     _assert_rows_bytes(improved_morken_product(f, g), f, g)
-    shared = product_module._kept.layout
-    assert len(shared.pieces) == 2
-    # the unmerged reference: every block's sides as a side that does not
-    # merge streams them
-    monkeypatch.setattr(product_module, "_merged", lambda *args: None)
+    ((pieces, *sides),) = product_module._kept.layout.ranges
+    assert len(pieces) == 2
     f, g, t = product_module._prepared_factors(f, g, None)
-    unshared, keep = product_module._layout(f, g, t)
-    assert not keep
-    for s, (after,), parts in zip((f, g), shared.sides, unshared.sides):
-        before = [
-            product_module._Side(side.cols, tuple(side.stages), side.leaves)
-            for side in parts
-        ]
-        assert len(before) == 2 and len(after.leaves) == 2
-        assert all(len(after.stages) == len(side.stages) for side in before)
-        assert after.cols.shape[0] < sum(side.cols.shape[0] for side in before)
+    spans = [find_span0_many(s.knots.knots, s.degree, t.knots[: t.dimension]) for s in (f, g)]
+    pairs = [product_module._pairs(k, t.knots, product_module._runs(t.knots)) for k in spans]
+    # a row's row-nodes are the nodes of that row alone
+    per_row = [stage_node_counts(f, g, [i]) for i in range(t.dimension)]
+    row_nodes = [sum(sum(counts[side]) for counts in per_row) for side in (0, 1)]
+    rows = improved_kernel_rows(f, g)
+    for i, (s, after, numbered) in enumerate(zip((f, g), sides, pairs)):
+        q = s.degree
+        kw, _ = _window_indices(q, numbered.pair_spans)
         for j, (parent, at, diag, sup) in enumerate(after.stages):
-            pairs = {(d.tobytes(), u.tobytes()) for d, u in zip(diag, sup)}
-            for side in before:
-                _, _, old_diag, old_sup = side.stages[j]
-                assert {(d.tobytes(), u.tobytes()) for d, u in zip(old_diag, old_sup)} <= pairs
+            d = q - j
+            expected = _stage_factors(
+                s.knots.knots[kw], d, q, numbered.pair_values[:, None]
+            )
+            assert diag.tobytes() == expected[0].tobytes()
+            assert sup.tobytes() == expected[1].tobytes()
             keys = parent * diag.shape[0] + at
             assert np.unique(keys).size == keys.size
         nodes = sum(stage[0].size for stage in after.stages)
-        assert nodes < sum(stage[0].size for side in before for stage in side.stages)
+        assert nodes < row_nodes[i]
         values = product_module._side_values(s.coefficients, after)
-        for leaf, side in zip(after.leaves, before):
-            (old_leaf,) = side.leaves
-            assert leaf.size == old_leaf.size
-            old = product_module._side_values(s.coefficients, side)[old_leaf]
-            assert values[leaf].tobytes() == old.tobytes()
+        for leaf, block in zip(after.leaves, pieces):
+            expected = np.concatenate(
+                [rows[r][1 + i] for _, piece in block for r in piece]
+            )
+            assert values[leaf].tobytes() == expected.tobytes()
 
 
 def test_one_block_product_is_kept(product_module):
@@ -721,8 +732,7 @@ def test_one_block_product_is_kept(product_module):
     second call, with new coefficients too, runs on it."""
     case = build_family_case("spline_poly", 30, SplitMix64(9))
     f, g = case.f, case.gs[0]
-    t = product_knot_vector(f.knots, g.knots)
-    assert len(list(product_module._row_blocks(t, f.degree))) == 1
+    assert len(_blocks(product_module, f, g)) == 1
     _assert_rows_bytes(improved_morken_product(f, g), f, g)
     kept = product_module._kept
     assert kept.layout is not None
@@ -735,24 +745,23 @@ def test_one_block_product_is_kept(product_module):
 def test_one_block_product_with_an_unmerged_side_is_not_kept(
     product_module, monkeypatch
 ):
-    """mesh_refine 10 packs into one block, and its g side is made not to
-    merge: a merged stage holds at most the block's row-nodes, so a side
-    of one block merges on its own unless the block is one row wider than
-    _BLOCK.  Its layout is not kept, also when the key repeats, and each
-    call gives the per-row loop's bytes."""
+    """mesh_refine 10 packs into one block, and each side is made not to
+    merge whole: it cuts the rows left to build in half, as a stage past
+    _BLOCK would, so the product streams row ranges.  Its layout is not
+    kept, also when the key repeats, and each call gives the per-row
+    loop's bytes."""
     merge = product_module._merged
-    # the last argument, the sides' leaf orders, is descending on the g side only
     monkeypatch.setattr(
         product_module,
         "_merged",
-        lambda *args: None if True in args[-1] else merge(*args),
+        lambda q, runs, pairs, end: merge(q, runs, pairs, max(end // 2, 1)),
     )
     case = build_family_case("mesh_refine", 10, SplitMix64(12345))
     f, g = case.f, case.gs[0]
     f2, g2, t = product_module._prepared_factors(f, g, None)
-    assert len(list(product_module._row_blocks(t, f.degree))) == 1
+    assert len(_blocks(product_module, f, g)) == 1
     layout, keep = product_module._layout(f2, g2, t)
-    assert not keep and not isinstance(layout.sides[1], tuple)
+    assert not keep and not isinstance(layout.ranges, tuple)
     for _ in range(2):
         _assert_rows_bytes(improved_morken_product(f, g), f, g)
         assert product_module._kept is None
