@@ -215,15 +215,6 @@ def knot_combinations(window, p1: int) -> CombinationSet:
     )
 
 
-def _compact(index: np.ndarray) -> np.ndarray:
-    """Nonnegative indices in the narrowest unsigned type that holds them.
-
-    A stable argsort of keys of 16 bits or less is a radix sort, which
-    the sorts of stage nodes and leaves take (_merged, _range_sides).
-    """
-    return index.astype(np.min_scalar_type(int(index.max())))
-
-
 # plans are keyed on knot multiplicities, not values, so products on
 # shifted or rescaled knots reuse them (spline_spline at degree 50 needs
 # 148); the bound caps what a process keeps
@@ -263,7 +254,9 @@ def _window_groups(t: KnotVector, p1: int):
 
     Returns (weights, group): row i's window t_{i+1} .. t_{i+p} is in
     group[i], and weights[k] holds the plan weights (_plan_weights) of
-    group k's multiplicities.
+    group k's multiplicities.  All groups' multiplicities are read from
+    one boolean array with a row per group, so only the lookup of the
+    cached weights runs once per group.
     """
     p = t.degree
     m = t.dimension
@@ -276,11 +269,18 @@ def _window_groups(t: KnotVector, p1: int):
     packed = np.packbits(breaks, axis=1)
     keys = packed.view(np.dtype((np.void, packed.shape[1]))).ravel()
     _, first, group = np.unique(keys, return_index=True, return_inverse=True)
+    # bounds[k] marks the run starts of group k's windows and their end p
+    bounds = np.ones((first.size, p + 1), dtype=bool)
+    bounds[:, 1:p] = breaks[first]
+    # the marks, flat, step by group 0's multiplicities, then once from its
+    # end to the start of group 1, then by group 1's, and so on
+    gaps = np.diff(np.flatnonzero(bounds)).tolist()
+    stops = np.cumsum(bounds.sum(axis=1)) - 1
     weights = []
-    for pattern in breaks[first]:
-        starts = np.concatenate(([0], np.flatnonzero(pattern) + 1))
-        mults = tuple(int(c) for c in np.diff(starts, append=p))
-        weights.append(_plan_weights(mults, p1))
+    start = 0
+    for stop in stops.tolist():
+        weights.append(_plan_weights(tuple(gaps[start:stop]), p1))
+        start = stop + 1
     return weights, group
 
 
@@ -439,12 +439,29 @@ class _Layout:
 
 
 def _factors(s: Spline, pair_spans, pair_values):
-    """(diag, sup) of every knot pair in factor s, stage by stage."""
+    """(diag, sup) of every knot pair in factor s, stage by stage.
+
+    Stage d = q, .., 1 reads the knots tau_{k+1-d} .. tau_k and tau_{k+1}
+    .. tau_{k+d} around span k.  All stages come from one _stage_factors
+    call on those columns laid side by side, which runs the same
+    elementwise arithmetic on the same doubles as one call per stage, and
+    each stage is yielded as a C-contiguous (pairs, d) copy: strided
+    views of the one result slow every later pass over the stages.
+    """
     q = s.degree
-    kw, _ = _window_indices(q, pair_spans)
-    tau, values = s.knots.knots[kw], pair_values[:, None]
+    widths = np.arange(q, 0, -1)
+    offsets = _ranges(widths)
+    # knot offsets from the span: every stage's lo columns, then its hi
+    cols = np.concatenate((offsets - np.repeat(widths, widths) + 1, offsets + 1))
+    size = offsets.size
+    diag, sup = _stage_factors(
+        s.knots.knots[pair_spans[:, None] + cols], size, size, pair_values[:, None]
+    )
+    a = 0
     for d in range(q, 0, -1):
-        yield _stage_factors(tau, d, q, values)
+        stage = slice(a, a + d)
+        yield np.ascontiguousarray(diag[:, stage]), np.ascontiguousarray(sup[:, stage])
+        a += d
 
 
 def _runs(knots: np.ndarray):
@@ -549,6 +566,10 @@ def _merged(q: int, runs, pairs: _Pairs, end: int):
     # hi_run[k] + j - c
     lo_run, hi_run, length = first - p - 1, stop - q, stop - first
     k, c, base = top + 1, np.zeros_like(top), pairs.base
+    # children sort on their runs, at most one past the last, in the
+    # narrowest unsigned type: a stable argsort of keys of 16 bits or
+    # less is a radix sort
+    key = np.min_scalar_type(first.size - 1)
     stages = []
     for j in range(q):
         lowest = run[lo + q - j]
@@ -567,9 +588,9 @@ def _merged(q: int, runs, pairs: _Pairs, end: int):
             end = min(end, max(int(np.partition(lo, room)[room]), 1))
         if end < m:
             live = np.flatnonzero(lo < end)
-            order = live[np.argsort(_compact(child[live]), kind="stable")]
+            order = live[np.argsort(child[live].astype(key), kind="stable")]
         else:
-            order = np.argsort(_compact(child), kind="stable")
+            order = np.argsort(child.astype(key), kind="stable")
         parent, k, c, lo = parent[order], child[order], c[order], lo[order]
         base = base[parent]
         hi = np.minimum(hi[parent], hi_run[k] + j - c)
@@ -607,37 +628,44 @@ def _range_sides(s: Spline, spans, pairs: _Pairs, nodes, blocks, orders):
     leaves are its last-stage nodes in ascending rank for f, descending
     for g.  A merged node runs the same elementwise arithmetic on the
     same doubles as every row-node it replaces, and so gives the same
-    bits.  The stage factors are built once, and one _Side is returned
-    per entry of orders, with the leaves descending where the entry is
-    set and ascending elsewhere; all of them hold the same cols and
-    stage arrays, so the f and g sides of a square product share them.
+    bits.  The stage factors and the rows' leaves in rank order are
+    built once, and one _Side is returned per entry of orders, with the
+    leaves descending where the entry is set and ascending elsewhere;
+    all of them hold the same cols and stage arrays, so the f and g
+    sides of a square product share them.
     """
     stages, lo, hi = nodes
     # every row's leaves in rank order: its last-stage nodes, row by row
     lengths = hi - lo + 1
     rows = np.repeat(lo, lengths) + _ranges(lengths)
-    ascending = np.argsort(_compact(rows), kind="stable")
+    # narrow keys, as in _merged
+    key = np.min_scalar_type(spans.size - 1)
+    ranked = np.repeat(np.arange(lengths.size), lengths)[
+        np.argsort(rows.astype(key), kind="stable")
+    ]
     per_row = np.bincount(rows, minlength=spans.size)
     first_leaf = np.cumsum(per_row) - per_row
-    node = np.repeat(np.arange(lengths.size), lengths)
+    # each order reads its leaves from ranked, or from ranked reversed,
+    # where every row's leaves start at its entry of the second array
+    reads = [
+        (ranked[::-1], ranked.size - first_leaf - per_row)
+        if descending
+        else (ranked, first_leaf)
+        for descending in orders
+    ]
     _, cols = _window_indices(s.degree, spans[pairs.lo])
     factors = _factors(s, pairs.pair_spans, pairs.pair_values)
     stages = tuple(
         (parent, at, diag, sup)
         for (parent, at, _), (diag, sup) in zip(stages, factors)
     )
-    sides = []
-    for descending in orders:
-        order, start = ascending, first_leaf
-        if descending:
-            order, start = order[::-1], order.size - start - per_row
-        nodes = node[order]
-        leaves = []
-        for block_rows in blocks:
-            n = per_row[block_rows]
-            leaves.append(nodes[np.repeat(start[block_rows], n) + _ranges(n)])
-        sides.append(_Side(cols, stages, tuple(leaves)))
-    return sides
+    leaves = [[] for _ in orders]
+    for block_rows in blocks:
+        n = per_row[block_rows]
+        offsets = _ranges(n)
+        for out, (nodes, start) in zip(leaves, reads):
+            out.append(nodes[np.repeat(start[block_rows], n) + offsets])
+    return [_Side(cols, stages, tuple(out)) for out in leaves]
 
 
 def _fit(t: KnotVector, sides, a: int):
@@ -863,8 +891,9 @@ def improved_morken_product(
                     # the row's contiguous values: the summation order, and so
                     # the bits, of one np.dot per row
                     dots = (wbf[:, None, :] @ cols[:, :, None]).ravel()
-                b[piece] = dots / layout.divisor
+                b[piece] = dots
                 lo = hi
+    b /= layout.divisor
     product = _product_spline(layout.t, b)
     _kept = _Slot(key, layout, f_bytes, f_values) if keep else None
     return ProductResult(

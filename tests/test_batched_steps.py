@@ -31,7 +31,12 @@ from splineprod import (
     product_knot_vector,
     uniform_open_knots,
 )
-from splineprod._kernels import find_span0_many, kernel_many, nonzero_basis_rows
+from splineprod._kernels import (
+    _stage_factors,
+    find_span0_many,
+    kernel_many,
+    nonzero_basis_rows,
+)
 from splineprod.bench import FAMILY_PARAMETERS, SplitMix64, build_family_case
 from helpers import (
     basis_triangle_rows,
@@ -426,6 +431,64 @@ def test_product_knot_vector_bytes_equal_merge_loop(pair):
         expected = merged_product_knots(kv1, kv2)
         assert t.degree == expected.degree
         assert _same_bytes(t.knots, expected.knots)
+
+
+@settings(max_examples=300, deadline=None)
+@given(open_knot_pairs())
+@example((KnotVector(np.array([0.0, 0.0, 0.5, 1.0, 1.0]), 1),
+          KnotVector(np.array([0.0, 0.0, 0.25, 1.0, 1.0]), 1)))
+@example((KnotVector(np.array([-1.0] * 4 + [0.0] * 4 + [1.0] * 4), 3),
+          KnotVector(np.array([-1.0, -1.0, -0.0, -0.0, 0.5, 1.0, 1.0]), 1)))
+def test_window_groups_equal_per_row_recount(pair):
+    """_window_groups splits the product rows into the groups of a row by
+    row recount, the run lengths of each row's window from np.unique, and
+    each group's weights are the _plan_weights object of its run
+    lengths, with either factor first.  The examples are p = 2 (degrees
+    1 + 1) and a product of degrees 3 + 1 whose full-multiplicity
+    interior knot holds whole windows in one run."""
+    for kv1, kv2 in (pair, pair[::-1]):
+        t = product_knot_vector(kv1, kv2)
+        p, p1 = t.degree, kv1.degree
+        weights, group = product_module._window_groups(t, p1)
+        assert group.shape == (t.dimension,)
+        rows_of = {}
+        for i in range(t.dimension):
+            _, counts = np.unique(t.knots[i + 1 : i + p + 1], return_counts=True)
+            mults = tuple(int(c) for c in counts)
+            rows_of.setdefault(mults, []).append(i)
+            assert weights[group[i]] is product_module._plan_weights(mults, p1)
+        assert (p,) in rows_of
+        groups = [np.flatnonzero(group == k).tolist() for k in range(len(weights))]
+        assert sorted(groups) == sorted(rows_of.values())
+
+
+@pytest.mark.parametrize(
+    "family, param", [("spline_spline", 7), ("spline_poly", 50), ("mesh_refine", 10)]
+)
+def test_factors_of_all_stages_equal_one_call_per_stage(family, param):
+    """_factors computes every stage's factors at once and yields stage d
+    = q, .., 1 as C-contiguous (pairs, d) arrays, bytes equal to a
+    _stage_factors call on that stage alone, on both sides of a square
+    product (spline_spline 7), a non-square one (spline_poly 50) and
+    one of thousands of knot pairs (mesh_refine 10), row seed 12345."""
+    case = build_family_case(family, param, SplitMix64(12345))
+    f, g, t = product_module._prepared_factors(case.f, case.gs[0], None)
+    runs = product_module._runs(t.knots)
+    for s in (f, g):
+        q = s.degree
+        spans = find_span0_many(s.knots.knots, q, t.knots[: t.dimension])
+        pairs = product_module._pairs(spans, t.knots, runs)
+        kw, _ = core._window_indices(q, pairs.pair_spans)
+        tau, values = s.knots.knots[kw], pairs.pair_values[:, None]
+        stages = list(product_module._factors(s, pairs.pair_spans, pairs.pair_values))
+        assert len(stages) == q
+        for d, factors in zip(range(q, 0, -1), stages):
+            for got, expected in zip(factors, _stage_factors(tau, d, q, values)):
+                assert got.shape == (pairs.pair_spans.size, d)
+                assert got.flags.c_contiguous
+                assert got.tobytes() == expected.tobytes()
+    if family == "mesh_refine":
+        assert pairs.pair_spans.size > 1000
 
 
 def _row_ranges(layout):
