@@ -159,34 +159,60 @@ class ProductResult:
         return doc
 
 
-@lru_cache(maxsize=None)
-def _profiles(mults: tuple[int, ...], p1: int) -> tuple[tuple[tuple[int, ...], int], ...]:
-    """Distinct (profile, subset count) pairs for run multiplicities.
+# plans are keyed on knot multiplicities, not values, so products on
+# shifted or rescaled knots reuse them (spline_spline at degree 50 needs
+# 148); the bound caps what a process keeps
+@lru_cache(maxsize=1024)
+def _profiles(mults: tuple[int, ...], p1: int) -> tuple[np.ndarray, np.ndarray]:
+    """Distinct profiles and their subset counts for run multiplicities.
 
-    Profiles come out in descending lexicographic order (mu_1 descending,
-    then recursively).  The s <= 2 base case enumerates mu_1 directly,
-    with m_2 = 0 standing in for a single-run window.
+    Returns (profiles, weights), both read-only: profiles is a (T, s)
+    array of the T distinct profiles (mu_1..mu_s), 0 <= mu_j <= m_j with
+    sum p1, in descending lexicographic order, and weights[k] is the
+    double nearest profile k's exact subset count prod C(m_j, mu_j).
+    The profiles are built run by run, each prefix's children taking
+    mu_j from high to low: after run j every prefix whose remaining knots
+    still fit in the later runs is kept, so each run keeps at most T
+    prefixes, and each prefix points to its parent.  The profiles are
+    read back along the parents once at the end, for O(T s) work, with
+    no recursion and nothing kept but the returned arrays.
     """
     s = len(mults)
-    if s == 0:
-        return (((), 1),) if p1 == 0 else ()
-    m1 = mults[0]
-    rest = sum(mults[1:])
-    hi = min(p1, m1)
-    lo = p1 - min(p1, rest)
-    out: list[tuple[tuple[int, ...], int]] = []
-    if s <= 2:
-        m2 = mults[1] if s == 2 else 0
-        for mu1 in range(hi, lo - 1, -1):
-            mu2 = p1 - mu1
-            w = math.comb(m1, mu1) * math.comb(m2, mu2)
-            out.append(((mu1, mu2)[:s], w))
-    else:
-        for mu1 in range(hi, lo - 1, -1):
-            w1 = math.comb(m1, mu1)
-            for prof, w in _profiles(mults[1:], p1 - mu1):
-                out.append(((mu1,) + prof, w1 * w))
-    return tuple(out)
+    total = sum(mults)
+    # knots left by every prefix, and in the runs after the current one
+    after = total
+    left = np.array([p1] if 0 <= p1 <= total else [], dtype=np.intp)
+    parents, mus = [], []
+    for m in mults[:-1]:
+        after -= m
+        hi = np.minimum(left, m)
+        n = hi - np.maximum(left - after, 0) + 1
+        parent = np.repeat(np.arange(n.size), n)
+        mu = np.repeat(hi, n) - _ranges(n)
+        left = left[parent] - mu
+        parents.append(parent)
+        mus.append(mu)
+    # the last run takes every knot left, one child per prefix
+    mus.append(left)
+    T = left.size
+    profiles = np.empty((T, s), dtype=np.min_scalar_type(max(mults, default=0)))
+    # exact Python integers, rounded once to doubles
+    counts = np.ones(T, dtype=object)
+    row = np.arange(T)
+    for j in range(s - 1, -1, -1):
+        mu = mus[j][row]
+        profiles[:, j] = mu
+        # mu_j takes every value from low to its largest
+        m = mults[j]
+        low = max(p1 - total + m, 0)
+        binomials = [math.comb(m, k) for k in range(low, min(m, p1) + 1)]
+        counts *= np.array(binomials, dtype=object)[mu - low]
+        if j < s - 1:
+            row = parents[j][row]
+    weights = counts.astype(float)
+    profiles.setflags(write=False)
+    weights.setflags(write=False)
+    return profiles, weights
 
 
 def knot_combinations(window, p1: int) -> CombinationSet:
@@ -205,26 +231,17 @@ def knot_combinations(window, p1: int) -> CombinationSet:
     if not 0 <= p1 <= window.size:
         raise ValueError("p1 must satisfy 0 <= p1 <= window length")
     values, counts = np.unique(window, return_counts=True)
-    profs = _profiles(tuple(int(c) for c in counts), p1)
+    mults = tuple(int(c) for c in counts)
+    combinations = tuple(map(tuple, _profiles(mults, p1)[0].tolist()))
     return CombinationSet(
         window_breakpoints=tuple(
-            BreakpointRun(float(v), int(c)) for v, c in zip(values, counts)
+            BreakpointRun(float(v), m) for v, m in zip(values, mults)
         ),
-        combinations=tuple(prof for prof, _ in profs),
-        repetition_factors=tuple(w for _, w in profs),
+        combinations=combinations,
+        repetition_factors=tuple(
+            math.prod(map(math.comb, mults, prof)) for prof in combinations
+        ),
     )
-
-
-# plans are keyed on knot multiplicities, not values, so products on
-# shifted or rescaled knots reuse them (spline_spline at degree 50 needs
-# 148); the bound caps what a process keeps
-@lru_cache(maxsize=1024)
-def _plan_weights(mults: tuple[int, ...], p1: int) -> np.ndarray:
-    """Read-only subset counts of the distinct profiles of windows with run
-    multiplicities mults, split p1 + rest, in plan order (_profiles)."""
-    weights = np.array([w for _, w in _profiles(mults, p1)], dtype=float)
-    weights.setflags(write=False)
-    return weights
 
 
 def _product_spline(t: KnotVector, b: np.ndarray) -> Spline:
@@ -253,10 +270,10 @@ def _window_groups(t: KnotVector, p1: int):
     """Product rows grouped by the run multiplicities of their knot windows.
 
     Returns (weights, group): row i's window t_{i+1} .. t_{i+p} is in
-    group[i], and weights[k] holds the plan weights (_plan_weights) of
-    group k's multiplicities.  All groups' multiplicities are read from
-    one boolean array with a row per group, so only the lookup of the
-    cached weights runs once per group.
+    group[i], and weights[k] is the weights array of the _profiles entry
+    of group k's multiplicities and p1, its profiles' subset counts.  All
+    groups' multiplicities are read from one boolean array with a row per
+    group, so only the cache lookup runs once per group.
     """
     p = t.degree
     m = t.dimension
@@ -279,7 +296,7 @@ def _window_groups(t: KnotVector, p1: int):
     weights = []
     start = 0
     for stop in stops.tolist():
-        weights.append(_plan_weights(tuple(gaps[start:stop]), p1))
+        weights.append(_profiles(tuple(gaps[start:stop]), p1)[1])
         start = stop + 1
     return weights, group
 
@@ -621,18 +638,19 @@ def _prune(nodes, end: int):
 def _range_sides(s: Spline, spans, pairs: _Pairs, nodes, blocks, orders):
     """Sides of factor s over one row range, from its stage nodes.
 
-    spans holds the range's anchor spans in s, nodes is _merged's
-    (stages, lo, hi) and blocks holds every block's rows, counted from
-    the range's first.  A row's profiles in plan order (_profiles) have
-    ascending f rows in rank order and descending g rows, so every row's
-    leaves are its last-stage nodes in ascending rank for f, descending
-    for g.  A merged node runs the same elementwise arithmetic on the
-    same doubles as every row-node it replaces, and so gives the same
-    bits.  The stage factors and the rows' leaves in rank order are
-    built once, and one _Side is returned per entry of orders, with the
-    leaves descending where the entry is set and ascending elsewhere;
-    all of them hold the same cols and stage arrays, so the f and g
-    sides of a square product share them.
+    spans holds the range's anchor spans in s, nodes is the (stages, lo,
+    hi) of _merged, or of _prune for a cut range, and blocks holds every
+    block's rows, counted from the range's first.  A row's profiles, in
+    the descending lexicographic order of _profiles, have ascending f
+    rows in rank order and descending g rows, so every row's leaves are
+    its last-stage nodes in ascending rank for f, descending for g.  A
+    merged node runs the same elementwise arithmetic on the same doubles
+    as every row-node it replaces, and so gives the same bits.  The stage
+    factors and the rows' leaves in rank order are built once, and one
+    _Side is returned per entry of orders, with the leaves descending
+    where the entry is set and ascending elsewhere; all of them hold the
+    same cols and stage arrays, so the f and g sides of a square product
+    share them.
     """
     stages, lo, hi = nodes
     # every row's leaves in rank order: its last-stage nodes, row by row

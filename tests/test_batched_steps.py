@@ -442,10 +442,10 @@ def test_product_knot_vector_bytes_equal_merge_loop(pair):
 def test_window_groups_equal_per_row_recount(pair):
     """_window_groups splits the product rows into the groups of a row by
     row recount, the run lengths of each row's window from np.unique, and
-    each group's weights are the _plan_weights object of its run
-    lengths, with either factor first.  The examples are p = 2 (degrees
-    1 + 1) and a product of degrees 3 + 1 whose full-multiplicity
-    interior knot holds whole windows in one run."""
+    each group's weights are the weights array of the _profiles entry of
+    its run lengths, with either factor first.  The examples are p = 2
+    (degrees 1 + 1) and a product of degrees 3 + 1 whose
+    full-multiplicity interior knot holds whole windows in one run."""
     for kv1, kv2 in (pair, pair[::-1]):
         t = product_knot_vector(kv1, kv2)
         p, p1 = t.degree, kv1.degree
@@ -456,10 +456,23 @@ def test_window_groups_equal_per_row_recount(pair):
             _, counts = np.unique(t.knots[i + 1 : i + p + 1], return_counts=True)
             mults = tuple(int(c) for c in counts)
             rows_of.setdefault(mults, []).append(i)
-            assert weights[group[i]] is product_module._plan_weights(mults, p1)
+            assert weights[group[i]] is product_module._profiles(mults, p1)[1]
         assert (p,) in rows_of
         groups = [np.flatnonzero(group == k).tolist() for k in range(len(weights))]
         assert sorted(groups) == sorted(rows_of.values())
+
+
+def test_profile_cache_is_bounded_and_read_only():
+    """The _profiles cache keeps at most 1024 entries after more distinct
+    keys than that, and both arrays of an entry are read-only."""
+    for n in range(1, 1101):
+        product_module._profiles((n,), 1)
+    assert product_module._profiles.cache_info().currsize <= 1024
+    profiles, weights = product_module._profiles((2, 1, 3), 3)
+    for array in (profiles, weights):
+        assert not array.flags.writeable
+        with pytest.raises(ValueError):
+            array[0] = 0
 
 
 @pytest.mark.parametrize(

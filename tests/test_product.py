@@ -108,11 +108,21 @@ def test_combinations_all_distinct_and_all_equal():
 
 
 def test_combinations_match_brute_force_enumeration():
+    """Short windows of few values, then windows of 12-16 knots holding
+    10 or more distinct values, split p1 <= 4."""
     rng = np.random.default_rng(314)
+    cases = []
     for _ in range(50):
         p = int(rng.integers(1, 9))
         values = np.sort(rng.integers(0, 4, size=p).astype(float))
-        p1 = int(rng.integers(0, p + 1))
+        cases.append((values, int(rng.integers(0, p + 1))))
+    for _ in range(20):
+        p = int(rng.integers(12, 17))
+        distinct = rng.choice(40, size=int(rng.integers(10, p + 1)), replace=False)
+        repeats = rng.choice(distinct, size=p - distinct.size)
+        values = np.sort(np.concatenate((distinct, repeats)).astype(float))
+        cases.append((values, int(rng.integers(0, 5))))
+    for values, p1 in cases:
         combo = knot_combinations(values, p1)
         expected = brute_combinations(values, p1)
         got = dict(zip(combo.combinations, combo.repetition_factors))
@@ -121,6 +131,14 @@ def test_combinations_match_brute_force_enumeration():
         assert distinct_profile_count(counts.tolist(), p1) == len(expected)
         # deterministic emission order: reverse-lexicographic profiles
         assert list(combo.combinations) == sorted(combo.combinations, reverse=True)
+
+
+def test_combinations_of_a_window_of_1200_distinct_knots():
+    """1200 runs of one knot each split 1 + 1199 into 1200 profiles, in
+    descending lexicographic order, each from one subset."""
+    combo = knot_combinations(np.arange(1200.0), 1)
+    npt.assert_array_equal(np.array(combo.combinations), np.eye(1200, dtype=int))
+    assert combo.repetition_factors == (1,) * 1200
 
 
 @settings(max_examples=300, deadline=None)
