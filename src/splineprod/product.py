@@ -244,15 +244,23 @@ def knot_combinations(window, p1: int) -> CombinationSet:
     )
 
 
-def _product_spline(t: KnotVector, b: np.ndarray) -> Spline:
-    """Spline(t, b), where b is not finite only when stage values, which grow
-    like the inverse length of a very short knot interval, overflowed."""
+def _result(
+    t: KnotVector, b: np.ndarray, naive_terms: int | float, counts: np.ndarray
+) -> ProductResult:
+    """ProductResult of the product Spline(t, b) with its term counts.  b is
+    not finite only when stage values, which grow like the inverse length
+    of a very short knot interval, overflowed, and then ValueError is raised."""
     if not np.isfinite(b).all():
         raise ValueError(
             "the product's stage values overflowed the double range "
             "on a very short knot interval"
         )
-    return Spline(t, b)
+    return ProductResult(
+        product=Spline(t, b),
+        naive_term_count=naive_terms,
+        distinct_term_counts=counts,
+        mean_distinct=float(counts.mean()),
+    )
 
 
 def _row_geometry(f: Spline, g: Spline, t: KnotVector):
@@ -358,12 +366,7 @@ def morken_product(
     b = acc / float(math.comb(p, p1))
     weights, group = _window_groups(t, p1)
     counts = np.array([w.size for w in weights], dtype=np.int64)[group]
-    return ProductResult(
-        product=_product_spline(t, b),
-        naive_term_count=count,
-        distinct_term_counts=counts,
-        mean_distinct=float(counts.mean()),
-    )
+    return _result(t, b, count, counts)
 
 
 def _row_blocks(weights: list[np.ndarray], group: np.ndarray, a: int, b: int):
@@ -598,17 +601,17 @@ def _merged(q: int, runs, pairs: _Pairs, end: int):
         parent = np.repeat(np.arange(counts.size), counts)
         child = np.repeat(lowest - np.cumsum(counts) + counts, counts)
         child += np.arange(child.size)
+        order = np.argsort(child.astype(key), kind="stable")
+        parent, child = parent[order], child[order]
         c = np.where(child == k[parent], c[parent], 1)
         lo = np.maximum(lo[parent], lo_run[child] + c)
+        k = child
         room = _BLOCK // (q - j + 1)
         if lo.size > room:
             end = min(end, max(int(np.partition(lo, room)[room]), 1))
         if end < m:
-            live = np.flatnonzero(lo < end)
-            order = live[np.argsort(child[live].astype(key), kind="stable")]
-        else:
-            order = np.argsort(child.astype(key), kind="stable")
-        parent, k, c, lo = parent[order], child[order], c[order], lo[order]
+            live = lo < end
+            parent, k, c, lo = parent[live], k[live], c[live], lo[live]
         base = base[parent]
         hi = np.minimum(hi[parent], hi_run[k] + j - c)
         stages.append((parent, base + k, lo))
@@ -799,14 +802,6 @@ def _side_values(coeffs: np.ndarray, side: _Side) -> np.ndarray:
     return v[:, 0]
 
 
-def _block_values(coeffs: np.ndarray, side: _Side):
-    """Kernel value of every (row, profile) of each of a side's blocks in
-    turn, flat and row-major."""
-    last = _side_values(coeffs, side)
-    for leaf in side.leaves:
-        yield last[leaf]
-
-
 class _Slot(NamedTuple):
     """What the last call keeps for its key, (f knots, f degree, g knots,
     g degree) as passed in: the kept layout, and the coefficient bytes
@@ -891,11 +886,14 @@ def improved_morken_product(
         if reuse:
             f_values = kept.f_values
         else:
-            f_values = _block_values(f.coefficients, side_f)
+            # one array per block, gathered as the blocks are read unless kept
+            last_f = _side_values(f.coefficients, side_f)
+            f_values = (last_f[leaf] for leaf in side_f.leaves)
             if keep:
                 f_values = tuple(f_values)
-        g_values = _block_values(g.coefficients, side_g)
-        for block, bf, bg in zip(pieces, f_values, g_values):
+        last_g = _side_values(g.coefficients, side_g)
+        for block, bf, leaf in zip(pieces, f_values, side_g.leaves):
+            bg = last_g[leaf]
             lo = 0
             for weights, piece in block:
                 hi = lo + piece.size * weights.size
@@ -912,11 +910,6 @@ def improved_morken_product(
                 b[piece] = dots
                 lo = hi
     b /= layout.divisor
-    product = _product_spline(layout.t, b)
+    result = _result(layout.t, b, layout.naive_terms, layout.counts)
     _kept = _Slot(key, layout, f_bytes, f_values) if keep else None
-    return ProductResult(
-        product=product,
-        naive_term_count=layout.naive_terms,
-        distinct_term_counts=layout.counts,
-        mean_distinct=float(layout.counts.mean()),
-    )
+    return result

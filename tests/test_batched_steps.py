@@ -50,7 +50,7 @@ from helpers import (
 )
 
 hypothesis = pytest.importorskip("hypothesis")
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 # spans with a -0.0 end and spans whose equal knots average off their value
 SPANS = ((0.0, 1.0), (-0.7, -0.0), (-3.0, -1.7), (-1.0, 1.0))
@@ -603,6 +603,31 @@ def test_merged_sides_of_mesh_refine_highdeg_4_check_run_lengths():
     assert _assert_product_equals_recounts(case.f, case.gs[0], 1 << 16) == []
 
 
+@settings(max_examples=60, deadline=None)
+@given(open_knot_pairs(), st.data())
+def test_merged_rows_below_end_are_the_whole_merge_pruned(pair, data):
+    """_merged over rows 0 .. end - 1 alone, of a product that the default
+    _BLOCK does not cut, narrows each stage to the nodes that _prune keeps
+    of the whole merge: every stage's (parent, at, lo) and the last lo and
+    hi are equal, dtypes included."""
+    t = product_knot_vector(*pair)
+    m = t.dimension
+    end = data.draw(st.integers(1, m - 1))
+    runs = product_module._runs(t.knots)
+    for kv in pair:
+        spans = find_span0_many(kv.knots, kv.degree, t.knots[:m])
+        pairs = product_module._pairs(spans, t.knots, runs)
+        whole_end, whole = product_module._merged(kv.degree, runs, pairs, m)
+        assume(whole_end == m)
+        cut_end, (stages, lo, hi) = product_module._merged(kv.degree, runs, pairs, end)
+        pruned, lo_pruned, hi_pruned = product_module._prune(whole, end)
+        assert cut_end == end and len(stages) == len(pruned) == kv.degree
+        actual = [a for stage in stages for a in stage] + [lo, hi]
+        expected = [a for stage in pruned for a in stage] + [lo_pruned, hi_pruned]
+        for a, b in zip(actual, expected):
+            assert a.dtype == b.dtype and np.array_equal(a, b)
+
+
 @pytest.mark.parametrize("level", [6, 10])
 def test_every_range_of_mesh_refine_highdeg_stays_within_the_stage_bound(level):
     """mesh_refine_highdeg from level 6 (row seed 12345) would pass _BLOCK
@@ -696,10 +721,10 @@ def test_square_product_past_the_stage_bound_streams_one_side_per_range():
         assert not keep and len(ranges) == 2
         for _, _, pieces, (side_f, side_g) in ranges:
             assert side_f.stages is side_g.stages
-            values = [
-                product_module._block_values(f2.coefficients, side)
-                for side in (side_f, side_g)
-            ]
+            values = []
+            for side in (side_f, side_g):
+                last = product_module._side_values(f2.coefficients, side)
+                values.append([last[leaf] for leaf in side.leaves])
             for block, bf, bg in zip(pieces, *values):
                 lo = 0
                 for weights, piece in block:

@@ -1,11 +1,12 @@
-"""Direct products against f·g evaluated in mpmath on the error grid.
+"""Direct and collocation products against f·g evaluated in mpmath.
 
 The experiment's e_direct compares the product with f·g evaluated in
 doubles, whose rounding is as large as the product's own error.  Here
-f, g and the product h are evaluated at the same 201 grid points by a
-de Boor recurrence in 50-digit mpmath arithmetic, which shares no code
-with the package: the doubles of the knots, coefficients and points
-enter exactly, so what is left is the error of h's coefficients.
+f, g and the product h are evaluated at the same grid points (201, or
+21 at each family's top degree) by a de Boor recurrence in 50-digit
+mpmath arithmetic, which shares no code with the package: the doubles
+of the knots, coefficients and points enter exactly, so what is left is
+the error of h's coefficients.
 """
 
 import bisect
@@ -13,7 +14,7 @@ import bisect
 import numpy as np
 import pytest
 
-from splineprod import improved_morken_product
+from splineprod import collocation_product, improved_morken_product
 from splineprod.bench import SplitMix64, build_family_case
 
 mpmath = pytest.importorskip("mpmath")
@@ -46,6 +47,12 @@ def mp_values(spline, xs):
     return out
 
 
+def grid_error(h, ref, xs):
+    """max|h - ref| / max|ref| over the points xs, in mpmath."""
+    err = max(abs(u - r) for u, r in zip(mp_values(h, xs), ref))
+    return err / max(abs(r) for r in ref)
+
+
 @pytest.mark.parametrize(
     "family, param",
     [("galerkin_p", 12), ("galerkin_k", 12), ("mesh_refine_highdeg", 3)],
@@ -61,5 +68,36 @@ def test_direct_product_is_exact_to_roundoff_on_the_grid(family, param):
             h = improved_morken_product(f, g).product
             xs = np.linspace(*h.knots.span, 201)
             ref = [u * v for u, v in zip(mp_values(f, xs), mp_values(g, xs))]
-            err = max(abs(u - r) for u, r in zip(mp_values(h, xs), ref))
-            assert err <= 4 * EPS * max(abs(r) for r in ref)
+            assert grid_error(h, ref, xs) <= 4 * EPS
+
+
+@pytest.mark.parametrize(
+    "family, param, ill_conditioned",
+    [
+        ("spline_spline", 50, True),
+        ("galerkin_p", 50, True),
+        ("galerkin_k", 50, True),
+        ("spline_poly_general", 50, True),
+        ("mesh_refine_highdeg", 10, False),
+    ],
+)
+def test_direct_and_collocation_errors_at_the_top_degree(family, param, ill_conditioned):
+    """At each family's top degree, for the first second factor (row seed
+    12345) on 21 grid points, the direct product stays within 4 eps of f·g
+    in mpmath.  Collocation, against the same f·g, is off by at least 32
+    eps on the degree-50 rows, whose condition estimates are 1.8e18 ..
+    9.8e21, and stays within 4 eps on mesh_refine_highdeg 10, whose
+    estimate is 2.5e8.  Measured: direct 0.23 .. 1.10 eps; collocation
+    61.8 .. 370 eps at degree 50 and 0.67 eps on mesh_refine_highdeg 10."""
+    case = build_family_case(family, param, SplitMix64(12345))
+    f, g = case.f, case.gs[0]
+    h = improved_morken_product(f, g).product
+    xs = np.linspace(*h.knots.span, 21)
+    with mpmath.workdps(50):
+        ref = [u * v for u, v in zip(mp_values(f, xs), mp_values(g, xs))]
+        assert grid_error(h, ref, xs) <= 4 * EPS
+        colloc = grid_error(collocation_product(f, g), ref, xs)
+    if ill_conditioned:
+        assert colloc >= 32 * EPS
+    else:
+        assert colloc <= 4 * EPS
