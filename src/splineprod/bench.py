@@ -24,7 +24,6 @@ from .core import (
     _check_integer,
     _evaluate_many,
     bernstein_knots,
-    evaluate,
     product_knot_vector,
     uniform_open_knots,
 )
@@ -199,7 +198,10 @@ def relative_linf_error(
 ) -> float:
     """max|computed - f*g| / max|f*g| on a uniform grid with both endpoints.
 
-    A reference that vanishes on the whole grid makes the relative error
+    f, g and computed are evaluated in one _evaluate_many call, one pass
+    per knot vector, so f and g on the same knots share their stage
+    factors; every value has the bits of its own evaluate call.  A
+    reference that vanishes on the whole grid makes the relative error
     undefined; that case warns and reports the absolute error instead.
     """
     _check_grid_points(grid_points)
@@ -207,8 +209,8 @@ def relative_linf_error(
     if span != f.knots.span or span != g.knots.span:
         raise ValueError("splines must share the same span")
     xs = np.linspace(span[0], span[1], grid_points)
-    ref = evaluate(f, xs) * evaluate(g, xs)
-    return _grid_error(evaluate(computed, xs), ref)
+    fx, gx, values = _evaluate_many([f, g, computed], xs)
+    return _grid_error(values, fx * gx)
 
 
 def _grid_error(values: np.ndarray, ref: np.ndarray) -> float:

@@ -245,11 +245,16 @@ def knot_combinations(window, p1: int) -> CombinationSet:
 
 
 def _result(
-    t: KnotVector, b: np.ndarray, naive_terms: int | float, counts: np.ndarray
+    t: KnotVector,
+    b: np.ndarray,
+    naive_terms: int | float,
+    counts: np.ndarray,
+    mean_distinct: float,
 ) -> ProductResult:
-    """ProductResult of the product Spline(t, b) with its term counts.  b is
-    not finite only when stage values, which grow like the inverse length
-    of a very short knot interval, overflowed, and then ValueError is raised."""
+    """ProductResult of the product Spline(t, b) with its term counts and
+    their mean.  b is not finite only when stage values, which grow like
+    the inverse length of a very short knot interval, overflowed, and
+    then ValueError is raised."""
     if not np.isfinite(b).all():
         raise ValueError(
             "the product's stage values overflowed the double range "
@@ -259,7 +264,7 @@ def _result(
         product=Spline(t, b),
         naive_term_count=naive_terms,
         distinct_term_counts=counts,
-        mean_distinct=float(counts.mean()),
+        mean_distinct=mean_distinct,
     )
 
 
@@ -366,7 +371,7 @@ def morken_product(
     b = acc / float(math.comb(p, p1))
     weights, group = _window_groups(t, p1)
     counts = np.array([w.size for w in weights], dtype=np.int64)[group]
-    return _result(t, b, count, counts)
+    return _result(t, b, count, counts, float(counts.mean()))
 
 
 def _row_blocks(weights: list[np.ndarray], group: np.ndarray, a: int, b: int):
@@ -423,9 +428,10 @@ class _Side:
     (pairs, d).  There is one root per anchor span and one node per
     (span, sorted top knot values) of the range's rows (_merged).
     leaves holds one array per block of the range, which lists every
-    row's profiles, row by row, as positions in the last stage.  The f
-    and g sides of a square product hold the same cols and stages and
-    differ in their leaves.
+    row's profiles, row by row in the order of the block's groups
+    (_by_count), as positions in the last stage.  The f and g sides of
+    a square product hold the same cols and stages and differ in their
+    leaves.
     """
 
     cols: np.ndarray
@@ -437,10 +443,14 @@ class _Side:
 class _Layout:
     """Knot-only half of an improved product, for any coefficients.
 
-    counts holds every row's distinct profile count, read-only.  ranges
-    holds (pieces, f side, g side) per row range (_fit), in row order:
-    pieces lists the range's blocks, each as its (plan weights, rows)
-    pieces, and each side has one leaf array per block.  ranges is a
+    counts holds every row's distinct profile count, read-only, and
+    mean_distinct their mean.  ranges holds (pieces, f side, g side) per
+    row range (_fit), in row order: pieces lists the range's blocks, each
+    as its (weights, rows) groups, one per profile count T present in the
+    block (_by_count), and each side has one leaf array per block, which
+    lists the block's rows group by group.  A group's weights are the
+    (T,) plan of its one window group, or an (N, T) matrix with the plan
+    of each of its N rows when it merges several.  ranges is a
     tuple when the product is one range, and then the layout is kept;
     otherwise it is a generator that builds one range at a time.  When
     the product is square, f and g on one knot vector and degree, both
@@ -455,6 +465,7 @@ class _Layout:
     naive_terms: int | float
     divisor: float
     counts: np.ndarray
+    mean_distinct: float
     ranges: Iterable[tuple[list, _Side, _Side]]
 
 
@@ -598,10 +609,10 @@ def _merged(q: int, runs, pairs: _Pairs, end: int):
         c += 1
         again = np.maximum(lo, lo_run[k] + c) <= np.minimum(hi, hi_run[k] + j - c)
         counts = k - lowest + (again & (c <= length[k]))
-        parent = np.repeat(np.arange(counts.size), counts)
-        child = np.repeat(lowest - np.cumsum(counts) + counts, counts)
+        parent = np.arange(counts.size).repeat(counts)
+        child = (lowest - counts.cumsum() + counts).repeat(counts)
         child += np.arange(child.size)
-        order = np.argsort(child.astype(key), kind="stable")
+        order = child.astype(key).argsort(kind="stable")
         parent, child = parent[order], child[order]
         c = np.where(child == k[parent], c[parent], 1)
         lo = np.maximum(lo[parent], lo_run[child] + c)
@@ -723,15 +734,44 @@ def _fit(t: KnotVector, sides, a: int):
     return a + end, list(zip(pairs, built))
 
 
+def _by_count(block: list) -> list:
+    """One block's (weights, rows) pieces merged by profile count T.
+
+    Pieces of one T, in block order, become one group whose weights are
+    an (N, T) matrix, the plan of each of its N rows; a piece whose T no
+    other piece of the block shares keeps its (T,) plan.  A group is
+    reduced with one stacked matmul, whose 1 x T by T x 1 products each
+    take one BLAS dot of T contiguous values, as a piece's do: rows are
+    not padded to a common T, which would change the dot's summation
+    order and so the bits.
+    """
+    by_count: dict[int, list] = {}
+    for piece in block:
+        by_count.setdefault(piece[0].size, []).append(piece)
+    groups = []
+    for same in by_count.values():
+        if len(same) == 1:
+            groups.append(same[0])
+            continue
+        plans, rows = zip(*same)
+        weights = np.stack(plans).repeat([r.size for r in rows], axis=0)
+        weights.setflags(write=False)
+        groups.append((weights, np.concatenate(rows)))
+    return groups
+
+
 def _row_ranges(t: KnotVector, sides, groups, fitted):
     """(pieces, f side, g side) of every row range in turn, each built as
     it is read.  groups holds the product's window groups (_window_groups)
-    and fitted _fit's result for the first range."""
+    and fitted _fit's result for the first range.  pieces lists the
+    range's blocks (_row_blocks), each as its (weights, rows) groups, one
+    per profile count T (_by_count), and a block's leaves list its rows
+    group by group."""
     a = 0
     while a < t.dimension:
         b, built = fitted or _fit(t, sides, a)
         fitted = None
-        pieces = list(_row_blocks(*groups, a, b))
+        pieces = [_by_count(block) for block in _row_blocks(*groups, a, b)]
         blocks = [np.concatenate([rows for _, rows in block]) - a for block in pieces]
         parts = []
         for (s, spans, orders), (pairs, nodes) in zip(sides, built):
@@ -775,6 +815,7 @@ def _layout(f: Spline, g: Spline, t: KnotVector) -> tuple[_Layout, bool]:
         naive_terms=naive_terms,
         divisor=float(math.comb(p, p1)),
         counts=counts,
+        mean_distinct=float(counts.mean()),
         ranges=tuple(ranges) if keep else ranges,
     )
     return layout, keep
@@ -789,23 +830,42 @@ def _side_values(coeffs: np.ndarray, side: _Side) -> np.ndarray:
     that reads it.
     """
     v = coeffs[side.cols]
+    # ndarray methods, not the np.take wrapper: its dispatch costs about
+    # 2 us a call, three calls a stage
     for parent, at, diag, sup in side.stages:
-        vp = np.take(v, parent, axis=0)
+        vp = v.take(parent, axis=0)
         # the factors stay per knot pair and are gathered here: multiplying
         # in place into the fresh gathered arrays streams a stage about 20%
         # faster than multiplying factors gathered ahead
-        v = np.take(diag, at, axis=0)
+        v = diag.take(at, axis=0)
         v *= vp[:, :-1]
-        right = np.take(sup, at, axis=0)
+        right = sup.take(at, axis=0)
         right *= vp[:, 1:]
         v += right
     return v[:, 0]
 
 
+def _weighted(values: np.ndarray, pieces: list, leaves):
+    """f's weighted kernel values of a range, one tuple per block with an
+    (N, T) array per group: the group's weights times its rows' leaf
+    values.  values holds the kernel value of every node of f's last
+    stage (_side_values) and leaves f's leaf array per block."""
+    for block, leaf in zip(pieces, leaves):
+        bf = values[leaf]
+        out = []
+        lo = 0
+        for weights, rows in block:
+            hi = lo + rows.size * weights.shape[-1]
+            out.append(weights * bf[lo:hi].reshape(rows.size, -1))
+            lo = hi
+        yield tuple(out)
+
+
 class _Slot(NamedTuple):
     """What the last call keeps for its key, (f knots, f degree, g knots,
     g degree) as passed in: the kept layout, and the coefficient bytes
-    of the last call's open f with its kernel values, one array per block.
+    of the last call's open f with its weighted kernel values, one tuple
+    per block with one array per group (_weighted).
     """
 
     key: tuple
@@ -828,8 +888,10 @@ def improved_morken_product(
 
     Rows whose knot windows share their run multiplicities share one
     knot-only plan, the weights of their distinct profiles.  Blocks of
-    at most _BLOCK doubles pack rows of many such groups, and every
-    group piece is reduced on its own.  Every coefficient sums the same
+    at most _BLOCK doubles pack rows of many such groups, and a block's
+    rows of one profile count T are reduced together (_by_count): one
+    weighted multiply, one stacked matmul and one scatter per (block,
+    T), however many plans share the T.  Every coefficient sums the same
     kernel products in the same order as one kernel_many call per row
     and factor over its distinct profiles; agrees with morken_product
     to floating-point roundoff.
@@ -854,12 +916,13 @@ def improved_morken_product(
     factors) is kept, keyed on both factors' knots and degrees as
     passed in, exactly when the product is one range; a later call on
     the same key runs only the coefficient pass on it, after make_open
-    and the target_knots check.  f's kernel values are kept beside the
-    layout and reused while f's coefficient bytes (-0.0 is not 0.0)
-    stay the same, so Galerkin assembly, one f times many g, refines
-    only g.
+    and the target_knots check.  f's weighted kernel values, each
+    group's weights times its kernel values, are kept beside the layout
+    and reused while f's coefficient bytes (-0.0 is not 0.0) stay the
+    same, so Galerkin assembly, one f times many g, refines only g and
+    skips the weighting too.
     Over every experiment row (row seed 12345) the largest kept layout
-    takes 3.6 MiB, plus 0.1 MiB of f values (mesh_refine_highdeg 5);
+    takes 3.7 MiB, plus 0.1 MiB of f values (mesh_refine_highdeg 5);
     galerkin_k 50 and spline_spline 50 take 2.5 MiB, plus 0.5 MiB of f
     values.  A call on another key frees the slot first.
     There is no entry point taking many second factors at once:
@@ -886,19 +949,18 @@ def improved_morken_product(
         if reuse:
             f_values = kept.f_values
         else:
-            # one array per block, gathered as the blocks are read unless kept
+            # one tuple per block, computed as the blocks are read unless kept
             last_f = _side_values(f.coefficients, side_f)
-            f_values = (last_f[leaf] for leaf in side_f.leaves)
+            f_values = _weighted(last_f, pieces, side_f.leaves)
             if keep:
                 f_values = tuple(f_values)
         last_g = _side_values(g.coefficients, side_g)
-        for block, bf, leaf in zip(pieces, f_values, side_g.leaves):
+        for block, weighted, leaf in zip(pieces, f_values, side_g.leaves):
             bg = last_g[leaf]
             lo = 0
-            for weights, piece in block:
-                hi = lo + piece.size * weights.size
-                wbf = weights * bf[lo:hi].reshape(piece.size, -1)
-                cols = bg[lo:hi].reshape(piece.size, -1)
+            for (_, rows), wbf in zip(block, weighted):
+                hi = lo + wbf.size
+                cols = bg[lo:hi].reshape(wbf.shape)
                 if cols.shape[1] == 1:
                     # np.dot of one-element rows is their product, zero sign too
                     dots = wbf[:, 0] * cols[:, 0]
@@ -907,9 +969,11 @@ def improved_morken_product(
                     # the row's contiguous values: the summation order, and so
                     # the bits, of one np.dot per row
                     dots = (wbf[:, None, :] @ cols[:, :, None]).ravel()
-                b[piece] = dots
+                b[rows] = dots
                 lo = hi
     b /= layout.divisor
-    result = _result(layout.t, b, layout.naive_terms, layout.counts)
+    result = _result(
+        layout.t, b, layout.naive_terms, layout.counts, layout.mean_distinct
+    )
     _kept = _Slot(key, layout, f_bytes, f_values) if keep else None
     return result

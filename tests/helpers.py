@@ -452,6 +452,31 @@ def improved_product_rows(f, g):
     return b, counts
 
 
+def piece_reduction(blocks, values_f, values_g, size):
+    """The improved product's reduction one (plan weights, rows) piece at a
+    time, before the division by C(p, p1): the oracle of its reduction
+    grouped by profile count.
+
+    blocks lists each block's pieces as product._row_blocks yields them,
+    and values_f[i] and values_g[i] hold row i's kernel values on the f
+    and g side, one per profile in plan order.  Each piece stacks its
+    rows' values, multiplies f's by the plan and reduces every row with
+    one matmul of 1 x T by T x 1 products, or with one multiply when T is
+    1.  Returns the size reduced rows.
+    """
+    b = np.empty(size)
+    for block in blocks:
+        for weights, rows in block:
+            wbf = weights * np.array([values_f[i] for i in rows])
+            cols = np.array([values_g[i] for i in rows])
+            if cols.shape[1] == 1:
+                dots = wbf[:, 0] * cols[:, 0]
+            else:
+                dots = (wbf[:, None, :] @ cols[:, :, None]).ravel()
+            b[rows] = dots
+    return b
+
+
 def stage_node_counts(f, g, rows=None):
     """Distinct stage nodes of each factor side of the improved product, per stage.
 

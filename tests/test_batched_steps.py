@@ -43,6 +43,7 @@ from helpers import (
     improved_product_rows,
     kernel_rows_reference,
     merged_product_knots,
+    piece_reduction,
     random_spline_on,
     refine_rows_by_anchor,
     span0_clamped_scan,
@@ -648,6 +649,95 @@ def test_every_range_of_mesh_refine_highdeg_stays_within_the_stage_bound(level):
                 assert max(doubles) <= product_module._BLOCK
 
 
+def _grouped_oracle(f, g):
+    """The per-piece oracle (piece_reduction) of the product of open f and
+    g, divided by C(p, p1), on a new layout's own kernel values.  Checks
+    the layout's groups on the way: each block's groups have distinct
+    profile counts T, every row is in one group, and each group's weight
+    row of a row is the plan of its window group.  Returns the oracle's
+    coefficients and whether some group merges several pieces."""
+    f, g, t = product_module._prepared_factors(f, g, None)
+    m = t.dimension
+    plans, group = product_module._window_groups(t, f.degree)
+    layout, _ = product_module._layout(f, g, t)
+    values_f, values_g = [None] * m, [None] * m
+    blocks, merges = [], False
+    a = 0
+    for pieces, side_f, side_g in layout.ranges:
+        lasts = [
+            product_module._side_values(s.coefficients, side)
+            for s, side in ((f, side_f), (g, side_g))
+        ]
+        for k, block in enumerate(pieces):
+            counts = [weights.shape[-1] for weights, _ in block]
+            assert len(set(counts)) == len(counts)
+            leaf_f, leaf_g = (last[side.leaves[k]] for last, side in zip(lasts, (side_f, side_g)))
+            lo = 0
+            for weights, rows in block:
+                merges |= weights.ndim == 2
+                assert weights.ndim == 1 or weights.shape[0] == rows.size
+                for i, row in enumerate(rows):
+                    plan = plans[group[row]]
+                    assert _same_bytes(weights if weights.ndim == 1 else weights[i], plan)
+                    assert values_f[row] is None
+                    hi = lo + plan.size
+                    values_f[row], values_g[row] = leaf_f[lo:hi], leaf_g[lo:hi]
+                    lo = hi
+            assert lo == leaf_f.size == leaf_g.size
+        b = a + sum(rows.size for block in pieces for _, rows in block)
+        blocks += product_module._row_blocks(plans, group, a, b)
+        a = b
+    assert a == m and all(v is not None for v in values_f)
+    b = piece_reduction(blocks, values_f, values_g, m)
+    return b / layout.divisor, merges
+
+
+@settings(max_examples=120, deadline=None)
+@given(
+    open_knot_pairs(),
+    st.integers(0, 2**32 - 1),
+    st.sampled_from((64, product_module._BLOCK)),
+    st.just(False),
+)
+@example(
+    (KnotVector(np.array([0.0] * 4 + [0.25] * 2 + [0.5] * 2 + [1.0] * 4), 3),
+     KnotVector(np.array([0.0] * 3 + [0.25, 0.5, 0.75] + [1.0] * 3), 2)),
+    3,
+    64,
+    True,
+)
+@example(
+    (KnotVector(np.array([0.0] * 4 + [0.25] * 2 + [0.5] * 2 + [1.0] * 4), 3),
+     KnotVector(np.array([0.0] * 3 + [0.25, 0.5, 0.75] + [1.0] * 3), 2)),
+    3,
+    product_module._BLOCK,
+    True,
+)
+def test_grouped_reduction_equals_the_per_piece_oracle(pair, seed, block, merges):
+    """Each block's pieces are reduced in groups of one profile count T,
+    with one stacked matmul per group, and f's weighted values are kept
+    for hits.  A first call, a hit reusing f's weighted values and a hit
+    with new g give the per-piece oracle's bytes, zero signs included,
+    under _BLOCK = 64 and the default.  The explicit examples (merges)
+    hold a block where two plans of one T share a group."""
+    rng = np.random.default_rng(seed)
+    factors = []
+    for kv in (pair[0], pair[1], pair[1]):
+        coeffs = rng.uniform(-1.0, 1.0, kv.dimension)
+        coeffs[rng.random(kv.dimension) < 0.3] = -0.0
+        factors.append(Spline(kv, coeffs))
+    f, g, h = factors
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(product_module, "_BLOCK", block)
+        mp.setattr(product_module, "_kept", None)
+        for first, second in ((f, g), (f, g), (f, h)):
+            expected, merged = _grouped_oracle(first, second)
+            result = improved_morken_product(first, second)
+            assert _same_bytes(result.product.coefficients, expected)
+    if merges:
+        assert merged
+
+
 def _assert_rows_bytes(f, g):
     """One call's coefficients and counts are the per-row loop's."""
     result = improved_morken_product(f, g)
@@ -728,7 +818,7 @@ def test_square_product_past_the_stage_bound_streams_one_side_per_range():
             for block, bf, bg in zip(pieces, *values):
                 lo = 0
                 for weights, piece in block:
-                    hi = lo + piece.size * weights.size
+                    hi = lo + piece.size * weights.shape[-1]
                     rows_f = bf[lo:hi].reshape(piece.size, -1)
                     assert _same_bytes(bg[lo:hi].reshape(piece.size, -1), rows_f[:, ::-1])
                     lo = hi

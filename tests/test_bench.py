@@ -187,6 +187,32 @@ def test_relative_error_zero_reference_warns():
     assert err == pytest.approx(0.5)
 
 
+def test_relative_error_zero_reference_warns_at_the_caller():
+    """The vanishing-reference warning names the line that called
+    relative_linf_error, not a line inside the package."""
+    kv = uniform_open_knots(1, 3)
+    zero = Spline(kv, np.zeros(kv.dimension))
+    product = improved_morken_product(zero, zero).product
+    with pytest.warns(UserWarning, match="vanishes") as record:
+        relative_linf_error(product, zero, zero)
+    assert [w.filename for w in record] == [__file__]
+
+
+@pytest.mark.parametrize("family", sorted(FAMILY_PARAMETERS))
+def test_relative_error_equals_three_evaluate_calls(family):
+    """relative_linf_error evaluates f, g and the product in one pass per
+    knot vector; on each family's first row its value is that of three
+    separate evaluate calls, for every second factor."""
+    case = build_family_case(family, FAMILY_PARAMETERS[family][0], SplitMix64(12345))
+    f = case.f
+    for g in case.gs:
+        product = improved_morken_product(f, g).product
+        xs = np.linspace(*product.knots.span, 201)
+        ref = evaluate(f, xs) * evaluate(g, xs)
+        err = np.abs(evaluate(product, xs) - ref).max()
+        assert relative_linf_error(product, f, g) == err / np.abs(ref).max()
+
+
 def test_relative_error_validation():
     kv1 = uniform_open_knots(1, 3)
     kv2 = uniform_open_knots(1, 3, end=2.0)

@@ -3,8 +3,11 @@
 A traced benchmark run drops a layer's metrics when one of the entry
 points it wraps is renamed or moved, so this loads the tracer by path,
 unchanged, and runs the improved and the naive product, one collocation
-solve and one error grid under it.  evaluate runs no kernel_many call,
-so the naive product is the one that reaches it.
+solve, one error grid and one evaluate call under it.  evaluate runs no
+kernel_many call, so the naive product is the one that reaches it.  The
+collocation solve and the error grid evaluate through
+core._evaluate_many, one pass per knot vector, which is not an entry
+point, so evaluate is called on its own.
 """
 
 import importlib.util
@@ -12,6 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
+import splineprod.core as core
 from splineprod import bench, collocation, product, uniform_open_knots
 from helpers import random_spline_on
 
@@ -37,6 +41,7 @@ def test_tracer_finds_every_entry_point():
         product.morken_product(f, g)
         collocation.collocation_product(f, g)
         bench.relative_linf_error(direct, f, g)
+        core.evaluate(f, np.linspace(0.0, 1.0, 5))
     finally:
         tracer.uninstall()
     assert tracer.absent == []
