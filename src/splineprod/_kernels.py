@@ -13,7 +13,7 @@ from __future__ import annotations
 import numpy as np
 
 # the doubles one block of rows may take into a stage loop: each stage
-# of an improved product's row range, one block of its rows' leaf
+# of an improved product's row range, one chunk of its rows' leaf
 # values, and the stage passes of evaluate and oslo_coefficients; one
 # unblocked batch over all rows ran at half speed from memory traffic
 _BLOCK = 1 << 16

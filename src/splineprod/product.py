@@ -282,11 +282,12 @@ def _row_geometry(f: Spline, g: Spline, t: KnotVector):
 def _window_groups(t: KnotVector, p1: int):
     """Product rows grouped by the run multiplicities of their knot windows.
 
-    Returns (weights, group): row i's window t_{i+1} .. t_{i+p} is in
-    group[i], and weights[k] is the weights array of the _profiles entry
-    of group k's multiplicities and p1, its profiles' subset counts.  All
-    groups' multiplicities are read from one boolean array with a row per
-    group, so only the cache lookup runs once per group.
+    Returns (weights, group, counts): row i's window t_{i+1} .. t_{i+p}
+    is in group[i], weights[k] is the weights array of the _profiles
+    entry of group k's multiplicities and p1, its profiles' subset
+    counts, and counts[i], read-only, is row i's distinct profile count.
+    All groups' multiplicities are read from one boolean array with a
+    row per group, so only the cache lookup runs once per group.
     """
     p = t.degree
     m = t.dimension
@@ -311,7 +312,9 @@ def _window_groups(t: KnotVector, p1: int):
     for stop in stops.tolist():
         weights.append(_profiles(tuple(gaps[start:stop]), p1)[1])
         start = stop + 1
-    return weights, group
+    counts = np.array([w.size for w in weights], dtype=np.int64)[group]
+    counts.setflags(write=False)
+    return weights, group, counts
 
 
 def _subset_chunks(p: int, p1: int):
@@ -369,44 +372,51 @@ def morken_product(
             bg = kernel_many(tau2[i], c2[i], win[idx_g])
             acc[i] += float(np.dot(bf, bg))
     b = acc / float(math.comb(p, p1))
-    weights, group = _window_groups(t, p1)
-    counts = np.array([w.size for w in weights], dtype=np.int64)[group]
+    counts = _window_groups(t, p1)[2]
     return _result(t, b, count, counts, float(counts.mean()))
 
 
-def _row_blocks(weights: list[np.ndarray], group: np.ndarray, a: int, b: int):
-    """Rows a .. b - 1 of a product packed into evaluation blocks.
+def _chunks(weights: list, group: np.ndarray, counts: np.ndarray, a: int, b: int):
+    """Rows a .. b - 1 of a product packed into chunks of one profile count.
 
-    weights and group are the product's window groups (_window_groups).
-    Yields one list of (weights, rows) pieces per block.  A piece is a
-    run of ascending rows of one window group; each row costs two doubles
-    per profile, its leaf values on the f and g sides, and a block takes
-    pieces greedily, splitting a group where the block fills, until its
-    rows cost _BLOCK doubles.  A row wider than _BLOCK gets a block of
-    its own.
+    weights, group and counts are the product's window groups
+    (_window_groups).  Returns one (weights, rows) per chunk.  Each row
+    costs two doubles per profile, its leaf values on the f and g sides,
+    so a chunk of profile count T holds at most max(1, _BLOCK // (2T))
+    rows: the rows, stably sorted by (T, window group), are cut where T
+    changes or a chunk fills.  A chunk's weights are the (T,) plan of
+    its window group when all its rows share one, and otherwise an (N,
+    T) matrix with the plan of each of its N rows.  Rows are not padded
+    to a common T, which would change the summation order of their
+    dots, and so the bits.
     """
-    ids = group[a:b]
-    order = np.argsort(ids, kind="stable") + a
-    sizes = np.bincount(ids, minlength=len(weights))
-    present = np.flatnonzero(sizes)
-    block: list = []
-    used = 0
-    for k, rows in zip(present, np.split(order, np.cumsum(sizes[present])[:-1])):
-        plan = weights[k]
-        width = 2 * plan.size
-        lo = 0
-        while lo < rows.size:
-            room = (_BLOCK - used) // width
-            if room < 1 and block:
-                yield block
-                block, used = [], 0
-                continue
-            take = min(rows.size - lo, max(room, 1))
-            block.append((plan, rows[lo : lo + take]))
-            used += take * width
-            lo += take
-    if block:
-        yield block
+    ids, sizes = group[a:b], counts[a:b]
+    # the rows stably sorted by (T, window group), on narrow keys as in
+    # _merged
+    key = sizes * len(weights) + ids
+    order = np.argsort(key.astype(np.min_scalar_type(key.max())), kind="stable")
+    rows, ids, sizes = order + a, ids[order], sizes[order]
+    # a chunk opens where T changes and then every max(1, _BLOCK // (2T))
+    # rows; each window group's rows, all of one T, are one run of rows
+    starts = np.append(0, np.flatnonzero(sizes[1:] != sizes[:-1]) + 1)
+    runs = np.diff(starts, append=sizes.size)
+    caps = np.maximum(_BLOCK // (2 * sizes[starts]), 1)
+    cut = _ranges(runs) % caps.repeat(runs) == 0
+    # the runs of one window group within one chunk, each of one plan
+    edges = np.flatnonzero(cut | (np.diff(ids, prepend=-1) != 0))
+    plans = [weights[k] for k in ids[edges].tolist()]
+    lengths = np.diff(edges, append=sizes.size).tolist()
+    firsts = [*np.flatnonzero(cut[edges]).tolist(), edges.size]
+    edges = [*edges.tolist(), sizes.size]
+    chunks = []
+    for i, j in zip(firsts, firsts[1:]):
+        if j - i == 1:
+            plan = plans[i]
+        else:
+            plan = np.stack(plans[i:j]).repeat(lengths[i:j], axis=0)
+            plan.setflags(write=False)
+        chunks.append((plan, rows[edges[i] : edges[j]]))
+    return chunks
 
 
 def _ranges(lengths: np.ndarray) -> np.ndarray:
@@ -427,11 +437,10 @@ class _Side:
     stage's diagonal and superdiagonal factors per knot pair, shape
     (pairs, d).  There is one root per anchor span and one node per
     (span, sorted top knot values) of the range's rows (_merged).
-    leaves holds one array per block of the range, which lists every
-    row's profiles, row by row in the order of the block's groups
-    (_by_count), as positions in the last stage.  The f and g sides of
-    a square product hold the same cols and stages and differ in their
-    leaves.
+    leaves holds one (N, T) array per chunk of the range (_chunks): row
+    n of it lists the T profiles of the chunk's row n as positions in
+    the last stage.  The f and g sides of a square product hold the same
+    cols and stages and differ in their leaves.
     """
 
     cols: np.ndarray
@@ -444,13 +453,10 @@ class _Layout:
     """Knot-only half of an improved product, for any coefficients.
 
     counts holds every row's distinct profile count, read-only, and
-    mean_distinct their mean.  ranges holds (pieces, f side, g side) per
-    row range (_fit), in row order: pieces lists the range's blocks, each
-    as its (weights, rows) groups, one per profile count T present in the
-    block (_by_count), and each side has one leaf array per block, which
-    lists the block's rows group by group.  A group's weights are the
-    (T,) plan of its one window group, or an (N, T) matrix with the plan
-    of each of its N rows when it merges several.  ranges is a
+    mean_distinct their mean.  ranges holds (chunks, f side, g side) per
+    row range (_fit), in row order: chunks lists the range's (weights,
+    rows) chunks of one profile count T each (_chunks), and each side
+    has one (N, T) leaf array per chunk.  ranges is a
     tuple when the product is one range, and then the layout is kept;
     otherwise it is a generator that builds one range at a time.  When
     the product is square, f and g on one knot vector and degree, both
@@ -649,12 +655,12 @@ def _prune(nodes, end: int):
     return cut, lo[keep], np.minimum(hi[keep], end - 1)
 
 
-def _range_sides(s: Spline, spans, pairs: _Pairs, nodes, blocks, orders):
-    """Sides of factor s over one row range, from its stage nodes.
+def _range_sides(s: Spline, spans, pairs: _Pairs, nodes, chunks, a: int, orders):
+    """Sides of factor s over the row range from row a, from its stage nodes.
 
     spans holds the range's anchor spans in s, nodes is the (stages, lo,
-    hi) of _merged, or of _prune for a cut range, and blocks holds every
-    block's rows, counted from the range's first.  A row's profiles, in
+    hi) of _merged, or of _prune for a cut range, and chunks the range's
+    (weights, rows) chunks (_chunks).  A row's profiles, in
     the descending lexicographic order of _profiles, have ascending f
     rows in rank order and descending g rows, so every row's leaves are
     its last-stage nodes in ascending rank for f, descending for g.  A
@@ -691,13 +697,20 @@ def _range_sides(s: Spline, spans, pairs: _Pairs, nodes, blocks, orders):
         (parent, at, diag, sup)
         for (parent, at, _), (diag, sup) in zip(stages, factors)
     )
-    leaves = [[] for _ in orders]
-    for block_rows in blocks:
-        n = per_row[block_rows]
-        offsets = _ranges(n)
-        for out, (nodes, start) in zip(leaves, reads):
-            out.append(nodes[np.repeat(start[block_rows], n) + offsets])
-    return [_Side(cols, stages, tuple(out)) for out in leaves]
+    # each chunk's leaves are built on their own, so that no temporary
+    # passes the chunk's _BLOCK doubles
+    rows = np.concatenate([rows for _, rows in chunks]) - a
+    shapes = [(rows.size, weights.shape[-1]) for weights, rows in chunks]
+    offsets = np.arange(max(T for _, T in shapes))
+    sides = []
+    for nodes, start in reads:
+        first = start[rows][:, None]
+        leaves, lo = [], 0
+        for N, T in shapes:
+            leaves.append(nodes[first[lo : lo + N] + offsets[:T]])
+            lo += N
+        sides.append(_Side(cols, stages, tuple(leaves)))
+    return sides
 
 
 def _fit(t: KnotVector, sides, a: int):
@@ -734,57 +747,29 @@ def _fit(t: KnotVector, sides, a: int):
     return a + end, list(zip(pairs, built))
 
 
-def _by_count(block: list) -> list:
-    """One block's (weights, rows) pieces merged by profile count T.
-
-    Pieces of one T, in block order, become one group whose weights are
-    an (N, T) matrix, the plan of each of its N rows; a piece whose T no
-    other piece of the block shares keeps its (T,) plan.  A group is
-    reduced with one stacked matmul, whose 1 x T by T x 1 products each
-    take one BLAS dot of T contiguous values, as a piece's do: rows are
-    not padded to a common T, which would change the dot's summation
-    order and so the bits.
-    """
-    by_count: dict[int, list] = {}
-    for piece in block:
-        by_count.setdefault(piece[0].size, []).append(piece)
-    groups = []
-    for same in by_count.values():
-        if len(same) == 1:
-            groups.append(same[0])
-            continue
-        plans, rows = zip(*same)
-        weights = np.stack(plans).repeat([r.size for r in rows], axis=0)
-        weights.setflags(write=False)
-        groups.append((weights, np.concatenate(rows)))
-    return groups
-
-
 def _row_ranges(t: KnotVector, sides, groups, fitted):
-    """(pieces, f side, g side) of every row range in turn, each built as
+    """(chunks, f side, g side) of every row range in turn, each built as
     it is read.  groups holds the product's window groups (_window_groups)
-    and fitted _fit's result for the first range.  pieces lists the
-    range's blocks (_row_blocks), each as its (weights, rows) groups, one
-    per profile count T (_by_count), and a block's leaves list its rows
-    group by group."""
+    and fitted _fit's result for the first range.  chunks lists the
+    range's (weights, rows) chunks (_chunks), and each side one leaf
+    array per chunk."""
     a = 0
     while a < t.dimension:
         b, built = fitted or _fit(t, sides, a)
         fitted = None
-        pieces = [_by_count(block) for block in _row_blocks(*groups, a, b)]
-        blocks = [np.concatenate([rows for _, rows in block]) - a for block in pieces]
+        chunks = _chunks(*groups, a, b)
         parts = []
         for (s, spans, orders), (pairs, nodes) in zip(sides, built):
-            parts += _range_sides(s, spans[a:b], pairs, nodes, blocks, orders)
-        yield pieces, *parts
+            parts += _range_sides(s, spans[a:b], pairs, nodes, chunks, a, orders)
+        yield chunks, *parts
         a = b
 
 
 def _layout(f: Spline, g: Spline, t: KnotVector) -> tuple[_Layout, bool]:
     """Knot-only half of the product of open f and g, and whether to keep it.
 
-    The rows are cut into row ranges (_fit), each packed into blocks
-    (_row_blocks) and merged on its own.  When f and g have the same
+    The rows are cut into row ranges (_fit), each packed into chunks
+    (_chunks) and merged on its own.  When f and g have the same
     knot bytes and degree (a square product: spline_spline and Galerkin
     rows), both sides have the same spans, pairs, stages and factors and
     differ only in the order of their leaves, so one side is built for
@@ -800,16 +785,15 @@ def _layout(f: Spline, g: Spline, t: KnotVector) -> tuple[_Layout, bool]:
     # raises ValueError when C(p, p1) exceeds the double range
     naive_terms = binomial(p, p1)
     m, k1, k2, _ = _row_geometry(f, g, t)
-    weights, group = _window_groups(t, p1)
-    counts = np.array([w.size for w in weights], dtype=np.int64)[group]
-    counts.setflags(write=False)
+    groups = _window_groups(t, p1)
+    counts = groups[2]
     if f.degree == g.degree and f.knots.knots.tobytes() == g.knots.knots.tobytes():
         sides = ((f, k1, (False, True)),)
     else:
         sides = ((f, k1, (False,)), (g, k2, (True,)))
     fitted = _fit(t, sides, 0)
     keep = fitted[0] == m
-    ranges = _row_ranges(t, sides, (weights, group), fitted)
+    ranges = _row_ranges(t, sides, groups, fitted)
     layout = _Layout(
         t=t,
         naive_terms=naive_terms,
@@ -845,27 +829,20 @@ def _side_values(coeffs: np.ndarray, side: _Side) -> np.ndarray:
     return v[:, 0]
 
 
-def _weighted(values: np.ndarray, pieces: list, leaves):
-    """f's weighted kernel values of a range, one tuple per block with an
-    (N, T) array per group: the group's weights times its rows' leaf
-    values.  values holds the kernel value of every node of f's last
-    stage (_side_values) and leaves f's leaf array per block."""
-    for block, leaf in zip(pieces, leaves):
-        bf = values[leaf]
-        out = []
-        lo = 0
-        for weights, rows in block:
-            hi = lo + rows.size * weights.shape[-1]
-            out.append(weights * bf[lo:hi].reshape(rows.size, -1))
-            lo = hi
-        yield tuple(out)
+def _weighted(values: np.ndarray, chunks: list, leaves):
+    """f's weighted kernel values of a range, one (N, T) array per chunk:
+    the chunk's weights times its rows' leaf values.  values holds the
+    kernel value of every node of f's last stage (_side_values) and
+    leaves f's leaf array per chunk."""
+    for (weights, _), leaf in zip(chunks, leaves):
+        yield weights * values[leaf]
 
 
 class _Slot(NamedTuple):
     """What the last call keeps for its key, (f knots, f degree, g knots,
     g degree) as passed in: the kept layout, and the coefficient bytes
-    of the last call's open f with its weighted kernel values, one tuple
-    per block with one array per group (_weighted).
+    of the last call's open f with its weighted kernel values, one array
+    per chunk (_weighted).
     """
 
     key: tuple
@@ -887,12 +864,12 @@ def improved_morken_product(
     """Product spline via distinct knot profiles with exact repetition counts.
 
     Rows whose knot windows share their run multiplicities share one
-    knot-only plan, the weights of their distinct profiles.  Blocks of
-    at most _BLOCK doubles pack rows of many such groups, and a block's
-    rows of one profile count T are reduced together (_by_count): one
-    weighted multiply, one stacked matmul and one scatter per (block,
-    T), however many plans share the T.  Every coefficient sums the same
-    kernel products in the same order as one kernel_many call per row
+    knot-only plan, the weights of their distinct profiles.  The rows
+    are packed into chunks of one profile count T, of at most _BLOCK
+    doubles of leaf values each (_chunks), and a chunk's rows are
+    reduced together: one weighted multiply, one stacked matmul and one
+    scatter per chunk, however many plans share the T.  Every
+    coefficient sums the same kernel products in the same order as one kernel_many call per row
     and factor over its distinct profiles; agrees with morken_product
     to floating-point roundoff.
 
@@ -902,7 +879,7 @@ def improved_morken_product(
     A stage factor depends only on the factor's knot window, which the
     row's span fixes, and on one fine knot value, so each factor's side
     computes its factors once per distinct (span, knot value) pair.
-    Each side builds its stage nodes once across all blocks, one node
+    Each side builds its stage nodes once across all chunks, one node
     per (anchor span, sorted top knot values), straight from the runs of
     the product knots: the rows where a node is feasible form one
     interval, which each child narrows (_merged).  When a stage would
@@ -912,19 +889,19 @@ def improved_morken_product(
     from level 6 is cut.  When f and g have the same knot bytes and
     degree, as in the spline_spline and Galerkin rows, both sides read
     one merged side, built once, each with its own leaf order.
-    The layout (product knot vector, blocks, stage nodes and stage
+    The layout (product knot vector, chunks, stage nodes and stage
     factors) is kept, keyed on both factors' knots and degrees as
     passed in, exactly when the product is one range; a later call on
     the same key runs only the coefficient pass on it, after make_open
     and the target_knots check.  f's weighted kernel values, each
-    group's weights times its kernel values, are kept beside the layout
+    chunk's weights times its kernel values, are kept beside the layout
     and reused while f's coefficient bytes (-0.0 is not 0.0) stay the
     same, so Galerkin assembly, one f times many g, refines only g and
     skips the weighting too.
     Over every experiment row (row seed 12345) the largest kept layout
     takes 3.7 MiB, plus 0.1 MiB of f values (mesh_refine_highdeg 5);
-    galerkin_k 50 and spline_spline 50 take 2.5 MiB, plus 0.5 MiB of f
-    values.  A call on another key frees the slot first.
+    galerkin_k 50 and spline_spline 50 take 2.8 MiB, 0.5 MiB of it their
+    chunks' stacked plan weights, plus 0.5 MiB of f values.  A call on another key frees the slot first.
     There is no entry point taking many second factors at once:
     consecutive calls on one knot pair already share the layout, and
     each product is still its own call.
@@ -945,32 +922,27 @@ def improved_morken_product(
     f_bytes = f.coefficients.tobytes()
     reuse = kept is not None and kept.f_bytes == f_bytes
     b = np.empty(layout.counts.size)
-    for pieces, side_f, side_g in layout.ranges:
+    for chunks, side_f, side_g in layout.ranges:
         if reuse:
             f_values = kept.f_values
         else:
-            # one tuple per block, computed as the blocks are read unless kept
+            # one array per chunk, computed as the chunks are read unless kept
             last_f = _side_values(f.coefficients, side_f)
-            f_values = _weighted(last_f, pieces, side_f.leaves)
+            f_values = _weighted(last_f, chunks, side_f.leaves)
             if keep:
                 f_values = tuple(f_values)
         last_g = _side_values(g.coefficients, side_g)
-        for block, weighted, leaf in zip(pieces, f_values, side_g.leaves):
-            bg = last_g[leaf]
-            lo = 0
-            for (_, rows), wbf in zip(block, weighted):
-                hi = lo + wbf.size
-                cols = bg[lo:hi].reshape(wbf.shape)
-                if cols.shape[1] == 1:
-                    # np.dot of one-element rows is their product, zero sign too
-                    dots = wbf[:, 0] * cols[:, 0]
-                else:
-                    # matmul reduces each 1 x 1 product with one BLAS dot over
-                    # the row's contiguous values: the summation order, and so
-                    # the bits, of one np.dot per row
-                    dots = (wbf[:, None, :] @ cols[:, :, None]).ravel()
-                b[rows] = dots
-                lo = hi
+        for (_, rows), wbf, leaf in zip(chunks, f_values, side_g.leaves):
+            cols = last_g[leaf]
+            if cols.shape[1] == 1:
+                # np.dot of one-element rows is their product, zero sign too
+                dots = wbf[:, 0] * cols[:, 0]
+            else:
+                # matmul reduces each 1 x 1 product with one BLAS dot over
+                # the row's contiguous values: the summation order, and so
+                # the bits, of one np.dot per row
+                dots = (wbf[:, None, :] @ cols[:, :, None]).ravel()
+            b[rows] = dots
     b /= layout.divisor
     result = _result(
         layout.t, b, layout.naive_terms, layout.counts, layout.mean_distinct

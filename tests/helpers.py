@@ -452,28 +452,27 @@ def improved_product_rows(f, g):
     return b, counts
 
 
-def piece_reduction(blocks, values_f, values_g, size):
-    """The improved product's reduction one (plan weights, rows) piece at a
-    time, before the division by C(p, p1): the oracle of its reduction
-    grouped by profile count.
+def piece_reduction(plans, values_f, values_g):
+    """The improved product's reduction with every row its own one-row
+    piece, before the division by C(p, p1): the oracle of its reduction
+    in chunks of one profile count.
 
-    blocks lists each block's pieces as product._row_blocks yields them,
-    and values_f[i] and values_g[i] hold row i's kernel values on the f
-    and g side, one per profile in plan order.  Each piece stacks its
-    rows' values, multiplies f's by the plan and reduces every row with
-    one matmul of 1 x T by T x 1 products, or with one multiply when T is
-    1.  Returns the size reduced rows.
+    plans[i] holds row i's plan weights, and values_f[i] and values_g[i]
+    its kernel values on the f and g side, one per profile in plan
+    order.  Each row multiplies its f values by its plan and reduces
+    them against its g values with one matmul of a 1 x T by T x 1
+    product, or with one multiply when T is 1.  Returns the reduced
+    rows.
     """
-    b = np.empty(size)
-    for block in blocks:
-        for weights, rows in block:
-            wbf = weights * np.array([values_f[i] for i in rows])
-            cols = np.array([values_g[i] for i in rows])
-            if cols.shape[1] == 1:
-                dots = wbf[:, 0] * cols[:, 0]
-            else:
-                dots = (wbf[:, None, :] @ cols[:, :, None]).ravel()
-            b[rows] = dots
+    b = np.empty(len(plans))
+    for i, (plan, bf, bg) in enumerate(zip(plans, values_f, values_g)):
+        wbf = (plan * bf)[None, :]
+        cols = np.asarray(bg)[None, :]
+        if cols.shape[1] == 1:
+            dots = wbf[:, 0] * cols[:, 0]
+        else:
+            dots = (wbf[:, None, :] @ cols[:, :, None]).ravel()
+        b[i] = dots[0]
     return b
 
 

@@ -444,20 +444,23 @@ def test_window_groups_equal_per_row_recount(pair):
     """_window_groups splits the product rows into the groups of a row by
     row recount, the run lengths of each row's window from np.unique, and
     each group's weights are the weights array of the _profiles entry of
-    its run lengths, with either factor first.  The examples are p = 2
+    its run lengths, with either factor first, and each row's read-only
+    count is its group's profile count.  The examples are p = 2
     (degrees 1 + 1) and a product of degrees 3 + 1 whose
     full-multiplicity interior knot holds whole windows in one run."""
     for kv1, kv2 in (pair, pair[::-1]):
         t = product_knot_vector(kv1, kv2)
         p, p1 = t.degree, kv1.degree
-        weights, group = product_module._window_groups(t, p1)
-        assert group.shape == (t.dimension,)
+        weights, group, sizes = product_module._window_groups(t, p1)
+        assert group.shape == sizes.shape == (t.dimension,)
+        assert sizes.dtype == np.int64 and not sizes.flags.writeable
         rows_of = {}
         for i in range(t.dimension):
             _, counts = np.unique(t.knots[i + 1 : i + p + 1], return_counts=True)
             mults = tuple(int(c) for c in counts)
             rows_of.setdefault(mults, []).append(i)
             assert weights[group[i]] is product_module._profiles(mults, p1)[1]
+            assert sizes[i] == weights[group[i]].size
         assert (p,) in rows_of
         groups = [np.flatnonzero(group == k).tolist() for k in range(len(weights))]
         assert sorted(groups) == sorted(rows_of.values())
@@ -506,18 +509,18 @@ def test_factors_of_all_stages_equal_one_call_per_stage(family, param):
 
 
 def _row_ranges(layout):
-    """Each row range of a layout as (a, b, pieces, sides): its rows a ..
-    b - 1, its blocks' (weights, rows) pieces and its f and g sides.  The
-    ranges cover the product's rows in order, and each side holds one
-    leaf array per block."""
+    """Each row range of a layout as (a, b, chunks, sides): its rows a ..
+    b - 1, its (weights, rows) chunks and its f and g sides.  The ranges
+    cover the product's rows in order, and each side holds one leaf
+    array per chunk."""
     out = []
     a = 0
-    for pieces, *sides in layout.ranges:
-        rows = np.sort(np.concatenate([rows for block in pieces for _, rows in block]))
+    for chunks, *sides in layout.ranges:
+        rows = np.sort(np.concatenate([rows for _, rows in chunks]))
         b = a + rows.size
         assert np.array_equal(rows, np.arange(a, b))
-        assert all(len(side.leaves) == len(pieces) for side in sides)
-        out.append((a, b, pieces, sides))
+        assert all(len(side.leaves) == len(chunks) for side in sides)
+        out.append((a, b, chunks, sides))
         a = b
     assert a == layout.counts.size
     return out
@@ -650,46 +653,70 @@ def test_every_range_of_mesh_refine_highdeg_stays_within_the_stage_bound(level):
 
 
 def _grouped_oracle(f, g):
-    """The per-piece oracle (piece_reduction) of the product of open f and
-    g, divided by C(p, p1), on a new layout's own kernel values.  Checks
-    the layout's groups on the way: each block's groups have distinct
-    profile counts T, every row is in one group, and each group's weight
-    row of a row is the plan of its window group.  Returns the oracle's
-    coefficients and whether some group merges several pieces."""
+    """The per-piece oracle (piece_reduction), every row its own piece, of
+    the product of open f and g, divided by C(p, p1), on a new layout's
+    own kernel values.  Each row's plan is read from its window group,
+    and its kernel values from the row of its chunk's leaves.  Returns
+    the oracle's coefficients and whether some chunk's weights stack the
+    plans of several window groups."""
     f, g, t = product_module._prepared_factors(f, g, None)
     m = t.dimension
-    plans, group = product_module._window_groups(t, f.degree)
+    plans, group, _ = product_module._window_groups(t, f.degree)
     layout, _ = product_module._layout(f, g, t)
     values_f, values_g = [None] * m, [None] * m
-    blocks, merges = [], False
-    a = 0
-    for pieces, side_f, side_g in layout.ranges:
+    merges = False
+    for chunks, side_f, side_g in layout.ranges:
         lasts = [
             product_module._side_values(s.coefficients, side)
             for s, side in ((f, side_f), (g, side_g))
         ]
-        for k, block in enumerate(pieces):
-            counts = [weights.shape[-1] for weights, _ in block]
-            assert len(set(counts)) == len(counts)
+        for k, (weights, rows) in enumerate(chunks):
+            merges |= weights.ndim == 2
             leaf_f, leaf_g = (last[side.leaves[k]] for last, side in zip(lasts, (side_f, side_g)))
-            lo = 0
-            for weights, rows in block:
-                merges |= weights.ndim == 2
-                assert weights.ndim == 1 or weights.shape[0] == rows.size
-                for i, row in enumerate(rows):
-                    plan = plans[group[row]]
-                    assert _same_bytes(weights if weights.ndim == 1 else weights[i], plan)
-                    assert values_f[row] is None
-                    hi = lo + plan.size
-                    values_f[row], values_g[row] = leaf_f[lo:hi], leaf_g[lo:hi]
-                    lo = hi
-            assert lo == leaf_f.size == leaf_g.size
-        b = a + sum(rows.size for block in pieces for _, rows in block)
-        blocks += product_module._row_blocks(plans, group, a, b)
-        a = b
-    assert a == m and all(v is not None for v in values_f)
-    b = piece_reduction(blocks, values_f, values_g, m)
+            for row, bf, bg in zip(rows, leaf_f, leaf_g):
+                values_f[row], values_g[row] = bf, bg
+    assert all(v is not None for v in values_f)
+    b = piece_reduction([plans[k] for k in group], values_f, values_g)
     return b / layout.divisor, merges
+
+
+@settings(max_examples=150, deadline=None)
+@given(open_knot_pairs(), st.sampled_from((1, 64, product_module._BLOCK)))
+def test_chunks_hold_rows_of_one_profile_count_within_the_bound(pair, block):
+    """Under _BLOCK = block, every row range's chunks hold each of its rows
+    once, rows of one profile count T each, at most max(1, _BLOCK //
+    (2T)) of them, and are cut only where T changes or a chunk fills.
+    Each row's weights are its window group's plan, (T,) weights stand
+    for rows of one plan alone, and both sides hold an (N, T) leaf array
+    per chunk of N rows."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(product_module, "_BLOCK", block)
+        f, g, t = product_module._prepared_factors(
+            *(Spline(kv, np.zeros(kv.dimension)) for kv in pair), None
+        )
+        plans, group, counts = product_module._window_groups(t, f.degree)
+        layout, _ = product_module._layout(f, g, t)
+        # _row_ranges checks that each range's chunks hold its rows once
+        for _, _, chunks, sides in _row_ranges(layout):
+            sizes = []
+            for k, (weights, rows) in enumerate(chunks):
+                T = weights.shape[-1]
+                cap = max(1, block // (2 * T))
+                assert np.all(counts[rows] == T) and 1 <= rows.size <= cap
+                sizes.append((T, rows.size, cap))
+                if weights.ndim == 1:
+                    assert np.all(group[rows] == group[rows[0]])
+                else:
+                    assert weights.shape == (rows.size, T)
+                for i, row in enumerate(rows):
+                    row_weights = weights if weights.ndim == 1 else weights[i]
+                    assert _same_bytes(row_weights, plans[group[row]])
+                for side in sides:
+                    assert side.leaves[k].shape == (rows.size, T)
+            # chunks run in ascending T, and only a full one is followed
+            # by another of its T
+            for (T, n, cap), (after, _, _) in zip(sizes, sizes[1:]):
+                assert T < after or (T == after and n == cap)
 
 
 @settings(max_examples=120, deadline=None)
@@ -714,12 +741,12 @@ def _grouped_oracle(f, g):
     True,
 )
 def test_grouped_reduction_equals_the_per_piece_oracle(pair, seed, block, merges):
-    """Each block's pieces are reduced in groups of one profile count T,
-    with one stacked matmul per group, and f's weighted values are kept
-    for hits.  A first call, a hit reusing f's weighted values and a hit
-    with new g give the per-piece oracle's bytes, zero signs included,
-    under _BLOCK = 64 and the default.  The explicit examples (merges)
-    hold a block where two plans of one T share a group."""
+    """Each chunk's rows, of one profile count T, are reduced with one
+    stacked matmul, and f's weighted values are kept for hits.  A first
+    call, a hit reusing f's weighted values and a hit with new g give
+    the bytes of the oracle that reduces every row on its own, zero
+    signs included, under _BLOCK = 64 and the default.  The explicit
+    examples (merges) hold a chunk where two plans of one T meet."""
     rng = np.random.default_rng(seed)
     factors = []
     for kv in (pair[0], pair[1], pair[1]):
@@ -809,19 +836,14 @@ def test_square_product_past_the_stage_bound_streams_one_side_per_range():
         layout, keep = product_module._layout(f2, g2, t)
         ranges = _row_ranges(layout)
         assert not keep and len(ranges) == 2
-        for _, _, pieces, (side_f, side_g) in ranges:
+        for _, _, chunks, (side_f, side_g) in ranges:
             assert side_f.stages is side_g.stages
             values = []
             for side in (side_f, side_g):
                 last = product_module._side_values(f2.coefficients, side)
                 values.append([last[leaf] for leaf in side.leaves])
-            for block, bf, bg in zip(pieces, *values):
-                lo = 0
-                for weights, piece in block:
-                    hi = lo + piece.size * weights.shape[-1]
-                    rows_f = bf[lo:hi].reshape(piece.size, -1)
-                    assert _same_bytes(bg[lo:hi].reshape(piece.size, -1), rows_f[:, ::-1])
-                    lo = hi
+            for bf, bg in zip(*values):
+                assert _same_bytes(bg, bf[:, ::-1])
         for _ in range(2):
             _assert_rows_bytes(f, g)
             assert product_module._kept is None

@@ -406,7 +406,8 @@ def test_improved_is_bit_identical_to_per_row_loop(p1, p2, data):
 
 
 def test_improved_bit_identical_across_row_blocks(monkeypatch):
-    """Blocks that split a window group or hold several, and one block."""
+    """Chunks that split a window group or hold several, and one chunk per
+    profile count."""
     import splineprod.product as product_module
 
     rng = np.random.default_rng(41)
@@ -417,17 +418,18 @@ def test_improved_bit_identical_across_row_blocks(monkeypatch):
     for block in (64, 1 << 20):
         monkeypatch.setattr(product_module, "_BLOCK", block)
         groups = product_module._window_groups(t, 3)
-        packing = list(product_module._row_blocks(*groups, 0, t.dimension))
-        # the window groups (one plan each) that have rows in each block
-        groups = [{id(weights) for weights, _ in pieces} for pieces in packing]
-        rows = np.concatenate([piece for pieces in packing for _, piece in pieces])
+        packing = product_module._chunks(*groups, 0, t.dimension)
+        # the window groups (one plan each) that have rows in each chunk
+        groups = [set(groups[1][rows].tolist()) for _, rows in packing]
+        rows = np.concatenate([rows for _, rows in packing])
         assert np.array_equal(np.sort(rows), np.arange(t.dimension))
         if block == 64:
-            blocks = Counter(group for held in groups for group in held)
-            assert max(blocks.values()) > 2
+            chunks = Counter(k for held in groups for k in held)
+            assert len(packing) == 14
+            assert max(chunks.values()) > 2
             assert max(len(held) for held in groups) >= 2
         else:
-            assert len(packing) == 1
+            assert len(packing) == np.unique(counts).size == 3
         result = improved_morken_product(f, g)
         assert np.array_equal(result.product.coefficients, coeffs)
         assert np.array_equal(result.distinct_term_counts, counts)
@@ -496,7 +498,7 @@ def test_kept_layout_sequences_match_per_row_loop(product_module):
     _assert_rows_bytes(improved_morken_product(f, g), f, g)
     assert product_module._kept[0] == kept[0]
     assert product_module._kept.layout is not kept.layout
-    # a degree-20 Galerkin product packs into one block too
+    # a degree-20 Galerkin product is one row range too
     c = build_family_case("galerkin_p", 20, SplitMix64(3))
     f, g = c.f, c.gs[1]
     _assert_rows_bytes(improved_morken_product(f, g), f, g)
@@ -598,28 +600,32 @@ def test_kept_layout_still_checks_target_knots(product_module):
     assert improved_morken_product(f, g, target_knots=exact).product.knots == exact
 
 
-def _blocks(module, f, g):
-    """The evaluation blocks that all rows of the product of f and g pack into."""
+def _chunks(module, f, g):
+    """The (weights, rows) chunks that all rows of the product of f and g
+    pack into."""
     t = product_knot_vector(f.knots, g.knots)
-    return list(module._row_blocks(*module._window_groups(t, f.degree), 0, t.dimension))
+    return module._chunks(*module._window_groups(t, f.degree), 0, t.dimension)
 
 
 def test_multi_block_product_is_kept_when_both_sides_merge(product_module):
-    """galerkin_k 40 packs into 2 blocks and is one row range, so both its
-    sides merge across them and its first call keeps the layout; the
-    next calls, with new g or f coefficients too, reuse that very layout
-    object."""
+    """galerkin_k 40, whose rows' leaf values pass _BLOCK doubles, packs
+    into 60 chunks and is one row range, so both its sides merge across
+    them and its first call keeps the layout; the next calls, with new g
+    or f coefficients too, reuse that very layout object."""
     case = build_family_case("galerkin_k", 40, SplitMix64(12345))
     f, gs = case.f, case.gs
-    assert len(_blocks(product_module, f, gs[0])) == 2
+    chunks = _chunks(product_module, f, gs[0])
+    assert len(chunks) == 60
+    doubles = sum(2 * weights.shape[-1] * rows.size for weights, rows in chunks)
+    assert doubles > product_module._BLOCK
     _assert_rows_bytes(improved_morken_product(f, gs[0]), f, gs[0])
     kept = product_module._kept
     layout = kept.layout
-    ((pieces, side_f, side_g),) = layout.ranges
-    assert len(pieces) == 2
-    # one merged side per factor, with one leaf array per block
-    assert len(side_f.leaves) == len(side_g.leaves) == 2
-    assert len(kept.f_values) == 2
+    ((chunks, side_f, side_g),) = layout.ranges
+    assert len(chunks) == 60
+    # one merged side per factor, with one leaf array per chunk
+    assert len(side_f.leaves) == len(side_g.leaves) == 60
+    assert len(kept.f_values) == 60
     f2 = random_spline_on(np.random.default_rng(40), f.knots)
     for f3, g in ((f, gs[1]), (f2, gs[1])):
         _assert_rows_bytes(improved_morken_product(f3, g), f3, g)
@@ -634,9 +640,9 @@ def test_multi_block_product_is_kept_when_both_sides_merge(product_module):
 def test_product_past_the_stage_bound_streams_row_ranges(product_module):
     """mesh_refine_highdeg 6 merged whole would take 138,952 doubles in one
     stage of its g side, past _BLOCK: its rows are cut into 3 ranges,
-    each merged on its own and packed into one block, with one leaf
-    array per block on each side.  The layout is not kept, also when the
-    key repeats, and the bytes are those of the per-row loop."""
+    each merged on its own and packed into 24, 22 and 24 chunks, with
+    one leaf array per chunk on each side.  The layout is not kept, also
+    when the key repeats, and the bytes are those of the per-row loop."""
     case = build_family_case("mesh_refine_highdeg", 6, SplitMix64(12345))
     f, g = case.f, case.gs[0]
     f2, g2, t = product_module._prepared_factors(f, g, None)
@@ -644,30 +650,32 @@ def test_product_past_the_stage_bound_streams_row_ranges(product_module):
     assert not keep and not isinstance(layout.ranges, tuple)
     ranges = list(layout.ranges)
     assert len(ranges) == 3
-    for pieces, side_f, side_g in ranges:
-        assert len(pieces) == 1 and len(side_f.leaves) == len(side_g.leaves) == 1
-    rows = np.concatenate([rows for pieces, _, _ in ranges for _, rows in pieces[0]])
+    assert [len(chunks) for chunks, _, _ in ranges] == [24, 22, 24]
+    for chunks, side_f, side_g in ranges:
+        assert len(side_f.leaves) == len(side_g.leaves) == len(chunks)
+    rows = np.concatenate([rows for chunks, _, _ in ranges for _, rows in chunks])
     assert np.array_equal(np.sort(rows), np.arange(t.dimension))
     for _ in range(2):
         _assert_rows_bytes(improved_morken_product(f, g), f, g)
         assert product_module._kept is None
 
 
-@pytest.mark.parametrize("block, blocks", [(1, 91), (1024, 2), (1 << 16, 1)])
+@pytest.mark.parametrize("block, chunks", [(1, 91), (1024, 13), (1 << 16, 13)])
 def test_numbering_across_block_sizes_matches_per_row_loop(
-    product_module, monkeypatch, block, blocks
+    product_module, monkeypatch, block, chunks
 ):
-    """galerkin_p 12 with one row per block (one-row ranges, streamed), 2
-    blocks (one range, merged across them) and one block: first calls,
-    hits on new g coefficients with f's values reused, and hits on new f
+    """galerkin_p 12 with one row per chunk (one-row ranges, streamed),
+    and with one chunk per profile count in one range, merged across
+    them, under a small and the default _BLOCK: first calls, hits on new
+    g coefficients with f's values reused, and hits on new f
     coefficients give the per-row loop's bytes."""
     monkeypatch.setattr(product_module, "_BLOCK", block)
     case = build_family_case("galerkin_p", 12, SplitMix64(12345))
     f, gs = case.f, case.gs
-    packing = _blocks(product_module, f, gs[0])
-    assert len(packing) == blocks
+    packing = _chunks(product_module, f, gs[0])
+    assert len(packing) == chunks
     if block == 1:
-        assert all(sum(piece.size for _, piece in pieces) == 1 for pieces in packing)
+        assert all(rows.size == 1 for _, rows in packing)
     f2 = random_spline_on(np.random.default_rng(12), f.knots)
     for f3, g in ((f, gs[0]), (f, gs[1]), (f, gs[2]), (f2, gs[2]), (f2, gs[3])):
         _assert_rows_bytes(improved_morken_product(f3, g), f3, g)
@@ -675,8 +683,8 @@ def test_numbering_across_block_sizes_matches_per_row_loop(
         if block == 1:
             assert slot is None
         else:
-            ((pieces, _, _),) = slot.layout.ranges
-            assert len(pieces) == blocks
+            ((kept_chunks, _, _),) = slot.layout.ranges
+            assert len(kept_chunks) == chunks
             assert slot.f_bytes == f3.coefficients.tobytes()
 
 
@@ -690,32 +698,32 @@ def test_merged_node_counts_match_an_independent_recount(
 ):
     """Every stage of a merged side holds one node per distinct (anchor
     span, sorted top knot values) over all rows' profiles, counted in
-    plain Python sets (tests/helpers.py); galerkin_k 12 at _BLOCK 2048
-    spreads them over 2 blocks."""
+    plain Python sets (tests/helpers.py), across the product's chunks,
+    one per profile count, also at _BLOCK 2048."""
     monkeypatch.setattr(product_module, "_BLOCK", block)
     case = build_family_case(family, param, SplitMix64(12345))
     f, g = case.f, case.gs[0]
     improved_morken_product(f, g)
-    ((pieces, *sides),) = product_module._kept.layout.ranges
-    assert len(pieces) == (2 if block == 2048 else 1)
+    ((chunks, *sides),) = product_module._kept.layout.ranges
+    assert len(chunks) == {7: 11, 10: 15, 12: 18}[param]
     for side, counts in zip(sides, stage_node_counts(f, g)):
-        assert len(side.leaves) == len(pieces)
+        assert len(side.leaves) == len(chunks)
         assert [stage[0].size for stage in side.stages] == counts
 
 
 def test_shared_stages_hold_one_node_per_parent_and_pair(product_module, monkeypatch):
-    """The first call's kept galerkin_k 12 layout, packed into 2 blocks, is
-    numbered across them: no stage holds two nodes with the same (parent,
-    knot pair), every pair's stage factors are those of its span's knot
-    window at its value, the side holds fewer nodes than its rows'
-    row-nodes, and each block's values are those of the per-row loop,
-    bit for bit."""
+    """The first call's kept galerkin_k 12 layout, packed into 18 chunks at
+    _BLOCK 2048, is numbered across them: no stage holds two nodes with
+    the same (parent, knot pair), every pair's stage factors are those
+    of its span's knot window at its value, the side holds fewer nodes
+    than its rows' row-nodes, and each chunk's values are those of the
+    per-row loop, bit for bit."""
     monkeypatch.setattr(product_module, "_BLOCK", 2048)
     case = build_family_case("galerkin_k", 12, SplitMix64(12345))
     f, g = case.f, case.gs[0]
     _assert_rows_bytes(improved_morken_product(f, g), f, g)
-    ((pieces, *sides),) = product_module._kept.layout.ranges
-    assert len(pieces) == 2
+    ((chunks, *sides),) = product_module._kept.layout.ranges
+    assert len(chunks) == 18
     f, g, t = product_module._prepared_factors(f, g, None)
     spans = [find_span0_many(s.knots.knots, s.degree, t.knots[: t.dimension]) for s in (f, g)]
     pairs = [product_module._pairs(k, t.knots, product_module._runs(t.knots)) for k in spans]
@@ -738,19 +746,21 @@ def test_shared_stages_hold_one_node_per_parent_and_pair(product_module, monkeyp
         nodes = sum(stage[0].size for stage in after.stages)
         assert nodes < row_nodes[i]
         values = product_module._side_values(s.coefficients, after)
-        for leaf, block in zip(after.leaves, pieces):
-            expected = np.concatenate(
-                [rows[r][1 + i] for _, piece in block for r in piece]
-            )
+        for leaf, (_, chunk) in zip(after.leaves, chunks):
+            expected = np.stack([rows[r][1 + i] for r in chunk])
             assert values[leaf].tobytes() == expected.tobytes()
 
 
 def test_one_block_product_is_kept(product_module):
-    """spline_poly 30 packs into one block, so its layout is kept and a
-    second call, with new coefficients too, runs on it."""
+    """spline_poly 30 packs into 4 chunks, one per profile count, within
+    _BLOCK doubles in all, so its layout is kept and a second call, with
+    new coefficients too, runs on it."""
     case = build_family_case("spline_poly", 30, SplitMix64(9))
     f, g = case.f, case.gs[0]
-    assert len(_blocks(product_module, f, g)) == 1
+    chunks = _chunks(product_module, f, g)
+    assert len(chunks) == 4
+    doubles = sum(2 * weights.shape[-1] * rows.size for weights, rows in chunks)
+    assert doubles <= product_module._BLOCK
     _assert_rows_bytes(improved_morken_product(f, g), f, g)
     kept = product_module._kept
     assert kept.layout is not None
@@ -763,7 +773,7 @@ def test_one_block_product_is_kept(product_module):
 def test_one_block_product_with_an_unmerged_side_is_not_kept(
     product_module, monkeypatch
 ):
-    """mesh_refine 10 packs into one block, and each side is made not to
+    """mesh_refine 10 packs into 4 chunks, and each side is made not to
     merge whole: it cuts the rows left to build in half, as a stage past
     _BLOCK would, so the product streams row ranges.  Its layout is not
     kept, also when the key repeats, and each call gives the per-row
@@ -777,12 +787,45 @@ def test_one_block_product_with_an_unmerged_side_is_not_kept(
     case = build_family_case("mesh_refine", 10, SplitMix64(12345))
     f, g = case.f, case.gs[0]
     f2, g2, t = product_module._prepared_factors(f, g, None)
-    assert len(_blocks(product_module, f, g)) == 1
+    assert len(_chunks(product_module, f, g)) == 4
     layout, keep = product_module._layout(f2, g2, t)
     assert not keep and not isinstance(layout.ranges, tuple)
     for _ in range(2):
         _assert_rows_bytes(improved_morken_product(f, g), f, g)
         assert product_module._kept is None
+
+
+def _base_arrays(obj, found):
+    """Every array that obj holds, through tuples, lists and dataclasses,
+    as the array that owns its memory, keyed on its id."""
+    if isinstance(obj, np.ndarray):
+        while isinstance(obj.base, np.ndarray):
+            obj = obj.base
+        found[id(obj)] = obj
+    elif isinstance(obj, (tuple, list)):
+        for item in obj:
+            _base_arrays(item, found)
+    elif hasattr(obj, "__dataclass_fields__"):
+        for name in obj.__dataclass_fields__:
+            _base_arrays(getattr(obj, name), found)
+    return found
+
+
+@pytest.mark.parametrize(
+    "family, param",
+    [("mesh_refine_highdeg", 5), ("galerkin_k", 50), ("spline_spline", 50)],
+)
+def test_kept_layout_memory_stays_within_4_mib(product_module, family, param):
+    """The kept layout and f values of the largest kept experiment products
+    (row seed 12345) take at most 4 MiB, counting each array's memory
+    once: 3.8, 3.4 and 3.4 MiB, most of it leaf indices and stage
+    factors, and 0.1, 0.5 and 0.5 MiB the chunks' stacked plan
+    weights."""
+    case = build_family_case(family, param, SplitMix64(12345))
+    improved_morken_product(case.f, case.gs[0])
+    kept = product_module._kept
+    found = _base_arrays(kept.f_values, _base_arrays(kept.layout, {}))
+    assert sum(a.nbytes for a in found.values()) <= 4 * 2**20
 
 
 def test_kept_counts_are_read_only(product_module):
