@@ -376,19 +376,31 @@ def morken_product(
     return _result(t, b, count, counts, float(counts.mean()))
 
 
+class _Chunk(NamedTuple):
+    """Rows of one profile count T, reduced together (_chunks).
+
+    plans holds the (G, T) plans of the G window groups that have rows in
+    the chunk, and index[n] the position in plans of the plan of row n of
+    rows, so row n's weights are plans[index[n]].
+    """
+
+    plans: np.ndarray
+    index: np.ndarray
+    rows: np.ndarray
+
+
 def _chunks(weights: list, group: np.ndarray, counts: np.ndarray, a: int, b: int):
     """Rows a .. b - 1 of a product packed into chunks of one profile count.
 
     weights, group and counts are the product's window groups
-    (_window_groups).  Returns one (weights, rows) per chunk.  Each row
-    costs two doubles per profile, its leaf values on the f and g sides,
-    so a chunk of profile count T holds at most max(1, _BLOCK // (2T))
-    rows: the rows, stably sorted by (T, window group), are cut where T
-    changes or a chunk fills.  A chunk's weights are the (T,) plan of
-    its window group when all its rows share one, and otherwise an (N,
-    T) matrix with the plan of each of its N rows.  Rows are not padded
-    to a common T, which would change the summation order of their
-    dots, and so the bits.
+    (_window_groups).  Returns one _Chunk per chunk.  Each row costs two
+    doubles per profile, its leaf values on the f and g sides, so a
+    chunk of profile count T holds at most max(1, _BLOCK // (2T)) rows:
+    the rows, stably sorted by (T, window group), are cut where T
+    changes or a chunk fills.  Each chunk stacks the plans of its window
+    groups once, with one C-level build.  Rows are not padded to a common
+    T, which would change the summation order of their dots, and so the
+    bits.
     """
     ids, sizes = group[a:b], counts[a:b]
     # the rows stably sorted by (T, window group), on narrow keys as in
@@ -398,25 +410,24 @@ def _chunks(weights: list, group: np.ndarray, counts: np.ndarray, a: int, b: int
     rows, ids, sizes = order + a, ids[order], sizes[order]
     # a chunk opens where T changes and then every max(1, _BLOCK // (2T))
     # rows; each window group's rows, all of one T, are one run of rows
-    starts = np.append(0, np.flatnonzero(sizes[1:] != sizes[:-1]) + 1)
-    runs = np.diff(starts, append=sizes.size)
-    caps = np.maximum(_BLOCK // (2 * sizes[starts]), 1)
-    cut = _ranges(runs) % caps.repeat(runs) == 0
-    # the runs of one window group within one chunk, each of one plan
-    edges = np.flatnonzero(cut | (np.diff(ids, prepend=-1) != 0))
-    plans = [weights[k] for k in ids[edges].tolist()]
-    lengths = np.diff(edges, append=sizes.size).tolist()
-    firsts = [*np.flatnonzero(cut[edges]).tolist(), edges.size]
-    edges = [*edges.tolist(), sizes.size]
-    chunks = []
-    for i, j in zip(firsts, firsts[1:]):
-        if j - i == 1:
-            plan = plans[i]
-        else:
-            plan = np.stack(plans[i:j]).repeat(lengths[i:j], axis=0)
-            plan.setflags(write=False)
-        chunks.append((plan, rows[edges[i] : edges[j]]))
-    return chunks
+    n = sizes.size
+    changes = np.append(0, np.flatnonzero(sizes[1:] != sizes[:-1]) + 1)
+    runs = np.diff(changes, append=n)
+    caps = np.maximum(_BLOCK // (2 * sizes[changes]), 1)
+    starts = np.flatnonzero(_ranges(runs) % caps.repeat(runs) == 0)
+    # every row's window group numbered in sorted order, and its position
+    # among the groups of its chunk
+    opens = np.diff(ids, prepend=-1) != 0
+    rank = np.cumsum(opens) - 1
+    plans = [weights[k] for k in ids[opens].tolist()]
+    lows = rank[starts]
+    index = rank - lows.repeat(np.diff(starts, append=n))
+    highs = [*(rank[starts[1:] - 1] + 1).tolist(), len(plans)]
+    stops = [*starts[1:].tolist(), n]
+    return [
+        _Chunk(np.array(plans[lo:hi]), index[start:stop], rows[start:stop])
+        for lo, hi, start, stop in zip(lows.tolist(), highs, starts.tolist(), stops)
+    ]
 
 
 def _ranges(lengths: np.ndarray) -> np.ndarray:
@@ -437,10 +448,11 @@ class _Side:
     stage's diagonal and superdiagonal factors per knot pair, shape
     (pairs, d).  There is one root per anchor span and one node per
     (span, sorted top knot values) of the range's rows (_merged).
-    leaves holds one (N, T) array per chunk of the range (_chunks): row
-    n of it lists the T profiles of the chunk's row n as positions in
-    the last stage.  The f and g sides of a square product hold the same
-    cols and stages and differ in their leaves.
+    leaves holds one (N, T) intp array per chunk of the range (_chunks):
+    row n of it lists the T profiles of the chunk's row n as positions
+    in the last stage.  The f and g sides of a square product hold the
+    same cols and stages, and f's leaves are views of g's read
+    backwards (_range_sides).
     """
 
     cols: np.ndarray
@@ -454,9 +466,9 @@ class _Layout:
 
     counts holds every row's distinct profile count, read-only, and
     mean_distinct their mean.  ranges holds (chunks, f side, g side) per
-    row range (_fit), in row order: chunks lists the range's (weights,
-    rows) chunks of one profile count T each (_chunks), and each side
-    has one (N, T) leaf array per chunk.  ranges is a
+    row range (_fit), in row order: chunks lists the range's _Chunk
+    entries, of one profile count T each (_chunks), and each side has
+    one (N, T) leaf array per chunk.  ranges is a
     tuple when the product is one range, and then the layout is kept;
     otherwise it is a generator that builds one range at a time.  When
     the product is square, f and g on one knot vector and degree, both
@@ -600,8 +612,8 @@ def _merged(q: int, runs, pairs: _Pairs, end: int):
     top = run[hi + p]
     # a node's rows hold c copies of its run k's value and, at stage j,
     # q - j - 1 more knots at most as large from rows lo_run[k] + c to
-    # hi_run[k] + j - c
-    lo_run, hi_run, length = first - p - 1, stop - q, stop - first
+    # hi_run[k] + 1 - c, where hi_run steps up by one a stage
+    lo_run, hi_run, length = first - p - 1, stop - q - 1, stop - first
     k, c, base = top + 1, np.zeros_like(top), pairs.base
     # children sort on their runs, at most one past the last, in the
     # narrowest unsigned type: a stable argsort of keys of 16 bits or
@@ -609,12 +621,17 @@ def _merged(q: int, runs, pairs: _Pairs, end: int):
     key = np.min_scalar_type(first.size - 1)
     stages = []
     for j in range(q):
-        lowest = run[lo + q - j]
+        lowest = run[q - j :][lo]
         # the children of a parent add runs lowest .. k - 1, and k again
         # when its rows hold one more copy
         c += 1
-        again = np.maximum(lo, lo_run[k] + c) <= np.minimum(hi, hi_run[k] + j - c)
-        counts = k - lowest + (again & (c <= length[k]))
+        # a node's rows already end by hi_run[k] + 1 - c, the last row of
+        # one more copy, so only that copy's first row, lo_run[k] + c, can
+        # leave it no row
+        again = lo_run[k] + c <= hi
+        again &= c <= length[k]
+        counts = k - lowest
+        counts += again
         parent = np.arange(counts.size).repeat(counts)
         child = (lowest - counts.cumsum() + counts).repeat(counts)
         child += np.arange(child.size)
@@ -630,8 +647,11 @@ def _merged(q: int, runs, pairs: _Pairs, end: int):
             live = lo < end
             parent, k, c, lo = parent[live], k[live], c[live], lo[live]
         base = base[parent]
-        hi = np.minimum(hi[parent], hi_run[k] + j - c)
+        # a child of a new value, c = 1, ends by hi_run[k]; one of another
+        # copy of its parent's value ends where its parent does, no later
+        hi = np.minimum(hi[parent], hi_run[k])
         stages.append((parent, base + k, lo))
+        hi_run += 1
     return end, (stages, lo, np.minimum(hi, end - 1))
 
 
@@ -655,62 +675,96 @@ def _prune(nodes, end: int):
     return cut, lo[keep], np.minimum(hi[keep], end - 1)
 
 
+def _ranked(lo: np.ndarray, hi: np.ndarray, n: int):
+    """Every row's leaves in rank order, from the rows lo .. hi of every
+    last-stage node of a range of n rows.
+
+    Returns (ranked, first): row r's T leaves, T its profile count, are
+    ranked[first[r] : first[r] + T], in ascending rank, in the narrowest
+    unsigned type of the node ids.  The (row, node) pairs are listed as
+    keys, the row above the node id's bits, and sorted: the keys are
+    distinct, so any sort keeps each row's nodes in rank order.  This
+    runs one block of rows at a time, each of at most _BLOCK // 2 leaves
+    (one row at least), with the rows counted from the block's first.
+    While a stage holds at most _BLOCK // 2 nodes (_merged), every key
+    fits 32 bits, so the keys and their steps, the only temporaries of
+    one entry per leaf, together stay within _BLOCK doubles' worth of
+    bytes.
+    """
+    shift = int(lo.size - 1).bit_length()
+    # leaves per row: a node's rows open at lo and close after hi
+    marks = np.bincount(lo, minlength=n + 1) - np.bincount(hi + 1, minlength=n + 1)
+    ends = np.cumsum(np.cumsum(marks[:n]))
+    first = np.append(0, ends[:-1])
+    ranked = np.empty(ends[-1], dtype=np.min_scalar_type(lo.size - 1))
+    r0 = 0
+    while r0 < n:
+        r1 = int(np.searchsorted(ends, first[r0] + _BLOCK // 2, "right"))
+        r1 = max(r1, r0 + 1)
+        live = np.flatnonzero((lo < r1) & (hi >= r0))
+        low = np.maximum(lo[live], r0) - r0
+        lengths = np.minimum(hi[live], r1 - 1) - r0 - low + 1
+        # pair i of the block, row low + i - s of a node whose first pair
+        # is s, has key ((low - s + i) << shift) + node: the node's part,
+        # repeated, plus i << shift, modulo the key width
+        width = np.min_scalar_type(((r1 - r0) << shift) - 1)
+        heads = ((low - np.cumsum(lengths) + lengths) << shift) + live
+        keys = heads.astype(width).repeat(lengths)
+        steps = np.arange(keys.size, dtype=width)
+        steps <<= shift
+        keys += steps
+        keys.sort()
+        block = ranked[first[r0] : ends[r1 - 1]]
+        np.bitwise_and(keys, (1 << shift) - 1, out=block, casting="unsafe")
+        r0 = r1
+    return ranked, first
+
+
 def _range_sides(s: Spline, spans, pairs: _Pairs, nodes, chunks, a: int, orders):
     """Sides of factor s over the row range from row a, from its stage nodes.
 
     spans holds the range's anchor spans in s, nodes is the (stages, lo,
     hi) of _merged, or of _prune for a cut range, and chunks the range's
-    (weights, rows) chunks (_chunks).  A row's profiles, in
-    the descending lexicographic order of _profiles, have ascending f
-    rows in rank order and descending g rows, so every row's leaves are
-    its last-stage nodes in ascending rank for f, descending for g.  A
-    merged node runs the same elementwise arithmetic on the same doubles
-    as every row-node it replaces, and so gives the same bits.  The stage
-    factors and the rows' leaves in rank order are built once, and one
-    _Side is returned per entry of orders, with the leaves descending
-    where the entry is set and ascending elsewhere; all of them hold the
-    same cols and stage arrays, so the f and g sides of a square product
-    share them.
+    chunks (_chunks).  A row's profiles, in the descending lexicographic
+    order of _profiles, have ascending f rows in rank order and
+    descending g rows, so every row's leaves are its last-stage nodes in
+    ascending rank for f, descending for g (_ranked).  A merged node
+    runs the same elementwise arithmetic on the same doubles as every
+    row-node it replaces, and so gives the same bits.  One _Side is
+    returned per entry of orders, with the leaves descending where the
+    entry is set and ascending elsewhere; all of them hold the same cols
+    and stage arrays.  orders holds one entry per factor side, or, for
+    the f and g sides of a square product, (False, True): each chunk's
+    leaves are then gathered once, descending, and g holds them, since
+    a kept-layout hit reads g's leaves; f holds them reversed, as
+    views, which only a call on new f coefficients reads.
     """
     stages, lo, hi = nodes
-    # every row's leaves in rank order: its last-stage nodes, row by row
-    lengths = hi - lo + 1
-    rows = np.repeat(lo, lengths) + _ranges(lengths)
-    # narrow keys, as in _merged
-    key = np.min_scalar_type(spans.size - 1)
-    ranked = np.repeat(np.arange(lengths.size), lengths)[
-        np.argsort(rows.astype(key), kind="stable")
-    ]
-    per_row = np.bincount(rows, minlength=spans.size)
-    first_leaf = np.cumsum(per_row) - per_row
-    # each order reads its leaves from ranked, or from ranked reversed,
-    # where every row's leaves start at its entry of the second array
-    reads = [
-        (ranked[::-1], ranked.size - first_leaf - per_row)
-        if descending
-        else (ranked, first_leaf)
-        for descending in orders
-    ]
+    ranked, first = _ranked(lo, hi, spans.size)
     _, cols = _window_indices(s.degree, spans[pairs.lo])
     factors = _factors(s, pairs.pair_spans, pairs.pair_values)
     stages = tuple(
         (parent, at, diag, sup)
         for (parent, at, _), (diag, sup) in zip(stages, factors)
     )
-    # each chunk's leaves are built on their own, so that no temporary
-    # passes the chunk's _BLOCK doubles
-    rows = np.concatenate([rows for _, rows in chunks]) - a
-    shapes = [(rows.size, weights.shape[-1]) for weights, rows in chunks]
-    offsets = np.arange(max(T for _, T in shapes))
-    sides = []
-    for nodes, start in reads:
-        first = start[rows][:, None]
-        leaves, lo = [], 0
-        for N, T in shapes:
-            leaves.append(nodes[first[lo : lo + N] + offsets[:T]])
-            lo += N
-        sides.append(_Side(cols, stages, tuple(leaves)))
-    return sides
+    # each chunk's leaves are gathered on their own, so that no temporary
+    # passes the chunk's _BLOCK doubles; descending leaves are the
+    # ascending ones read backwards
+    starts = first[np.concatenate([chunk.rows for chunk in chunks]) - a][:, None]
+    offsets = np.arange(max(chunk.plans.shape[1] for chunk in chunks))
+    descending = orders[-1]
+    if descending:
+        offsets = offsets[::-1]
+    leaves, lo = [], 0
+    for chunk in chunks:
+        N, T = chunk.rows.size, chunk.plans.shape[1]
+        steps = offsets[-T:] if descending else offsets[:T]
+        leaves.append(ranked[starts[lo : lo + N] + steps].astype(np.intp))
+        lo += N
+    side = _Side(cols, stages, tuple(leaves))
+    if len(orders) == 1:
+        return [side]
+    return [_Side(cols, stages, tuple(leaf[:, ::-1] for leaf in leaves)), side]
 
 
 def _fit(t: KnotVector, sides, a: int):
@@ -751,8 +805,8 @@ def _row_ranges(t: KnotVector, sides, groups, fitted):
     """(chunks, f side, g side) of every row range in turn, each built as
     it is read.  groups holds the product's window groups (_window_groups)
     and fitted _fit's result for the first range.  chunks lists the
-    range's (weights, rows) chunks (_chunks), and each side one leaf
-    array per chunk."""
+    range's _Chunk entries (_chunks), and each side one leaf array per
+    chunk."""
     a = 0
     while a < t.dimension:
         b, built = fitted or _fit(t, sides, a)
@@ -831,11 +885,11 @@ def _side_values(coeffs: np.ndarray, side: _Side) -> np.ndarray:
 
 def _weighted(values: np.ndarray, chunks: list, leaves):
     """f's weighted kernel values of a range, one (N, T) array per chunk:
-    the chunk's weights times its rows' leaf values.  values holds the
-    kernel value of every node of f's last stage (_side_values) and
-    leaves f's leaf array per chunk."""
-    for (weights, _), leaf in zip(chunks, leaves):
-        yield weights * values[leaf]
+    each row's plan, gathered from the chunk's plans by its index, times
+    its leaf values.  values holds the kernel value of every node of f's
+    last stage (_side_values) and leaves f's leaf array per chunk."""
+    for chunk, leaf in zip(chunks, leaves):
+        yield chunk.plans.take(chunk.index, axis=0) * values.take(leaf)
 
 
 class _Slot(NamedTuple):
@@ -869,9 +923,9 @@ def improved_morken_product(
     doubles of leaf values each (_chunks), and a chunk's rows are
     reduced together: one weighted multiply, one stacked matmul and one
     scatter per chunk, however many plans share the T.  Every
-    coefficient sums the same kernel products in the same order as one kernel_many call per row
-    and factor over its distinct profiles; agrees with morken_product
-    to floating-point roundoff.
+    coefficient sums the same kernel products in the same order as one
+    kernel_many call per row and factor over its distinct profiles;
+    agrees with morken_product to floating-point roundoff.
 
     Everything but the coefficient pass depends on the knots alone: a
     refined coefficient is a knot-only linear map applied to the
@@ -899,9 +953,10 @@ def improved_morken_product(
     same, so Galerkin assembly, one f times many g, refines only g and
     skips the weighting too.
     Over every experiment row (row seed 12345) the largest kept layout
-    takes 3.7 MiB, plus 0.1 MiB of f values (mesh_refine_highdeg 5);
-    galerkin_k 50 and spline_spline 50 take 2.8 MiB, 0.5 MiB of it their
-    chunks' stacked plan weights, plus 0.5 MiB of f values.  A call on another key frees the slot first.
+    takes 3.6 MiB, plus 0.1 MiB of f values (mesh_refine_highdeg 5);
+    galerkin_k 50 and spline_spline 50 take 2.0 MiB, 0.2 MiB of it their
+    chunks' plans, plus 0.5 MiB of f values, 2.5 MiB in all.  A call on
+    another key frees the slot first.
     There is no entry point taking many second factors at once:
     consecutive calls on one knot pair already share the layout, and
     each product is still its own call.
@@ -932,7 +987,7 @@ def improved_morken_product(
             if keep:
                 f_values = tuple(f_values)
         last_g = _side_values(g.coefficients, side_g)
-        for (_, rows), wbf, leaf in zip(chunks, f_values, side_g.leaves):
+        for chunk, wbf, leaf in zip(chunks, f_values, side_g.leaves):
             cols = last_g[leaf]
             if cols.shape[1] == 1:
                 # np.dot of one-element rows is their product, zero sign too
@@ -942,7 +997,7 @@ def improved_morken_product(
                 # the row's contiguous values: the summation order, and so
                 # the bits, of one np.dot per row
                 dots = (wbf[:, None, :] @ cols[:, :, None]).ravel()
-            b[rows] = dots
+            b[chunk.rows] = dots
     b /= layout.divisor
     result = _result(
         layout.t, b, layout.naive_terms, layout.counts, layout.mean_distinct

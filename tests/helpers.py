@@ -8,7 +8,8 @@ The exceptions are the former loop forms of the package's batched
 steps, which the batched code must match bit for bit: the clamped span
 scan (`span0_clamped_scan`), the row-major de Boor kernel
 (`kernel_rows_reference`), the per-row loop of the improved product
-(`improved_kernel_rows`, `improved_product_rows`), the per-anchor refine loop
+(`improved_kernel_rows`, `improved_product_rows`), the expanded leaf
+ranking of a merged side (`ranked_leaves`), the per-anchor refine loop
 (`refine_rows_by_anchor`), the scalar-column Cox-de Boor triangle
 (`basis_triangle_rows`) and the per-breakpoint merge of the product knot
 vector (`merged_product_knots`).  `insertion_dense`,
@@ -474,6 +475,21 @@ def piece_reduction(plans, values_f, values_g):
             dots = (wbf[:, None, :] @ cols[:, :, None]).ravel()
         b[i] = dots[0]
     return b
+
+
+def ranked_leaves(lo, hi, n):
+    """Every row's leaves in rank order, from the rows lo .. hi of every
+    last-stage node of a range of n rows: every (node, row) pair listed
+    node by node, then stably argsorted by row.  Returns one array per
+    row, its nodes in ascending rank."""
+    lengths = hi - lo + 1
+    rows = np.repeat(lo, lengths) + np.concatenate(
+        [np.arange(k) for k in lengths.tolist()]
+    )
+    nodes = np.repeat(np.arange(lengths.size), lengths)
+    ranked = nodes[np.argsort(rows, kind="stable")]
+    per_row = np.bincount(rows, minlength=n)
+    return np.split(ranked, np.cumsum(per_row)[:-1])
 
 
 def stage_node_counts(f, g, rows=None):

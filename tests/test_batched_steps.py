@@ -45,6 +45,7 @@ from helpers import (
     merged_product_knots,
     piece_reduction,
     random_spline_on,
+    ranked_leaves,
     refine_rows_by_anchor,
     span0_clamped_scan,
     stage_node_counts,
@@ -510,13 +511,13 @@ def test_factors_of_all_stages_equal_one_call_per_stage(family, param):
 
 def _row_ranges(layout):
     """Each row range of a layout as (a, b, chunks, sides): its rows a ..
-    b - 1, its (weights, rows) chunks and its f and g sides.  The ranges
+    b - 1, its chunks (_Chunk) and its f and g sides.  The ranges
     cover the product's rows in order, and each side holds one leaf
     array per chunk."""
     out = []
     a = 0
     for chunks, *sides in layout.ranges:
-        rows = np.sort(np.concatenate([rows for _, rows in chunks]))
+        rows = np.sort(np.concatenate([chunk.rows for chunk in chunks]))
         b = a + rows.size
         assert np.array_equal(rows, np.arange(a, b))
         assert all(len(side.leaves) == len(chunks) for side in sides)
@@ -657,8 +658,8 @@ def _grouped_oracle(f, g):
     the product of open f and g, divided by C(p, p1), on a new layout's
     own kernel values.  Each row's plan is read from its window group,
     and its kernel values from the row of its chunk's leaves.  Returns
-    the oracle's coefficients and whether some chunk's weights stack the
-    plans of several window groups."""
+    the oracle's coefficients and whether some chunk holds the plans of
+    several window groups."""
     f, g, t = product_module._prepared_factors(f, g, None)
     m = t.dimension
     plans, group, _ = product_module._window_groups(t, f.degree)
@@ -670,10 +671,10 @@ def _grouped_oracle(f, g):
             product_module._side_values(s.coefficients, side)
             for s, side in ((f, side_f), (g, side_g))
         ]
-        for k, (weights, rows) in enumerate(chunks):
-            merges |= weights.ndim == 2
+        for k, chunk in enumerate(chunks):
+            merges |= chunk.plans.shape[0] > 1
             leaf_f, leaf_g = (last[side.leaves[k]] for last, side in zip(lasts, (side_f, side_g)))
-            for row, bf, bg in zip(rows, leaf_f, leaf_g):
+            for row, bf, bg in zip(chunk.rows, leaf_f, leaf_g):
                 values_f[row], values_g[row] = bf, bg
     assert all(v is not None for v in values_f)
     b = piece_reduction([plans[k] for k in group], values_f, values_g)
@@ -686,9 +687,9 @@ def test_chunks_hold_rows_of_one_profile_count_within_the_bound(pair, block):
     """Under _BLOCK = block, every row range's chunks hold each of its rows
     once, rows of one profile count T each, at most max(1, _BLOCK //
     (2T)) of them, and are cut only where T changes or a chunk fills.
-    Each row's weights are its window group's plan, (T,) weights stand
-    for rows of one plan alone, and both sides hold an (N, T) leaf array
-    per chunk of N rows."""
+    Each chunk holds the plans of its rows' window groups once, in sorted
+    group order, each row's index points to its group's plan, and both
+    sides hold an (N, T) leaf array per chunk of N rows."""
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(product_module, "_BLOCK", block)
         f, g, t = product_module._prepared_factors(
@@ -699,18 +700,17 @@ def test_chunks_hold_rows_of_one_profile_count_within_the_bound(pair, block):
         # _row_ranges checks that each range's chunks hold its rows once
         for _, _, chunks, sides in _row_ranges(layout):
             sizes = []
-            for k, (weights, rows) in enumerate(chunks):
-                T = weights.shape[-1]
+            for k, (chunk_plans, index, rows) in enumerate(chunks):
+                T = chunk_plans.shape[1]
                 cap = max(1, block // (2 * T))
                 assert np.all(counts[rows] == T) and 1 <= rows.size <= cap
                 sizes.append((T, rows.size, cap))
-                if weights.ndim == 1:
-                    assert np.all(group[rows] == group[rows[0]])
-                else:
-                    assert weights.shape == (rows.size, T)
+                held = sorted(set(group[rows].tolist()))
+                assert chunk_plans.shape == (len(held), T)
+                assert index.shape == rows.shape
                 for i, row in enumerate(rows):
-                    row_weights = weights if weights.ndim == 1 else weights[i]
-                    assert _same_bytes(row_weights, plans[group[row]])
+                    assert index[i] == held.index(group[row])
+                    assert _same_bytes(chunk_plans[index[i]], plans[group[row]])
                 for side in sides:
                     assert side.leaves[k].shape == (rows.size, T)
             # chunks run in ascending T, and only a full one is followed
@@ -856,3 +856,110 @@ def test_product_knot_vector_bytes_equal_merge_loop_on_families():
         for g in case.gs:
             t = product_knot_vector(case.f.knots, g.knots)
             assert _same_bytes(t.knots, merged_product_knots(case.f.knots, g.knots).knots)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    open_knot_pairs(), st.sampled_from((1, 64, product_module._BLOCK)), st.booleans()
+)
+@example(
+    (KnotVector(np.array([0.0] * 4 + [0.25] * 2 + [0.5] * 2 + [1.0] * 4), 3),
+     KnotVector(np.array([0.0] * 3 + [0.25, 0.5, 0.75] + [1.0] * 3), 2)),
+    64,
+    True,
+)
+def test_leaves_equal_the_expanded_ranking(pair, block, square):
+    """Under _BLOCK = block, every range's per-chunk leaves on each side
+    are the rows of the expanded ranking (ranked_leaves) of the side's
+    last-stage nodes, ascending on f and descending on g, as intp.  In
+    a square product, f and g of one degree on the same knot bytes, drawn
+    or not, g's leaves are
+    C-contiguous and f's are g's read backwards, views of g's memory."""
+    kvs = (pair[0], pair[0]) if square else pair
+    square = kvs[0].degree == kvs[1].degree and (
+        kvs[0].knots.tobytes() == kvs[1].knots.tobytes()
+    )
+    calls = []
+    range_sides = product_module._range_sides
+
+    def recorded(s, spans, pairs, nodes, chunks, a, orders):
+        sides = range_sides(s, spans, pairs, nodes, chunks, a, orders)
+        calls.append((nodes, chunks, a, orders, sides))
+        return sides
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(product_module, "_BLOCK", block)
+        mp.setattr(product_module, "_range_sides", recorded)
+        f, g, t = product_module._prepared_factors(
+            *(Spline(kv, np.zeros(kv.dimension)) for kv in kvs), None
+        )
+        layout, _ = product_module._layout(f, g, t)
+        ranges = list(layout.ranges)
+    assert len(calls) == len(ranges) * (1 if square else 2)
+    for (_, lo, hi), chunks, a, orders, sides in calls:
+        n = sum(chunk.rows.size for chunk in chunks)
+        expected = ranked_leaves(lo, hi, n)
+        assert len(sides) == len(orders) == (2 if square else 1)
+        for side, descending in zip(sides, orders):
+            for chunk, leaf in zip(chunks, side.leaves):
+                rows = np.stack([expected[r] for r in (chunk.rows - a).tolist()])
+                assert leaf.dtype == np.intp
+                assert np.array_equal(leaf, rows[:, ::-1] if descending else rows)
+        if square:
+            for leaf_f, leaf_g in zip(sides[0].leaves, sides[1].leaves):
+                assert leaf_g.flags.c_contiguous
+                assert leaf_f.base is leaf_g
+                assert leaf_f.strides == leaf_g[:, ::-1].strides
+
+
+@pytest.mark.parametrize(
+    "family, param", [("galerkin_k", 50), ("spline_spline", 50), ("mesh_refine", 10)]
+)
+def test_chunk_weighted_values_equal_stacked_row_plans(family, param):
+    """Each chunk keeps the plans of its window groups once, with every
+    row's index into them: the weighted values of every chunk (_weighted)
+    are byte-equal to each row's plan stacked, times the chunk's leaf
+    values, on a product of many chunks that mix window groups
+    (galerkin_k 50 and spline_spline 50) and one of thousands of rows
+    (mesh_refine 10), row seed 12345.  The chunks hold fewer plan rows
+    than rows."""
+    case = build_family_case(family, param, SplitMix64(12345))
+    f, g, t = product_module._prepared_factors(case.f, case.gs[0], None)
+    weights, group, _ = product_module._window_groups(t, f.degree)
+    layout, keep = product_module._layout(f, g, t)
+    assert keep
+    ((chunks, side_f, _),) = layout.ranges
+    values = product_module._side_values(f.coefficients, side_f)
+    weighted = list(product_module._weighted(values, chunks, side_f.leaves))
+    assert len(weighted) == len(chunks)
+    for chunk, got, leaf in zip(chunks, weighted, side_f.leaves):
+        expected = np.stack([weights[group[r]] for r in chunk.rows]) * values[leaf]
+        assert got.tobytes() == expected.tobytes()
+    assert sum(chunk.plans.shape[0] for chunk in chunks) < t.dimension
+
+
+def test_leaf_ranking_temporaries_stay_within_the_block():
+    """spline_spline 50 (row seed 12345) has 69,054 leaves, past _BLOCK:
+    its leaf ranking (_ranked) works in row blocks of at most _BLOCK
+    leaves and holds node ids in 16 bits, so the memory it holds at its
+    peak beyond what it returns stays within _BLOCK doubles' worth of
+    bytes, and it returns what the expanded ranking does."""
+    import tracemalloc
+
+    case = build_family_case("spline_spline", 50, SplitMix64(12345))
+    f, g, t = product_module._prepared_factors(case.f, case.gs[0], None)
+    m = t.dimension
+    spans = find_span0_many(f.knots.knots, f.degree, t.knots[:m])
+    _, ((_, (_, lo, hi)),) = product_module._fit(t, ((f, spans, (False, True)),), 0)
+    assert (hi - lo + 1).sum() > product_module._BLOCK
+    tracemalloc.start()
+    try:
+        ranked, first = product_module._ranked(lo, hi, m)
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert ranked.dtype == np.uint16
+    assert peak - held <= 8 * product_module._BLOCK
+    ends = np.append(first[1:], ranked.size)
+    expected = ranked_leaves(lo, hi, m)
+    assert all(np.array_equal(ranked[a:b], e) for a, b, e in zip(first, ends, expected))

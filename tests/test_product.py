@@ -420,8 +420,8 @@ def test_improved_bit_identical_across_row_blocks(monkeypatch):
         groups = product_module._window_groups(t, 3)
         packing = product_module._chunks(*groups, 0, t.dimension)
         # the window groups (one plan each) that have rows in each chunk
-        groups = [set(groups[1][rows].tolist()) for _, rows in packing]
-        rows = np.concatenate([rows for _, rows in packing])
+        groups = [set(groups[1][chunk.rows].tolist()) for chunk in packing]
+        rows = np.concatenate([chunk.rows for chunk in packing])
         assert np.array_equal(np.sort(rows), np.arange(t.dimension))
         if block == 64:
             chunks = Counter(k for held in groups for k in held)
@@ -601,7 +601,7 @@ def test_kept_layout_still_checks_target_knots(product_module):
 
 
 def _chunks(module, f, g):
-    """The (weights, rows) chunks that all rows of the product of f and g
+    """The chunks (_Chunk) that all rows of the product of f and g
     pack into."""
     t = product_knot_vector(f.knots, g.knots)
     return module._chunks(*module._window_groups(t, f.degree), 0, t.dimension)
@@ -616,7 +616,7 @@ def test_multi_block_product_is_kept_when_both_sides_merge(product_module):
     f, gs = case.f, case.gs
     chunks = _chunks(product_module, f, gs[0])
     assert len(chunks) == 60
-    doubles = sum(2 * weights.shape[-1] * rows.size for weights, rows in chunks)
+    doubles = sum(2 * chunk.plans.shape[1] * chunk.rows.size for chunk in chunks)
     assert doubles > product_module._BLOCK
     _assert_rows_bytes(improved_morken_product(f, gs[0]), f, gs[0])
     kept = product_module._kept
@@ -653,7 +653,7 @@ def test_product_past_the_stage_bound_streams_row_ranges(product_module):
     assert [len(chunks) for chunks, _, _ in ranges] == [24, 22, 24]
     for chunks, side_f, side_g in ranges:
         assert len(side_f.leaves) == len(side_g.leaves) == len(chunks)
-    rows = np.concatenate([rows for chunks, _, _ in ranges for _, rows in chunks])
+    rows = np.concatenate([chunk.rows for chunks, _, _ in ranges for chunk in chunks])
     assert np.array_equal(np.sort(rows), np.arange(t.dimension))
     for _ in range(2):
         _assert_rows_bytes(improved_morken_product(f, g), f, g)
@@ -675,7 +675,7 @@ def test_numbering_across_block_sizes_matches_per_row_loop(
     packing = _chunks(product_module, f, gs[0])
     assert len(packing) == chunks
     if block == 1:
-        assert all(rows.size == 1 for _, rows in packing)
+        assert all(chunk.rows.size == 1 for chunk in packing)
     f2 = random_spline_on(np.random.default_rng(12), f.knots)
     for f3, g in ((f, gs[0]), (f, gs[1]), (f, gs[2]), (f2, gs[2]), (f2, gs[3])):
         _assert_rows_bytes(improved_morken_product(f3, g), f3, g)
@@ -746,8 +746,8 @@ def test_shared_stages_hold_one_node_per_parent_and_pair(product_module, monkeyp
         nodes = sum(stage[0].size for stage in after.stages)
         assert nodes < row_nodes[i]
         values = product_module._side_values(s.coefficients, after)
-        for leaf, (_, chunk) in zip(after.leaves, chunks):
-            expected = np.stack([rows[r][1 + i] for r in chunk])
+        for leaf, chunk in zip(after.leaves, chunks):
+            expected = np.stack([rows[r][1 + i] for r in chunk.rows])
             assert values[leaf].tobytes() == expected.tobytes()
 
 
@@ -759,7 +759,7 @@ def test_one_block_product_is_kept(product_module):
     f, g = case.f, case.gs[0]
     chunks = _chunks(product_module, f, g)
     assert len(chunks) == 4
-    doubles = sum(2 * weights.shape[-1] * rows.size for weights, rows in chunks)
+    doubles = sum(2 * chunk.plans.shape[1] * chunk.rows.size for chunk in chunks)
     assert doubles <= product_module._BLOCK
     _assert_rows_bytes(improved_morken_product(f, g), f, g)
     kept = product_module._kept
@@ -818,9 +818,8 @@ def _base_arrays(obj, found):
 def test_kept_layout_memory_stays_within_4_mib(product_module, family, param):
     """The kept layout and f values of the largest kept experiment products
     (row seed 12345) take at most 4 MiB, counting each array's memory
-    once: 3.8, 3.4 and 3.4 MiB, most of it leaf indices and stage
-    factors, and 0.1, 0.5 and 0.5 MiB the chunks' stacked plan
-    weights."""
+    once: 3.7, 2.5 and 2.5 MiB, most of it stage factors, leaf indices
+    and f values, and 0.03, 0.2 and 0.2 MiB the chunks' plans."""
     case = build_family_case(family, param, SplitMix64(12345))
     improved_morken_product(case.f, case.gs[0])
     kept = product_module._kept
